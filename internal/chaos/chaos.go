@@ -558,8 +558,11 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	}
 	willFb := IsFallbackArm(st.fn.Arm) && draw(st.key, saltFallback, seq, 0) < pFb
 
+	// At most three bills (primary, fallback re-invocation, hedge), kept
+	// in a stack array: Serve runs once per served request.
 	type bill struct{ init, exec time.Duration }
-	var bills []bill
+	var bills [3]bill
+	nb := 0
 	var serveE2E, busy time.Duration
 
 	routed := false
@@ -587,7 +590,8 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 			out.Init = init
 		}
 		out.Routed = true
-		bills = append(bills, bill{init, exec})
+		bills[nb] = bill{init, exec}
+		nb++
 		serveE2E = init + exec
 		busy = serveE2E
 	case willFb:
@@ -600,11 +604,13 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 			fbInit = time.Duration(float64(fbInit) * brownout.Severity)
 		}
 		out.Fallback = true
-		bills = append(bills, bill{init, exec / 2}, bill{fbInit, exec})
+		bills[nb], bills[nb+1] = bill{init, exec / 2}, bill{fbInit, exec}
+		nb += 2
 		serveE2E = init + exec/2 + fbInit + exec
 		busy = init + exec/2 // the pool instance is freed at the throw
 	default:
-		bills = append(bills, bill{init, exec})
+		bills[nb] = bill{init, exec}
+		nb++
 		serveE2E = init + exec
 		busy = serveE2E
 	}
@@ -621,7 +627,8 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 				hexec = time.Duration(float64(hexec) * storm.Severity)
 			}
 			out.Hedged = true
-			bills = append(bills, bill{0, hexec})
+			bills[nb] = bill{0, hexec}
+			nb++
 			if hedged := delay + hexec; hedged < serveE2E {
 				serveE2E = hedged
 				out.HedgeWon = true
@@ -632,7 +639,7 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	st.hist.Observe(serveE2E.Seconds())
 	st.served++
 
-	for _, b := range bills {
+	for _, b := range bills[:nb] {
 		out.BilledInit += b.init
 		out.BilledExec += b.exec
 		billed := cfg.Pricing.BillDuration(b.init + b.exec)

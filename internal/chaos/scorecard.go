@@ -38,6 +38,72 @@ const (
 	SeriesBreakerOpen = "chaos.breaker.open"
 )
 
+// Series is a replay shard's handle set over the chaos.* series. Each
+// handle resolves its series on first write (monitor.Handle), so a shard
+// that never drops a request creates no chaos.bad series, just as per-sample
+// Store.Record calls would not. Single-owner, like the shard's store.
+type Series struct {
+	demand, served, bad, shed, throttled, retryDenied,
+	fallback, hedge, hedgeWin, breakerOpen monitor.Handle
+}
+
+// NewSeries prepares the chaos handle set over a shard's store.
+func NewSeries(st *monitor.Store) *Series {
+	return &Series{
+		demand:      st.Handle(SeriesDemand),
+		served:      st.Handle(SeriesServed),
+		bad:         st.Handle(SeriesBad),
+		shed:        st.Handle(SeriesShed),
+		throttled:   st.Handle(SeriesThrottled),
+		retryDenied: st.Handle(SeriesRetryDenied),
+		fallback:    st.Handle(SeriesFallback),
+		hedge:       st.Handle(SeriesHedge),
+		hedgeWin:    st.Handle(SeriesHedgeWin),
+		breakerOpen: st.Handle(SeriesBreakerOpen),
+	}
+}
+
+// Arrival counts one arrival's demand at its arrival instant.
+func (s *Series) Arrival(at time.Duration) { s.demand.Record(at, 1) }
+
+// Drop records a dropped arrival at its arrival instant.
+func (s *Series) Drop(at time.Duration, d *Drop) {
+	if d.Class == "shed" {
+		s.shed.Record(at, 1)
+	} else {
+		s.bad.Record(at, 1)
+	}
+	if d.ThrottledAttempts > 0 {
+		s.throttled.Record(at, float64(d.ThrottledAttempts))
+	}
+	if d.RetriesDenied > 0 {
+		s.retryDenied.Record(at, float64(d.RetriesDenied))
+	}
+}
+
+// Served records a served request at its completion instant.
+func (s *Series) Served(at time.Duration, out *Outcome) {
+	s.served.Record(at, out.E2E.Seconds())
+	if out.ThrottledAttempts > 0 {
+		s.throttled.Record(at, float64(out.ThrottledAttempts))
+	}
+	if out.RetriesDenied > 0 {
+		s.retryDenied.Record(at, float64(out.RetriesDenied))
+	}
+	if out.Fallback {
+		s.fallback.Record(at, 1)
+	}
+	if out.Hedged {
+		s.hedge.Record(at, 1)
+		if out.HedgeWon {
+			s.hedgeWin.Record(at, 1)
+		}
+	}
+	if out.BreakerOpened {
+		s.breakerOpen.Record(at, 1)
+	}
+}
+
 // ArmStats accumulates one deployment arm's resilience counters across a
 // replay. Every field is either an integer counter or an independent
 // float sum, so shards merge order-independently per arm (the fleet
@@ -81,6 +147,52 @@ func (s *ArmStats) Merge(o *ArmStats) {
 	s.CostUSD += o.CostUSD
 	s.BrownoutServed += o.BrownoutServed
 	s.BrownoutCostUSD += o.BrownoutCostUSD
+}
+
+// AddDrop counts one arrival the client loop gave up on (its demand
+// included).
+func (s *ArmStats) AddDrop(d *Drop) {
+	s.Demand++
+	switch d.Class {
+	case "shed":
+		s.Shed++
+	case "unavailable":
+		s.Unavailable++
+	default:
+		s.ThrottledDrops++
+	}
+	s.Retries += uint64(d.Retries)
+	s.RetriesDenied += uint64(d.RetriesDenied)
+	s.ThrottledAttempts += uint64(d.ThrottledAttempts)
+}
+
+// AddServed counts one served request (its demand included).
+func (s *ArmStats) AddServed(out *Outcome) {
+	s.Demand++
+	s.Served++
+	s.Retries += uint64(out.Retries)
+	s.RetriesDenied += uint64(out.RetriesDenied)
+	s.ThrottledAttempts += uint64(out.ThrottledAttempts)
+	if out.Fallback {
+		s.Fallbacks++
+	}
+	if out.Routed {
+		s.Routed++
+	}
+	if out.BreakerOpened {
+		s.BreakerOpens++
+	}
+	if out.Hedged {
+		s.Hedges++
+		if out.HedgeWon {
+			s.HedgeWins++
+		}
+	}
+	s.CostUSD += out.CostUSD
+	if out.Brownout {
+		s.BrownoutServed++
+		s.BrownoutCostUSD += out.CostUSD
+	}
 }
 
 // Unavailability is the fraction of demand the platform failed (sheds

@@ -86,24 +86,56 @@ func exemplarSampleKey(fnKey uint64, seq uint64) uint64 {
 	return splitmix64(fnKey ^ seq)
 }
 
+// exemplarOrder names the strict total order an exemplarSet ranks by.
+type exemplarOrder uint8
+
+const (
+	slowestFirst  exemplarOrder = iota // E2E descending
+	priciestFirst                      // cost descending
+	sampledFirst                       // sampling key ascending
+)
+
 // exemplarSet keeps the k best exemplars under a strict total order,
 // sorted best-first. Offering every element of one set into another
 // yields the k best of the union, so sets merge associatively and
 // order-independently.
 type exemplarSet struct {
 	k     int
-	less  func(a, b *Exemplar) bool // a ranks strictly ahead of b
+	order exemplarOrder
 	items []Exemplar
 }
 
-func (s *exemplarSet) offer(e Exemplar) {
-	if len(s.items) == s.k && !s.less(&e, &s.items[s.k-1]) {
+// less reports whether a ranks strictly ahead of b. A static switch rather
+// than a func value: offer runs three times per invocation, and a pointer
+// passed to an unknown function escapes to the heap.
+func (s *exemplarSet) less(a, b *Exemplar) bool {
+	switch s.order {
+	case slowestFirst:
+		if a.E2E != b.E2E {
+			return a.E2E > b.E2E
+		}
+	case priciestFirst:
+		if a.CostUSD != b.CostUSD {
+			return a.CostUSD > b.CostUSD
+		}
+	default:
+		if a.key != b.key {
+			return a.key < b.key
+		}
+	}
+	return tiebreak(a, b)
+}
+
+// offer inserts *e if it ranks among the k best; e is copied, never
+// retained.
+func (s *exemplarSet) offer(e *Exemplar) {
+	if len(s.items) == s.k && !s.less(e, &s.items[s.k-1]) {
 		return // worse than the current worst: the common case, one compare
 	}
 	lo, hi := 0, len(s.items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.less(&e, &s.items[mid]) {
+		if s.less(e, &s.items[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -113,12 +145,12 @@ func (s *exemplarSet) offer(e Exemplar) {
 		s.items = append(s.items, Exemplar{})
 	}
 	copy(s.items[lo+1:], s.items[lo:])
-	s.items[lo] = e
+	s.items[lo] = *e
 }
 
 func (s *exemplarSet) mergeFrom(o *exemplarSet) {
-	for _, e := range o.items {
-		s.offer(e)
+	for i := range o.items {
+		s.offer(&o.items[i])
 	}
 }
 
@@ -148,28 +180,13 @@ type exemplars struct {
 
 func newExemplars(k int, seed int64) *exemplars {
 	return &exemplars{
-		slowest: exemplarSet{k: k, less: func(a, b *Exemplar) bool {
-			if a.E2E != b.E2E {
-				return a.E2E > b.E2E
-			}
-			return tiebreak(a, b)
-		}},
-		priciest: exemplarSet{k: k, less: func(a, b *Exemplar) bool {
-			if a.CostUSD != b.CostUSD {
-				return a.CostUSD > b.CostUSD
-			}
-			return tiebreak(a, b)
-		}},
-		sampled: exemplarSet{k: k, less: func(a, b *Exemplar) bool {
-			if a.key != b.key {
-				return a.key < b.key
-			}
-			return tiebreak(a, b)
-		}},
+		slowest:  exemplarSet{k: k, order: slowestFirst},
+		priciest: exemplarSet{k: k, order: priciestFirst},
+		sampled:  exemplarSet{k: k, order: sampledFirst},
 	}
 }
 
-func (x *exemplars) offer(e Exemplar) {
+func (x *exemplars) offer(e *Exemplar) {
 	x.slowest.offer(e)
 	x.priciest.offer(e)
 	x.sampled.offer(e)

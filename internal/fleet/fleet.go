@@ -17,8 +17,8 @@
 //
 // Telemetry is streaming: no per-invocation record is ever materialized.
 // Arrivals come from seeded per-function Poisson streams
-// (trace.ArrivalStream), pool state is bounded by peak concurrency
-// (trace.SimulatePoolStream), and every observation lands in mergeable
+// (trace.ArrivalStreamFrom), pool state is bounded by peak concurrency
+// (trace.SimulatePoolGated), and every observation lands in mergeable
 // rollups (monitor.Store windows), phase ledgers, log-scale histograms,
 // and small fixed-size exemplar sets. Resident memory is therefore
 // proportional to blocks × windows, flat in the invocation count — a day
@@ -34,6 +34,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"time"
@@ -200,7 +201,9 @@ func DefaultChaosSLOs() []monitor.SLO {
 
 // partial is one block's private telemetry shard. A partial is owned by
 // exactly one worker goroutine while its block replays, then handed to
-// the merger; no accumulator is ever written from two goroutines.
+// the merger; no accumulator is ever written from two goroutines. That
+// single ownership is what lets the replay write through lock-free store
+// handles and ledger rows (monitor.Store, monitor.Ledger).
 type partial struct {
 	store  *monitor.Store
 	ledger *monitor.Ledger // per function
@@ -209,6 +212,18 @@ type partial struct {
 	reg    *obs.Registry
 	hist   *stats.Histogram
 	ex     *exemplars
+
+	// Write handles over store, resolved once per shard (nil or zero with
+	// telemetry off): the built-in and per-SLO series, the {arm="..."}
+	// sets and phase-split cost series (LabelSeries), and the chaos.*
+	// series (chaos replays).
+	series    *monitor.SampleSeries
+	armSeries map[string]*monitor.SampleSeries
+	costInit  monitor.Handle
+	costExec  monitor.Handle
+	chaos     *chaos.Series
+	// rng is reseeded for each streamed function (trace.ArrivalStreamFrom).
+	rng *rand.Rand
 
 	invocations uint64
 	coldStarts  uint64
@@ -237,6 +252,15 @@ func newPartial(cfg *Config) *partial {
 	p.reg = obs.NewRegistry()
 	p.hist = stats.NewHistogram()
 	p.ex = newExemplars(cfg.Exemplars, cfg.Seed)
+	p.series = p.store.SampleSeries(cfg.SLOs)
+	if cfg.LabelSeries {
+		p.armSeries = make(map[string]*monitor.SampleSeries)
+		p.costInit = p.store.Handle(costInitSeries)
+		p.costExec = p.store.Handle(costExecSeries)
+	}
+	if cfg.chaosEngine != nil {
+		p.chaos = chaos.NewSeries(p.store)
+	}
 	return p
 }
 
@@ -297,45 +321,141 @@ var (
 	costExecSeries = monitor.LabeledSeries("cost.usd", monitor.Label{Key: "phase", Val: "handler"})
 )
 
+// fnReplay is one function's view of its shard while it replays: the
+// handles resolved for it once, its exemplar sequence, and its chaos state.
+type fnReplay struct {
+	fn    *Function
+	fnKey uint64
+	seq   uint64
+	// arm is the {arm="..."} handle set (nil without LabelSeries or an
+	// arm). The rows resolve at the first served sample, so a function
+	// that never runs gets no ledger row; a row of an absent arm or
+	// archetype is the zero Row, which records nothing.
+	arm                  *monitor.SampleSeries
+	row, armRow, archRow monitor.Row
+	// st and as are the chaos engine's state and the arm's resilience
+	// counters (nil outside chaos replays).
+	st *chaos.FnState
+	as *chaos.ArmStats
+}
+
+// function resolves a function's fold context on its shard.
+func (p *partial) function(cfg *Config, fn *Function) *fnReplay {
+	r := &fnReplay{fn: fn, fnKey: exemplarFnKey(cfg.Seed, fn.ID)}
+	if !cfg.DisableTelemetry {
+		r.row = p.ledger.Row(fn.Name)
+		if fn.Arm != "" {
+			r.armRow = p.arms.Row(fn.Arm)
+			if fn.Archetype != "" {
+				r.archRow = p.arch.Row(fn.Archetype + "/" + fn.Arm)
+			}
+			if cfg.LabelSeries {
+				r.arm = p.armSeries[fn.Arm]
+				if r.arm == nil {
+					r.arm = p.store.SampleSeries(nil, monitor.Label{Key: "arm", Val: fn.Arm})
+					p.armSeries[fn.Arm] = r.arm
+				}
+			}
+		}
+	}
+	if cfg.chaosEngine != nil {
+		r.st = cfg.chaosEngine.Function(chaos.FnView{
+			ID:           fn.ID,
+			Arm:          fn.Arm,
+			ColdInit:     fn.ColdInit,
+			Exec:         fn.Exec,
+			FallbackInit: fn.FallbackInit,
+			MemoryMB:     fn.MemoryMB,
+		})
+		r.as = p.chaosArm(fn.Arm)
+	}
+	return r
+}
+
 // replayFunction streams one function's arrivals through the keep-alive
 // pool and folds every served invocation into the block's shard. Under a
-// chaos replay the gated variant runs instead.
+// chaos replay the arrivals pass through the chaos engine's admission loop
+// first (trace.PoolGate): served requests take their phase durations and
+// billing from the engine's outcome instead of the member's static
+// parameters, churn waves flush pool instances, and dropped arrivals fold
+// through drop. Without chaos the gate is zero, which the pool documents
+// as bit-identical to the ungated simulation.
+//
+// Determinism: the engine's per-function state is driven sequentially in
+// arrival order, every chaos decision is a pure hash of (seed, function,
+// sequence, purpose), and every accumulator is order-independent or folded
+// in function-ID order, so the worker-count byte-identity argument holds
+// with or without chaos.
 func replayFunction(cfg *Config, fn *Function, p *partial) {
-	if cfg.chaosEngine != nil {
-		replayChaosFunction(cfg, fn, p)
-		return
+	r := p.function(cfg, fn)
+	var gate trace.PoolGate
+	if r.st != nil {
+		gate = trace.PoolGate{
+			Admit: func(at time.Duration) bool {
+				if p.chaos != nil {
+					p.chaos.Arrival(at)
+				}
+				if r.st.Admit(at) {
+					return true
+				}
+				d := r.st.Drop()
+				p.drop(r, at, &d)
+				return false
+			},
+			Busy:  r.st.Serve,
+			Flush: r.st.FlushCut,
+		}
 	}
-	next := fn.arrivalSource(cfg.Period)
-	var seq uint64
-	fnKey := exemplarFnKey(cfg.Seed, fn.ID)
-	// Labeled series names are per label set, not per sample: build them
-	// before the arrival loop so the replay's hot path never allocates a
-	// name.
-	var armNames *monitor.SeriesNames
-	if cfg.LabelSeries && !cfg.DisableTelemetry && fn.Arm != "" {
-		names := monitor.NamedSeries(monitor.Label{Key: "arm", Val: fn.Arm})
-		armNames = &names
+	if p.rng == nil && fn.Arrivals == nil {
+		p.rng = rand.New(rand.NewSource(0))
 	}
-	res := trace.SimulatePoolStream(next, fn.Exec, cfg.KeepAlive, func(ev trace.PoolEvent) {
+	res := trace.SimulatePoolGated(fn.arrivalSource(p.rng, cfg.Period), fn.Exec, cfg.KeepAlive, gate,
+		func(ev trace.PoolEvent) { p.serve(cfg, r, ev) })
+	if res.Invocations > 0 {
+		p.reg.Inc("fleet.invocations", int64(res.Invocations))
+	}
+	if res.ColdStarts > 0 {
+		p.reg.Inc("fleet.cold_starts", int64(res.ColdStarts))
+	}
+	if res.MaxInstances > p.peakLive {
+		p.peakLive = res.MaxInstances
+	}
+	if fn.Arm != "" {
+		p.armFns[fn.Arm]++
+	}
+}
+
+// serve folds one served invocation into the shard: counters always, and
+// with telemetry on the store series, ledger rows, latency histogram, and
+// exemplar sets. Samples land at completion time.
+func (p *partial) serve(cfg *Config, r *fnReplay, ev trace.PoolEvent) {
+	fn := r.fn
+	var s monitor.Sample
+	var out chaos.Outcome
+	if r.st != nil {
+		out = r.st.Outcome()
+		r.as.AddServed(&out)
+		s = monitor.Sample{
+			Function:   fn.Name,
+			Cold:       ev.Cold,
+			Class:      "ok",
+			Init:       out.Init,
+			Exec:       out.Exec,
+			E2E:        out.E2E,
+			BilledInit: out.BilledInit,
+			BilledExec: out.BilledExec,
+			Billed:     out.Billed,
+			MemoryMB:   fn.MemoryMB,
+			CostUSD:    out.CostUSD,
+		}
+	} else {
 		var init time.Duration
 		if ev.Cold {
 			init = fn.ColdInit
 		}
 		e2e := init + fn.Exec
-		at := ev.At + e2e // samples land at completion time
-		p.invocations++
-		if ev.Cold {
-			p.coldStarts++
-		}
-		if at > p.latest {
-			p.latest = at
-		}
-		if cfg.DisableTelemetry {
-			seq++
-			return
-		}
 		billed := cfg.Pricing.BillDuration(e2e)
-		s := monitor.Sample{
+		s = monitor.Sample{
 			Function:   fn.Name,
 			Cold:       ev.Cold,
 			Class:      "ok",
@@ -348,65 +468,87 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 			MemoryMB:   fn.MemoryMB,
 			CostUSD:    cfg.Pricing.Cost(billed, fn.MemoryMB),
 		}
-		monitor.FoldSample(p.store, at, s, cfg.SLOs)
-		if cfg.LabelSeries {
-			if armNames != nil {
-				monitor.FoldSampleInto(p.store, at, s, *armNames)
-			}
-			// Pro-rata duration-bill split, mirroring Phase.add: the
-			// same dollars the ledger attributes to init/handler, as
-			// series mql can window and ratio.
-			if s.Billed > 0 && s.CostUSD > 0 {
-				if s.BilledInit > 0 {
-					p.store.Record(costInitSeries, at, s.CostUSD*float64(s.BilledInit)/float64(s.Billed))
-				}
-				if s.BilledExec > 0 {
-					p.store.Record(costExecSeries, at, s.CostUSD*float64(s.BilledExec)/float64(s.Billed))
-				}
-			}
-		}
-		p.ledger.Record(s)
-		if fn.Arm != "" {
-			armed := s
-			armed.Function = fn.Arm
-			p.arms.Record(armed)
-			if fn.Archetype != "" {
-				armed.Function = fn.Archetype + "/" + fn.Arm
-				p.arch.Record(armed)
-			}
-		}
-		p.hist.Observe(s.E2E.Seconds())
-		p.reg.Inc("fleet.invocations", 1)
-		if ev.Cold {
-			p.reg.Inc("fleet.cold_starts", 1)
-		}
-		key := exemplarSampleKey(fnKey, seq)
-		p.ex.offer(Exemplar{
-			Function:  fn.Name,
-			Archetype: fn.Archetype,
-			Arm:       fn.Arm,
-			At:        at,
-			Init:      init,
-			E2E:       e2e,
-			CostUSD:   s.CostUSD,
-			Cold:      ev.Cold,
-			seq:       seq,
-			key:       key,
-			span:      exemplarSpanKey(key),
-		})
-		seq++
-	})
-	if res.MaxInstances > p.peakLive {
-		p.peakLive = res.MaxInstances
 	}
-	if fn.Arm != "" {
-		p.armFns[fn.Arm]++
+	at := ev.At + s.E2E
+	p.invocations++
+	if ev.Cold {
+		p.coldStarts++
 	}
+	if at > p.latest {
+		p.latest = at
+	}
+	if cfg.DisableTelemetry {
+		r.seq++
+		return
+	}
+	p.series.Fold(at, &s)
+	r.arm.Fold(at, &s)
+	// Pro-rata duration-bill split, mirroring the ledger's Phase.add: the
+	// same dollars the ledger attributes to init/handler, as series mql
+	// can window and ratio (LabelSeries; the handles are zero otherwise).
+	if cfg.LabelSeries && s.Billed > 0 && s.CostUSD > 0 {
+		if s.BilledInit > 0 {
+			p.costInit.Record(at, s.CostUSD*float64(s.BilledInit)/float64(s.Billed))
+		}
+		if s.BilledExec > 0 {
+			p.costExec.Record(at, s.CostUSD*float64(s.BilledExec)/float64(s.Billed))
+		}
+	}
+	if r.st != nil {
+		p.chaos.Served(at, &out)
+	}
+	r.row.Record(&s)
+	r.armRow.Record(&s)
+	r.archRow.Record(&s)
+	p.hist.Observe(s.E2E.Seconds())
+	key := exemplarSampleKey(r.fnKey, r.seq)
+	e := Exemplar{
+		Function:  fn.Name,
+		Archetype: fn.Archetype,
+		Arm:       fn.Arm,
+		At:        at,
+		Init:      s.Init,
+		E2E:       s.E2E,
+		CostUSD:   s.CostUSD,
+		Cold:      ev.Cold,
+		seq:       r.seq,
+		key:       key,
+		span:      exemplarSpanKey(key),
+	}
+	p.ex.offer(&e)
+	r.seq++
+}
+
+// drop folds one arrival the chaos client loop gave up on: the arm's
+// resilience counters, the chaos.* series at the arrival instant, and a
+// failed sample at the loop's end — with no cost and no ledger row, since
+// the ledgers attribute dollars and a drop bills nothing.
+func (p *partial) drop(r *fnReplay, at time.Duration, d *chaos.Drop) {
+	r.as.AddDrop(d)
+	if d.Class != "shed" {
+		p.errors++
+	}
+	end := at + d.E2E
+	if end > p.latest {
+		p.latest = end
+	}
+	if p.store == nil {
+		return
+	}
+	p.chaos.Drop(at, d)
+	s := monitor.Sample{
+		Function: r.fn.Name,
+		Class:    d.Class,
+		E2E:      d.E2E,
+		MemoryMB: r.fn.MemoryMB,
+	}
+	p.series.Fold(end, &s)
+	r.arm.Fold(end, &s)
 }
 
 // arrivalSource returns the function's arrival iterator: the explicit
-// slice when present, the seeded Poisson stream otherwise.
-func (fn *Function) arrivalSource(period time.Duration) func() (time.Duration, bool) {
+// slice when present, the seeded Poisson stream drawn from rng otherwise.
+func (fn *Function) arrivalSource(rng *rand.Rand, period time.Duration) func() (time.Duration, bool) {
 	if fn.Arrivals != nil {
 		arr := fn.Arrivals
 		i := 0
@@ -419,7 +561,7 @@ func (fn *Function) arrivalSource(period time.Duration) func() (time.Duration, b
 			return at, true
 		}
 	}
-	return trace.ArrivalStream(fn.Seed, fn.Rate, period)
+	return trace.ArrivalStreamFrom(rng, fn.Seed, fn.Rate, period)
 }
 
 func validate(cfg *Config, fns []Function) error {
@@ -476,9 +618,9 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		}
 		cfg.chaosEngine = eng
 	}
-	// Pre-apply SLO defaults once: FoldSample needs the final parameters
-	// to route per-SLO bad series, and EvaluateSLOs applies the same
-	// idempotent defaults again.
+	// Pre-apply SLO defaults once: the shard handle sets need the final
+	// parameters to route per-SLO bad series, and EvaluateSLOs applies the
+	// same idempotent defaults again.
 	slos := make([]monitor.SLO, 0, len(cfg.SLOs))
 	for _, def := range cfg.SLOs {
 		slos = append(slos, def.WithDefaults(cfg.Resolution))

@@ -385,9 +385,9 @@ func TestGeneratePopulationDeterministicAndShaped(t *testing.T) {
 }
 
 func TestExemplarSetsOrderIndependent(t *testing.T) {
-	mk := func(i int) Exemplar {
+	mk := func(i int) *Exemplar {
 		key := splitmix64(uint64(i) * 0x9E3779B97F4A7C15)
-		return Exemplar{
+		return &Exemplar{
 			Function: fmt.Sprintf("fn-%03d", i%37),
 			At:       time.Duration(i) * time.Second,
 			E2E:      time.Duration(key%5000) * time.Millisecond,

@@ -20,7 +20,7 @@ func TestAvailabilityBadPredicate(t *testing.T) {
 		{"handler-error", true},
 	}
 	for _, tc := range cases {
-		if got := slo.bad(Sample{Class: tc.class}); got != tc.want {
+		if got := slo.bad(&Sample{Class: tc.class}); got != tc.want {
 			t.Errorf("availability bad(%q) = %v, want %v", tc.class, got, tc.want)
 		}
 	}

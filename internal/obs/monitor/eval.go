@@ -26,13 +26,8 @@ func FoldSample(st *Store, at time.Duration, s Sample, slos []SLO) {
 	}
 	st.Record(seriesCost, at, s.CostUSD)
 	for _, def := range slos {
-		switch def.Kind {
-		case KindErrorRate, KindColdFraction, KindCostRate:
-			// shared series above
-		default:
-			if def.bad(s) {
-				st.Record(def.badSeries(), at, 1)
-			}
+		if def.ownsBadSeries() && def.bad(&s) {
+			st.Record(def.badSeries(), at, 1)
 		}
 	}
 }
@@ -69,6 +64,65 @@ func FoldSampleInto(st *Store, at time.Duration, s Sample, names SeriesNames) {
 		st.Record(names.Cold, at, 1)
 	}
 	st.Record(names.Cost, at, s.CostUSD)
+}
+
+// SampleSeries is a single-owner handle set over the series one sample
+// folds into — FoldSample's built-in and per-objective bad series, or
+// FoldSampleInto's labeled built-ins — resolved once so a high-rate
+// producer folds each sample with no lock, no map lookup, and no name
+// construction. Like every Handle it creates a series only on the first
+// write, so Names and the exposition match the FoldSample path exactly.
+// It is owned by one goroutine together with its store (see Store).
+type SampleSeries struct {
+	total, errors, cold, cost Handle
+	bad                       []sloSeries
+}
+
+// sloSeries is one objective's bad-event handle.
+type sloSeries struct {
+	def SLO
+	h   Handle
+}
+
+// SampleSeries prepares the handle set for a label set. With no labels
+// and the replay's objectives it mirrors FoldSample; with labels (and no
+// objectives — they are fleet-wide, so their bad series stay unlabeled) it
+// mirrors FoldSampleInto over NamedSeries(labels...).
+func (st *Store) SampleSeries(slos []SLO, labels ...Label) *SampleSeries {
+	names := NamedSeries(labels...)
+	f := &SampleSeries{
+		total:  st.Handle(names.Total),
+		errors: st.Handle(names.Errors),
+		cold:   st.Handle(names.Cold),
+		cost:   st.Handle(names.Cost),
+	}
+	for _, def := range slos {
+		if def.ownsBadSeries() {
+			f.bad = append(f.bad, sloSeries{def: def, h: st.Handle(def.badSeries())})
+		}
+	}
+	return f
+}
+
+// Fold records one sample at `at`, exactly as FoldSample (or
+// FoldSampleInto) would for the same store. A nil set records nothing.
+func (f *SampleSeries) Fold(at time.Duration, s *Sample) {
+	if f == nil {
+		return
+	}
+	f.total.Record(at, s.E2E.Seconds())
+	if s.Class != "ok" {
+		f.errors.Record(at, 1)
+	}
+	if s.Cold {
+		f.cold.Record(at, 1)
+	}
+	f.cost.Record(at, s.CostUSD)
+	for i := range f.bad {
+		if b := &f.bad[i]; b.def.bad(s) {
+			b.h.Record(at, 1)
+		}
+	}
 }
 
 // burnOver computes an objective's burn rate over the trailing window ending

@@ -39,7 +39,7 @@ func (p Phase) CostUSD() float64 {
 	return p.InitUSD + p.ExecUSD + p.IdleUSD + p.RestoreUSD
 }
 
-func (p *Phase) add(s Sample) {
+func (p *Phase) add(s *Sample) {
 	p.Invocations++
 	if s.Cold {
 		p.ColdStarts++
@@ -82,8 +82,14 @@ func (p *Phase) merge(o Phase) {
 }
 
 // Ledger aggregates per-invocation cost decompositions per function,
-// answering "where does the money go" as a first-class query. Safe for
-// concurrent use; all read-out is name-sorted and deterministic.
+// answering "where does the money go" as a first-class query. All read-out
+// is name-sorted and deterministic.
+//
+// Concurrency contract: every Ledger method locks and is safe for
+// concurrent use. A Row is a single-owner write path that records without
+// the lock, so while any row of a ledger writes, nothing else may touch
+// that ledger — the same ownership a replay shard has over its private
+// ledgers until it hands them to the merger.
 type Ledger struct {
 	mu    sync.Mutex
 	perFn map[string]*Phase
@@ -99,12 +105,45 @@ func (l *Ledger) Record(s Sample) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ph, ok := l.perFn[s.Function]
+	l.phase(s.Function).add(&s)
+}
+
+// Row is a single-owner write handle to one ledger row: the first Record
+// resolves the row under the ledger lock, later ones add with no lock and
+// no map lookup. The row's name keys the bucket (the sample's Function
+// field is ignored), and a row that never records creates no bucket. See
+// Ledger for the ownership contract; a row on a nil ledger records
+// nothing.
+type Row struct {
+	l    *Ledger
+	name string
+	ph   *Phase
+}
+
+// Row returns an unresolved write handle to the named row.
+func (l *Ledger) Row(name string) Row { return Row{l: l, name: name} }
+
+// Record attributes one invocation sample to the row.
+func (r *Row) Record(s *Sample) {
+	if r.ph == nil {
+		if r.l == nil {
+			return
+		}
+		r.l.mu.Lock()
+		r.ph = r.l.phase(r.name)
+		r.l.mu.Unlock()
+	}
+	r.ph.add(s)
+}
+
+// phase returns the named bucket, creating it; the caller holds l.mu.
+func (l *Ledger) phase(name string) *Phase {
+	ph, ok := l.perFn[name]
 	if !ok {
 		ph = &Phase{}
-		l.perFn[s.Function] = ph
+		l.perFn[name] = ph
 	}
-	ph.add(s)
+	return ph
 }
 
 // Functions returns the attributed function names, sorted.
@@ -177,12 +216,7 @@ func (l *Ledger) Merge(o *Ledger) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, sn := range snaps {
-		ph, ok := l.perFn[sn.name]
-		if !ok {
-			ph = &Phase{}
-			l.perFn[sn.name] = ph
-		}
-		ph.merge(sn.ph)
+		l.phase(sn.name).merge(sn.ph)
 	}
 }
 

@@ -122,8 +122,19 @@ func (s SLO) badSeries() string {
 	}
 }
 
+// ownsBadSeries reports whether the objective needs its own bad-event
+// series at fold time: error and cold objectives read the shared
+// req.error/req.cold series, and cost-rate objectives read cost.usd.
+func (s SLO) ownsBadSeries() bool {
+	switch s.Kind {
+	case KindErrorRate, KindColdFraction, KindCostRate:
+		return false
+	}
+	return true
+}
+
 // bad reports whether a sample violates the objective (ratio kinds only).
-func (s SLO) bad(sample Sample) bool {
+func (s SLO) bad(sample *Sample) bool {
 	switch s.Kind {
 	case KindLatency:
 		return sample.E2E > s.Threshold

@@ -75,8 +75,15 @@ type series struct {
 // samples land in fixed-resolution windows held in a per-series ring
 // buffer, with sum/count/max rollups. Two stores with the same geometry
 // merge window-wise, so per-worker stores can be folded in a fixed order
-// without changing any queryable value. All methods are nil-safe and safe
-// for concurrent use.
+// without changing any queryable value. All methods are nil-safe.
+//
+// Concurrency contract: every Store method locks, so Record, the readers,
+// and Merge are safe for concurrent use. A Handle is the exception: it is
+// a single-owner write path that records without the lock, so while any
+// handle of a store writes, nothing else may touch that store — no reads,
+// no Record, no other goroutine's handle. A replay shard owns its store
+// exclusively until it hands it to the merger, which is exactly that
+// contract; anything shared (a live Monitor, a served result) uses Record.
 type Store struct {
 	mu     sync.Mutex
 	res    time.Duration
@@ -144,7 +151,13 @@ func (s *Store) Record(name string, at time.Duration, v float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	se := s.getSeries(name)
+	s.record(s.getSeries(name), at, v)
+}
+
+// record is Record's body for an already-resolved series. The ring
+// geometry (res, cap) never changes after NewStore, so this needs no lock
+// beyond whatever keeps se single-writer.
+func (s *Store) record(se *series, at time.Duration, v float64) {
 	se.total.add(v)
 	w := s.windowIndex(at)
 	if se.latest >= 0 && w <= se.latest-int64(s.cap) {
@@ -164,6 +177,36 @@ func (s *Store) Record(name string, at time.Duration, v float64) {
 		se.latest = w
 	}
 	se.ring[w%int64(s.cap)].add(v)
+}
+
+// Handle is a single-owner write handle to one series: the first Record
+// resolves the series under the store lock, and every later Record lands
+// with no lock and no map lookup. A handle that never records creates no
+// series, so preparing handles up front leaves Names, the exposition, and
+// every query unchanged. Writes through a handle are indistinguishable
+// from Store.Record writes of the same (at, v) sequence — same rollups,
+// totals, and dropped counts. See Store for the ownership contract; the
+// zero Handle and a handle on a nil store record nothing.
+type Handle struct {
+	st   *Store
+	name string
+	se   *series
+}
+
+// Handle returns an unresolved write handle to the named series.
+func (s *Store) Handle(name string) Handle { return Handle{st: s, name: name} }
+
+// Record lands one sample, exactly as Store.Record would.
+func (h *Handle) Record(at time.Duration, v float64) {
+	if h.se == nil {
+		if h.st == nil {
+			return
+		}
+		h.st.mu.Lock()
+		h.se = h.st.getSeries(h.name)
+		h.st.mu.Unlock()
+	}
+	h.st.record(h.se, at, v)
 }
 
 // Range aggregates the windows fully covered by [from, to). Windows that
@@ -282,14 +325,14 @@ func (s *Store) Names() []string {
 // explicit error with nothing folded — absolute window indices only line up
 // when both rings share a resolution, so a silent partial merge would
 // corrupt every series. A nil s or o is a no-op (nil monitor semantics).
-// o must not be written concurrently.
+// o must not be written concurrently: its series are read in place, without
+// copying the rings, after its lock is released.
 func (s *Store) Merge(o *Store) error {
 	if s == nil || o == nil {
 		return nil
 	}
-	// Copy o's state out under its own lock, then fold under ours —
-	// never holding both (see Registry.Merge for the deadlock this
-	// avoids).
+	// Collect o's series under its own lock, then fold under ours — never
+	// holding both (see Registry.Merge for the deadlock this avoids).
 	o.mu.Lock()
 	if o.res != s.res || o.cap != s.cap {
 		ores, ocap := o.res, o.cap
@@ -297,47 +340,45 @@ func (s *Store) Merge(o *Store) error {
 		return fmt.Errorf("monitor: Store.Merge geometry mismatch: %v×%d windows into %v×%d",
 			ores, ocap, s.res, s.cap)
 	}
-	type snap struct {
-		name string
-		se   series
+	names := make([]string, 0, len(o.series))
+	for name := range o.series {
+		names = append(names, name)
 	}
-	snaps := make([]snap, 0, len(o.series))
-	for name, se := range o.series {
-		cp := *se
-		cp.ring = append([]Rollup(nil), se.ring...)
-		snaps = append(snaps, snap{name, cp})
+	srcs := make([]*series, len(names))
+	sort.Strings(names)
+	for i, name := range names {
+		srcs[i] = o.series[name]
 	}
 	o.mu.Unlock()
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sn := range snaps {
-		dst := s.getSeries(sn.name)
-		dst.total.merge(sn.se.total)
-		dst.dropped += sn.se.dropped
-		if sn.se.latest < 0 {
+	for i, src := range srcs {
+		dst := s.getSeries(names[i])
+		dst.total.merge(src.total)
+		dst.dropped += src.dropped
+		if src.latest < 0 {
 			continue
 		}
-		if sn.se.latest > dst.latest {
+		if src.latest > dst.latest {
 			from := dst.latest + 1
-			if sn.se.latest-from >= int64(s.cap) {
-				from = sn.se.latest - int64(s.cap) + 1
+			if src.latest-from >= int64(s.cap) {
+				from = src.latest - int64(s.cap) + 1
 			}
-			for i := from; i <= sn.se.latest; i++ {
+			for i := from; i <= src.latest; i++ {
 				dst.ring[i%int64(s.cap)] = Rollup{}
 			}
-			dst.latest = sn.se.latest
+			dst.latest = src.latest
 		}
-		lo := sn.se.latest - int64(s.cap) + 1
+		lo := src.latest - int64(s.cap) + 1
 		if min := dst.latest - int64(s.cap) + 1; lo < min {
 			lo = min
 		}
 		if lo < 0 {
 			lo = 0
 		}
-		for w := lo; w <= sn.se.latest; w++ {
-			dst.ring[w%int64(s.cap)].merge(sn.se.ring[w%int64(s.cap)])
+		for w := lo; w <= src.latest; w++ {
+			dst.ring[w%int64(s.cap)].merge(src.ring[w%int64(s.cap)])
 		}
 	}
 	return nil

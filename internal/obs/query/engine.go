@@ -52,19 +52,12 @@ type Point struct {
 }
 
 // Range evaluates x at every boundary from..to inclusive, stepping by
-// `step` (0 means the store resolution; to<0 means End()). Endpoints snap
-// up to the next resolution boundary so every evaluation point is a
-// boundary.
+// Step(step) (to<0 means End()). Endpoints snap up to the next resolution
+// boundary so every evaluation point is a boundary.
 func (e *Engine) Range(x Expr, from, to, step time.Duration) []Point {
-	if e == nil || e.Store == nil {
-		return nil
-	}
-	res := e.Store.Resolution()
-	if res <= 0 {
-		return nil
-	}
+	step = e.Step(step)
 	if step <= 0 {
-		step = res
+		return nil
 	}
 	if to < 0 {
 		to = e.End()
@@ -72,14 +65,35 @@ func (e *Engine) Range(x Expr, from, to, step time.Duration) []Point {
 	if from < 0 {
 		from = 0
 	}
-	snap := func(d time.Duration) time.Duration { return ((d + res - 1) / res) * res }
-	from, to, step = snap(from), snap(to), snap(step)
+	res := e.Store.Resolution()
+	from, to = snapUp(from, res), snapUp(to, res)
 	var pts []Point
 	for t := from; t <= to; t += step {
 		pts = append(pts, Point{T: t, V: x.eval(e.Store, t)})
 	}
 	return pts
 }
+
+// Step returns the spacing Range actually uses for a requested step: the
+// store resolution for step<=0, otherwise step rounded up to a whole number
+// of resolutions (a range point must sit on a window boundary). Zero for a
+// nil engine or store.
+func (e *Engine) Step(step time.Duration) time.Duration {
+	if e == nil || e.Store == nil {
+		return 0
+	}
+	res := e.Store.Resolution()
+	if res <= 0 {
+		return 0
+	}
+	if step <= 0 {
+		return res
+	}
+	return snapUp(step, res)
+}
+
+// snapUp rounds d up to the next multiple of res.
+func snapUp(d, res time.Duration) time.Duration { return ((d + res - 1) / res) * res }
 
 // jsonFloat renders v as a JSON number: shortest round-trip form, with the
 // non-finite values (which no mql expression should produce — division by
@@ -116,20 +130,16 @@ func (e *Engine) InstantJSON(q string, at time.Duration) (string, error) {
 }
 
 // RangeJSON parses and evaluates q over [from, to] stepping by step (see
-// Range for defaulting) and renders the canonical JSON object.
+// Range for defaulting) and renders the canonical JSON object, whose
+// step_us is the snapped step the points are spaced by (Step).
 func (e *Engine) RangeJSON(q string, from, to, step time.Duration) (string, error) {
 	x, err := Parse(q)
 	if err != nil {
 		return "", err
 	}
 	pts := e.Range(x, from, to, step)
-	if step <= 0 {
-		if e != nil && e.Store != nil {
-			step = e.Store.Resolution()
-		} else {
-			step = 0
-		}
-	}
+	// Report the spacing the points actually have, not the request.
+	step = e.Step(step)
 	var b strings.Builder
 	b.WriteString(`{"query":`)
 	b.WriteString(strconv.Quote(q))

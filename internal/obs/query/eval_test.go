@@ -1,6 +1,8 @@
 package query
 
 import (
+	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +119,48 @@ func TestRangeJSONShape(t *testing.T) {
 	}
 	if strings.Contains(got, "NaN") {
 		t.Fatal("NaN leaked into JSON")
+	}
+}
+
+// TestRangeJSONStepMatchesSpacing is the metadata property: for random
+// resolutions and requested steps — including steps that are not a whole
+// number of resolutions, which Range snaps up — the reported step_us is the
+// spacing between consecutive points' t_us.
+func TestRangeJSONStepMatchesSpacing(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 300; i++ {
+		res := time.Duration(1+rng.Intn(120)) * time.Second
+		st := monitor.NewStore(res, 32)
+		st.Record("req.total", time.Duration(rng.Int63n(int64(40*res))), 1)
+		e := &Engine{Store: st, Latest: 16*res + time.Duration(rng.Int63n(int64(44*res)))}
+		step := time.Duration(rng.Int63n(int64(8 * res))) // 0 means "the resolution"
+		out, err := e.RangeJSON("count(req.total[1m])", 0, -1, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			StepUS int64 `json:"step_us"`
+			Points []struct {
+				TUS int64 `json:"t_us"`
+			} `json:"points"`
+		}
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("res=%v step=%v: bad JSON %s: %v", res, step, out, err)
+		}
+		if len(doc.Points) < 2 {
+			t.Fatalf("res=%v step=%v: %d points, want >= 2: %s", res, step, len(doc.Points), out)
+		}
+		for j := 1; j < len(doc.Points); j++ {
+			if gap := doc.Points[j].TUS - doc.Points[j-1].TUS; gap != doc.StepUS {
+				t.Fatalf("res=%v step=%v: step_us=%d but points %d and %d are %d µs apart",
+					res, step, doc.StepUS, j-1, j, gap)
+			}
+		}
+	}
+	// The CLI case that exposed the bug: a 90 s step at 1 m resolution.
+	e := &Engine{Store: buildStore(), Latest: 9*time.Minute + 30*time.Second}
+	if got := e.Step(90 * time.Second); got != 2*time.Minute {
+		t.Fatalf("Step(90s) at 1m resolution = %v, want 2m", got)
 	}
 }
 

@@ -86,14 +86,19 @@ func newBreaker(cfg BreakerConfig) *breaker {
 	return &breaker{cfg: cfg}
 }
 
-// prune drops window samples older than Window.
+// prune drops window samples older than Window. Samples arrive in time
+// order, so expiry is a prefix cut, compacted to the front of the backing
+// array: re-slicing past the prefix would shrink the capacity and make
+// every later append reallocate.
 func (b *breaker) prune(now time.Duration) {
 	cut := now - b.cfg.Window
 	i := 0
 	for i < len(b.window) && b.window[i].at <= cut {
 		i++
 	}
-	b.window = b.window[i:]
+	if i > 0 {
+		b.window = append(b.window[:0], b.window[i:]...)
+	}
 }
 
 // observe records one request served by the debloated artifact and returns

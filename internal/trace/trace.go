@@ -141,6 +141,16 @@ func ArrivalStream(seed int64, expected float64, period time.Duration) func() (t
 	return poissonStream(rand.New(rand.NewSource(seed)), expected, period)
 }
 
+// ArrivalStreamFrom is ArrivalStream over a caller-owned generator: it
+// reseeds rng with seed and draws the stream from it, so a replay shard can
+// reuse one generator across its functions instead of allocating a source
+// per function. The offsets are exactly ArrivalStream(seed, expected,
+// period)'s. The stream owns rng until it is drained or abandoned.
+func ArrivalStreamFrom(rng *rand.Rand, seed int64, expected float64, period time.Duration) func() (time.Duration, bool) {
+	rng.Seed(seed)
+	return poissonStream(rng, expected, period)
+}
+
 // PoolResult summarizes a keep-alive simulation of one function.
 type PoolResult struct {
 	Invocations int
