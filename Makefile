@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-smoke race experiments monitor-smoke rollout-smoke engine-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke
+.PHONY: check fmt vet build test bench bench-smoke race experiments monitor-smoke rollout-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke
 
 ## race: the race-detector sweep CI runs on the concurrency-bearing
 ## packages (parallel DD, the corpus scheduler, the shared snapshot cache,
@@ -11,20 +11,19 @@ race:
 		./internal/fleet/... ./internal/obs/... ./internal/chaos/...
 
 ## check: everything CI would run — formatting, vet, build, race-enabled
-## tests, a short fuzz pass over the config parsers and the bytecode
-## compiler, and the cross-engine golden determinism smoke
-check: fmt vet build test fuzz-smoke engine-smoke
+## tests, and a short fuzz pass over the config parsers and the import memo
+check: fmt vet build test fuzz-smoke
 
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
-# take operator-written specs (SLOs, canary stages) and on the differential
-# compile/eval harness (walker vs compiled engine must agree byte-for-byte
-# on every observable). Seeds alone run in the normal test pass; this also
-# explores.
+# take operator-written specs (SLOs, canary stages) and on the import memo
+# (an imported library must observe byte-for-byte the same without the memo,
+# while it records, and when it replays). Seeds alone run in the normal test
+# pass; this also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
 	$(GO) test -fuzz FuzzParseStages -fuzztime $(FUZZTIME) -run xxx ./internal/rollout
-	$(GO) test -fuzz FuzzCompileEval -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
+	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
 
@@ -87,20 +86,6 @@ rollout-smoke:
 	$(GO) run ./cmd/experiments rollout > $(ROLLOUT_SMOKE_DIR)/rollout2.txt
 	cmp $(ROLLOUT_SMOKE_DIR)/rollout.txt $(ROLLOUT_SMOKE_DIR)/rollout2.txt
 	@echo "rollout-smoke: byte-identical across runs"
-
-# engine-smoke: golden determinism across execution engines — the debloating
-# sweep must render byte-identically whether oracle programs run on the
-# compiled closure streams or the reference AST walker, and regardless of
-# the parallel-debloat worker count. cmp fails the job on the first diff.
-ENGINE_SMOKE_DIR ?= engine-smoke-out
-engine-smoke:
-	@mkdir -p $(ENGINE_SMOKE_DIR)
-	$(GO) run ./cmd/experiments -engine walker table2 fig8 > $(ENGINE_SMOKE_DIR)/walker.txt
-	$(GO) run ./cmd/experiments -engine compiled table2 fig8 > $(ENGINE_SMOKE_DIR)/compiled.txt
-	$(GO) run ./cmd/experiments -engine compiled -workers 1 table2 fig8 > $(ENGINE_SMOKE_DIR)/compiled-w1.txt
-	cmp $(ENGINE_SMOKE_DIR)/walker.txt $(ENGINE_SMOKE_DIR)/compiled.txt
-	cmp $(ENGINE_SMOKE_DIR)/compiled.txt $(ENGINE_SMOKE_DIR)/compiled-w1.txt
-	@echo "engine-smoke: byte-identical across engines and worker counts"
 
 # fleet-smoke: worker-count determinism of the sharded fleet replay — the
 # same synthetic fleet day must produce byte-identical report, OpenMetrics

@@ -28,7 +28,6 @@ import (
 	"repro/internal/obs/monitor"
 	"repro/internal/obs/query"
 	"repro/internal/profiler"
-	"repro/internal/pyruntime"
 )
 
 var (
@@ -209,11 +208,10 @@ func BenchmarkTable4_Fallback(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkPipeline_FullDebloat measures λ-trim's full pipeline from
-// scratch on representative apps of increasing size, across two dimensions:
-// import-snapshot memoization on/off, and the compiled engine vs the AST
-// walker. Every arm produces byte-identical simulated results (the engine
-// contract in DESIGN.md §12 and the memo contract in §9) — only real
-// wall-clock and real allocations differ.
+// scratch on representative apps of increasing size, with import-snapshot
+// memoization on and off. Both arms produce byte-identical simulated
+// results (the memo contract in DESIGN.md §9) — only real wall-clock and
+// real allocations differ.
 func BenchmarkPipeline_FullDebloat(b *testing.B) {
 	apps := []string{"markdown", "lightgbm", "spacy", "resnet"}
 	if testing.Short() {
@@ -223,12 +221,9 @@ func BenchmarkPipeline_FullDebloat(b *testing.B) {
 		for _, arm := range []struct {
 			label       string
 			disableMemo bool
-			engine      pyruntime.Engine
 		}{
-			{"memo", false, pyruntime.EngineCompiled},
-			{"nomemo", true, pyruntime.EngineCompiled},
-			{"memo-walker", false, pyruntime.EngineWalker},
-			{"nomemo-walker", true, pyruntime.EngineWalker},
+			{"memo", false},
+			{"nomemo", true},
 		} {
 			b.Run(name+"/"+arm.label, func(b *testing.B) {
 				b.ReportAllocs()
@@ -237,7 +232,6 @@ func BenchmarkPipeline_FullDebloat(b *testing.B) {
 					app := appcorpus.MustBuild(name)
 					cfg := debloat.DefaultConfig()
 					cfg.DisableMemo = arm.disableMemo
-					cfg.Engine = arm.engine
 					res, err := debloat.Run(app, cfg)
 					if err != nil {
 						b.Fatal(err)

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/pyruntime"
 )
 
 type renderer interface{ Render() string }
@@ -85,7 +84,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment targets and exit")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the up-front corpus debloat (full runs only)")
 	memo := flag.Bool("memo", true, "memoize module imports across oracle runs (off: re-interpret everything; output is identical either way)")
-	engine := flag.String("engine", "compiled", "pyruntime execution engine: compiled|walker (output is byte-identical either way)")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	events := flag.String("events", "", "write the JSONL event log of the run")
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot of the run")
@@ -112,12 +110,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "-fleet-workers must be >= 0, 0 meaning GOMAXPROCS (got %d)\n", *fleetWorkers)
 		return 2
 	}
-	eng, err := pyruntime.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-engine: %v\n", err)
-		return 2
-	}
-	pyruntime.SetDefaultEngine(eng)
 
 	if *list {
 		fmt.Println("experiment targets:")

@@ -53,7 +53,6 @@ import (
 	"repro/internal/obs/serve"
 	"repro/internal/powertune"
 	"repro/internal/profiler"
-	"repro/internal/pyruntime"
 )
 
 func main() {
@@ -62,7 +61,6 @@ func main() {
 	scoring := fs.String("scoring", "combined", "profiler scoring: combined|time|memory|random")
 	granularity := fs.String("granularity", "attr", "DD granularity: attr|stmt")
 	workers := fs.Int("workers", 1, "concurrent oracle evaluations per DD round, default 1 (with -all and no explicit -workers, the corpus pool sizes itself to GOMAXPROCS instead)")
-	engine := fs.String("engine", "compiled", "pyruntime execution engine: compiled|walker (both produce byte-identical simulated results)")
 	all := fs.Bool("all", false, "debloat the entire corpus in parallel and print a summary table")
 	dir := fs.String("dir", "", "load the application from this directory instead of the corpus")
 	out := fs.String("out", "", "export the optimized image to this directory")
@@ -108,12 +106,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-workers must be >= 1 (got %d)\n", *workers)
 		os.Exit(2)
 	}
-	eng, err := pyruntime.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-engine: %v\n", err)
-		os.Exit(2)
-	}
-	pyruntime.SetDefaultEngine(eng)
 
 	if len(queries) > 0 || *rulesFlag != "" || *spanFlag != "" || *serveAddr != "" || *chaosSpec != "" {
 		*fleetFlag = true // the query and chaos surfaces read a fleet replay
@@ -220,7 +212,6 @@ func main() {
 		cfg.Granularity = debloat.StmtGranularity
 	}
 	cfg.Workers = *workers
-	cfg.Engine = eng
 
 	// One tracer spans the whole run: the debloat pipeline on its virtual
 	// timeline, then every platform measurement on the platform clock.

@@ -55,12 +55,8 @@ type Config struct {
 	// DisableMemo turns snapshot memoization off entirely (the uncached
 	// arm of the golden determinism test and of the memo benchmarks).
 	DisableMemo bool
-	// Engine selects the runtime execution engine for every interpreter
-	// the pipeline spawns (profiler, oracle runs, attribute loading). The
-	// zero value resolves the process-wide default (compiled). Both
-	// engines produce byte-identical simulated observables, so Results
-	// are engine-independent (DESIGN.md §12); the knob exists for the
-	// differential tests and the engine benchmark arms.
+	// Engine selects nothing: the AST walker is the only engine. It is
+	// kept for cmd/bench, which sets it.
 	Engine pyruntime.Engine
 }
 
@@ -146,7 +142,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	tr.StartChild(root, "analyze", "pipeline", 0).Finish(0)
 
 	prof, err := profiler.Run(app.Image, app.Entry, profiler.Options{
-		Scoring: cfg.Scoring, Seed: cfg.Seed, Tracer: tr, Engine: cfg.Engine,
+		Scoring: cfg.Scoring, Seed: cfg.Seed, Tracer: tr,
 	})
 	if err != nil {
 		tr.End(root, 0)
@@ -155,7 +151,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 
 	// Everything downstream of profiling rides the runner's virtual
 	// clock, offset by the profiling time already spent.
-	run, err := newTracedRunner(app, tr, prof.TotalTime, snap, astc, cfg.Engine)
+	run, err := newTracedRunner(app, tr, prof.TotalTime, snap, astc)
 	if err != nil {
 		tr.End(root, prof.TotalTime)
 		return nil, err
@@ -204,7 +200,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	// source, not the in-memory ASTs) must still pass the oracle. The
 	// caches are shared: the rewritten modules hash to new keys while the
 	// untouched library chain still replays.
-	final, err := newTracedRunner(optimized, nil, 0, snap, astc, cfg.Engine)
+	final, err := newTracedRunner(optimized, nil, 0, snap, astc)
 	if err != nil {
 		tr.End(root, matAt)
 		return nil, fmt.Errorf("debloat: optimized app fails verification: %w", err)
@@ -408,7 +404,6 @@ func debloatModuleStmts(run *runner, name string, ast *pylang.Module, candidates
 // overrides applied) and returns its namespace attribute names.
 func loadAttrs(run *runner, name string) ([]string, bool) {
 	in := pyruntime.New(run.app.Image)
-	in.SetEngine(run.engine)
 	in.SetASTCache(run.astCache)
 	if run.snap != nil {
 		in.SetSnapshots(run.snap)

@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/appcorpus"
 	"repro/internal/appspec"
-	"repro/internal/pyruntime"
 )
 
-// engineRunSummary flattens every simulated observable of one debloat run:
+// runSummary flattens every simulated observable of one debloat run:
 // the pipeline accounting, per-module DD outcomes, the golden records, and
 // the optimized image's rewritten sources.
-func engineRunSummary(t *testing.T, r *Result) string {
+func runSummary(t *testing.T, r *Result) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "oracle_runs=%d debloat_time=%s removed=%d\n",
@@ -36,11 +35,11 @@ func engineRunSummary(t *testing.T, r *Result) string {
 	return b.String()
 }
 
-// TestEngineByteIdentity is the tentpole invariant at pipeline scale: a full
-// debloat run — profiler ranking, every oracle run, DD decisions, and the
-// materialized optimized image — must be byte-identical between the compiled
-// engine and the AST walker, with and without parallel DD.
-func TestEngineByteIdentity(t *testing.T) {
+// TestMemoByteIdentity is the import memo's contract at pipeline scale: a
+// full debloat run — profiler ranking, every oracle run, DD decisions, and
+// the materialized optimized image — must be byte-identical with the
+// snapshot memo on and off, with and without parallel DD.
+func TestMemoByteIdentity(t *testing.T) {
 	apps := []func() *appspec.App{
 		torchExampleApp,
 		func() *appspec.App { return appcorpus.MustBuild("markdown") },
@@ -56,19 +55,19 @@ func TestEngineByteIdentity(t *testing.T) {
 		app := build()
 		// Oracle-run accounting is deterministic per worker count but not
 		// across worker counts (parallel DD evaluates whole waves; see
-		// Config.Workers), so engine identity is asserted within each
+		// Config.Workers), so memo identity is asserted within each
 		// workers setting.
 		for _, workers := range []int{1, 4} {
 			var golden string
-			for _, engine := range []pyruntime.Engine{pyruntime.EngineWalker, pyruntime.EngineCompiled} {
+			for _, disableMemo := range []bool{true, false} {
 				cfg := DefaultConfig()
-				cfg.Engine = engine
+				cfg.DisableMemo = disableMemo
 				cfg.Workers = workers
 				res, err := Run(build(), cfg)
 				if err != nil {
-					t.Fatalf("%s/%v/w%d: %v", app.Name, engine, workers, err)
+					t.Fatalf("%s/nomemo=%v/w%d: %v", app.Name, disableMemo, workers, err)
 				}
-				sum := engineRunSummary(t, res)
+				sum := runSummary(t, res)
 				if golden == "" {
 					golden = sum
 					continue
@@ -77,11 +76,11 @@ func TestEngineByteIdentity(t *testing.T) {
 					gl, sl := strings.Split(golden, "\n"), strings.Split(sum, "\n")
 					for i := 0; i < len(gl) && i < len(sl); i++ {
 						if gl[i] != sl[i] {
-							t.Fatalf("%s w%d: compiled diverges from walker at line %d:\n  walker:   %s\n  compiled: %s",
+							t.Fatalf("%s w%d: memo diverges from no-memo at line %d:\n  no-memo: %s\n  memo:    %s",
 								app.Name, workers, i+1, gl[i], sl[i])
 						}
 					}
-					t.Fatalf("%s w%d: compiled diverges from walker (lengths %d vs %d)",
+					t.Fatalf("%s w%d: memo diverges from no-memo (lengths %d vs %d)",
 						app.Name, workers, len(gl), len(sl))
 				}
 			}

@@ -33,7 +33,6 @@ type runner struct {
 	app       *appspec.App
 	astCache  *pyruntime.ASTCache
 	snap      *pyruntime.SnapshotCache // nil disables import memoization
-	engine    pyruntime.Engine         // execution engine for every spawned interpreter
 	overrides map[string]*pylang.Module
 	golden    []goldenRecord
 
@@ -77,7 +76,7 @@ func (r *runner) nowVirtual() time.Duration {
 
 // newRunner records the golden behaviour of the unmodified application.
 func newRunner(app *appspec.App) (*runner, error) {
-	return newTracedRunner(app, nil, 0, nil, nil, pyruntime.EngineDefault)
+	return newTracedRunner(app, nil, 0, nil, nil)
 }
 
 // newTracedRunner is newRunner on the pipeline timeline: the golden runs
@@ -85,7 +84,7 @@ func newRunner(app *appspec.App) (*runner, error) {
 // (possibly suite-shared) snapshot and parse caches; a nil snap disables
 // import memoization and a nil astc falls back to a private parse cache.
 // Neither cache affects any simulated observable — see DESIGN.md §9.
-func newTracedRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap *pyruntime.SnapshotCache, astc *pyruntime.ASTCache, engine pyruntime.Engine) (*runner, error) {
+func newTracedRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap *pyruntime.SnapshotCache, astc *pyruntime.ASTCache) (*runner, error) {
 	if astc == nil {
 		astc = pyruntime.NewASTCache()
 	}
@@ -93,7 +92,6 @@ func newTracedRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap 
 		app:       app,
 		astCache:  astc,
 		snap:      snap,
-		engine:    engine,
 		overrides: make(map[string]*pylang.Module),
 		tr:        tr,
 		base:      base,
@@ -144,7 +142,6 @@ func (r *runner) test(extraName string, extraAST *pylang.Module) bool {
 // run consumed.
 func (r *runner) execute(tc appspec.TestCase, extraName string, extraAST *pylang.Module) (goldenRecord, bool, time.Duration) {
 	in := pyruntime.New(r.app.Image)
-	in.SetEngine(r.engine)
 	in.SetASTCache(r.astCache)
 	if r.snap != nil {
 		in.SetSnapshots(r.snap)

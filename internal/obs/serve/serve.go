@@ -40,7 +40,9 @@ type Site struct {
 	FrameDelay time.Duration
 }
 
-// Handler builds the site's HTTP mux:
+// Handler builds the site's HTTP mux. Every route is read-only: GET (and
+// HEAD) are served, any other method gets 405 with an Allow header, and
+// unknown paths get 404.
 //
 //	GET /metrics            OpenMetrics exposition
 //	GET /query?q=<mql>      instant query, JSON
@@ -51,27 +53,32 @@ type Site struct {
 //	GET /                   tiny plain-text index
 func (s *Site) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/query", s.query)
-	mux.HandleFunc("/alerts", s.alerts)
-	mux.HandleFunc("/dashboard", s.dashboard)
-	mux.HandleFunc("/span", s.span)
-	mux.HandleFunc("/", s.index)
+	mux.HandleFunc("GET /metrics", s.metrics)
+	mux.HandleFunc("GET /query", s.query)
+	mux.HandleFunc("GET /alerts", s.alerts)
+	mux.HandleFunc("GET /dashboard", s.dashboard)
+	mux.HandleFunc("GET /span", s.span)
+	mux.HandleFunc("GET /{$}", s.index)
 	return mux
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers; without it a client that never finishes them holds a goroutine
+// forever.
+const readHeaderTimeout = 10 * time.Second
 
 // ListenAndServe serves the site on addr until the server errors. The
 // caller owns process lifetime; there is no graceful-shutdown dance
 // because the server is a read-only viewer over an immutable result.
 func (s *Site) ListenAndServe(addr string) error {
-	return (&http.Server{Addr: addr, Handler: s.Handler()}).ListenAndServe()
+	return s.server(addr).ListenAndServe()
 }
 
-func (s *Site) index(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
+func (s *Site) server(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+}
+
+func (s *Site) index(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte("lambdatrim observability server\n" +
 		"  /metrics            OpenMetrics exposition\n" +

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -36,7 +37,13 @@ func testSite() *Site {
 
 func get(t *testing.T, s *Site, url string) (int, string, string) {
 	t.Helper()
-	req := httptest.NewRequest("GET", url, nil)
+	res, body := do(t, s, "GET", url)
+	return res.StatusCode, body, res.Header.Get("Content-Type")
+}
+
+func do(t *testing.T, s *Site, method, url string) (*http.Response, string) {
+	t.Helper()
+	req := httptest.NewRequest(method, url, nil)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	res := rec.Result()
@@ -44,7 +51,7 @@ func get(t *testing.T, s *Site, url string) (int, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.StatusCode, string(body), res.Header.Get("Content-Type")
+	return res, string(body)
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -150,5 +157,48 @@ func TestEmptySiteDegrades(t *testing.T) {
 	}
 	if code, body, _ := get(t, s, "/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index code=%d body=%q", code, body)
+	}
+}
+
+// TestWriteMethodsRejected: the server is read-only, so a request with any
+// other method gets 405 naming the allowed ones, on every route.
+func TestWriteMethodsRejected(t *testing.T) {
+	for _, url := range []string{"/metrics", "/query?q=req.total", "/alerts", "/dashboard", "/span?id=00000000deadbeef", "/"} {
+		for _, method := range []string{"POST", "PUT", "DELETE"} {
+			res, body := do(t, testSite(), method, url)
+			if res.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: code=%d body=%q, want 405", method, url, res.StatusCode, body)
+			}
+			if allow := res.Header.Get("Allow"); allow != "GET, HEAD" {
+				t.Errorf("%s %s: Allow = %q, want \"GET, HEAD\"", method, url, allow)
+			}
+		}
+	}
+	if res, _ := do(t, testSite(), "POST", "/nope"); res.StatusCode != http.StatusNotFound {
+		t.Errorf("POST to an unknown path: code=%d, want 404", res.StatusCode)
+	}
+}
+
+// TestHeadServed: HEAD still reaches every GET route, with GET's headers.
+func TestHeadServed(t *testing.T) {
+	for url, ct := range map[string]string{
+		"/metrics":           "application/openmetrics-text; version=1.0.0; charset=utf-8",
+		"/query?q=req.total": "application/json",
+		"/alerts":            "text/plain; charset=utf-8",
+		"/dashboard":         "text/event-stream",
+		"/":                  "text/plain; charset=utf-8",
+	} {
+		res, _ := do(t, testSite(), "HEAD", url)
+		if res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != ct {
+			t.Errorf("HEAD %s: code=%d content type %q, want 200 %q", url, res.StatusCode, res.Header.Get("Content-Type"), ct)
+		}
+	}
+}
+
+// TestServerBoundsHeaderReads: the listening server does not wait forever
+// for a client's request headers.
+func TestServerBoundsHeaderReads(t *testing.T) {
+	if got := testSite().server(":0").ReadHeaderTimeout; got <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", got)
 	}
 }

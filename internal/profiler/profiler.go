@@ -163,11 +163,6 @@ type Options struct {
 	// span per module execution, nested by import structure, each
 	// carrying its marginal time and memory.
 	Tracer *obs.Tracer
-	// Engine selects the runtime execution engine; the zero value resolves
-	// the process-wide default. Both engines produce byte-identical
-	// simulated observables (DESIGN.md §12), so the profile is engine-
-	// independent; the knob exists for differential testing and benchmarks.
-	Engine pyruntime.Engine
 }
 
 // Run imports the entry module in a fresh, isolated interpreter (the
@@ -175,7 +170,6 @@ type Options struct {
 // ranked profile.
 func Run(image *vfs.FS, entry string, opts Options) (*Profile, error) {
 	in := pyruntime.New(image)
-	in.SetEngine(opts.Engine)
 	hook := &importHook{
 		clock: in.Clock,
 		alloc: in.Alloc,

@@ -84,56 +84,6 @@ func BenchmarkImportWithSharedASTCache(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineEval compares the two engines on the same workloads, both
-// cold (fresh AST cache per run: compile cost included, the DD-candidate
-// shape) and warm (shared cache: pure evaluation, the stable-module shape).
-func BenchmarkEngineEval(b *testing.B) {
-	workloads := []struct{ name, src string }{
-		{"stmts", `
-total = 0
-for i in range(200):
-    if i % 2 == 0:
-        total += i
-    else:
-        total -= 1
-`},
-		{"calls", `
-def add(a, c=1):
-    return a + c
-
-total = 0
-for i in range(100):
-    total = add(total, c=2)
-`},
-	}
-	for _, w := range workloads {
-		parsed := pyparser.MustParse("bench", w.src)
-		for _, eng := range []Engine{EngineWalker, EngineCompiled} {
-			for _, warm := range []bool{false, true} {
-				name := w.name + "/" + map[Engine]string{EngineWalker: "walker", EngineCompiled: "compiled"}[eng]
-				if warm {
-					name += "-warm"
-				}
-				b.Run(name, func(b *testing.B) {
-					shared := NewASTCache()
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						in := New(vfs.New())
-						in.SetEngine(eng)
-						if warm {
-							in.SetASTCache(shared)
-						}
-						mod := &ModuleV{Name: "__main__", Dict: NewNamespace()}
-						if perr := in.RunModule(mod, parsed.Body); perr != nil {
-							b.Fatal(perr)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 func itobench(n int) string {
 	if n == 0 {
 		return "0"

@@ -1,82 +1,20 @@
 package pyruntime
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+// The AST walker in interp.go is the only execution engine. The names below
+// select nothing: cmd/bench still spells them when it builds its reference
+// configuration, and they go with that program's next change.
 
-// Engine selects the execution engine for a given interpreter.
-//
-// The compiled engine (the default) lowers module bodies and function
-// definitions to a flat stream of pre-resolved closures cached per AST node,
-// interns small ints and short strings process-wide, and arena-allocates
-// per-invocation frames and local slots. The AST walker is the reference
-// implementation: both engines produce byte-identical simulated observables
-// (virtual clock, simulated allocator, fuel, stdout, remote journal, error
-// text and positions) on every program — the differential fuzzer and the
-// engine smoke target enforce this (DESIGN.md §12).
+// Engine selects nothing; it is kept for cmd/bench.
 type Engine int
 
-const (
-	// EngineDefault resolves to the process-wide default engine.
-	EngineDefault Engine = iota
-	// EngineCompiled executes pre-compiled closure streams (default).
-	EngineCompiled
-	// EngineWalker executes the AST directly (reference implementation).
-	EngineWalker
-)
+// EngineWalker names the AST walker. It selects nothing; it is kept for
+// cmd/bench.
+const EngineWalker Engine = 0
 
-func (e Engine) String() string {
-	switch e {
-	case EngineDefault:
-		return "default"
-	case EngineCompiled:
-		return "compiled"
-	case EngineWalker:
-		return "walker"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
+// DefaultEngine always reports EngineWalker. It selects nothing; it is kept
+// for cmd/bench.
+func DefaultEngine() Engine { return EngineWalker }
 
-// ParseEngine maps a CLI flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "default", "compiled":
-		return EngineCompiled, nil
-	case "walker":
-		return EngineWalker, nil
-	}
-	return EngineDefault, fmt.Errorf("unknown engine %q (want compiled or walker)", s)
-}
-
-// defaultEngine is the process-wide engine used by interpreters that do not
-// select one explicitly. Stored atomically so CLIs can set it once at start
-// while tests and parallel pipelines construct interpreters concurrently.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine sets the process-wide default engine. EngineDefault
-// restores the built-in default (compiled).
-func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
-
-// DefaultEngine returns the process-wide default engine.
-func DefaultEngine() Engine {
-	if e := Engine(defaultEngine.Load()); e != EngineDefault {
-		return e
-	}
-	return EngineCompiled
-}
-
-// SetEngine selects this interpreter's engine. EngineDefault re-resolves
-// the process-wide default. Call before executing any code; switching
-// mid-run is not supported.
-func (in *Interp) SetEngine(e Engine) {
-	if e == EngineDefault {
-		e = DefaultEngine()
-	}
-	in.engine = e
-}
-
-// EngineOf reports the engine this interpreter executes with.
-func (in *Interp) EngineOf() Engine { return in.engine }
-
-func (in *Interp) engineCompiled() bool { return in.engine == EngineCompiled }
+// SetDefaultEngine does nothing. It selects nothing; it is kept for
+// cmd/bench.
+func SetDefaultEngine(Engine) {}

@@ -90,7 +90,7 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 		}
 	}
 
-	body, file, codeMod := in.moduleBody(name, src)
+	body, file := in.moduleBody(name, src)
 
 	mod := &ModuleV{Name: name, Dict: NewNamespace(), File: file}
 	in.Alloc.Alloc(SizeOf(mod))
@@ -106,7 +106,7 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 		h.BeforeModuleExec(name)
 	}
 	fr := &frame{globals: mod.Dict, module: name}
-	_, err := in.execBody(fr, body, codeMod)
+	_, err := in.execStmts(fr, body)
 	for _, h := range in.hooks {
 		if err != nil {
 			h.AfterModuleExec(name, err)
@@ -212,13 +212,10 @@ func (in *Interp) resolveFile(name string) (moduleSource, bool) {
 	return moduleSource{}, false
 }
 
-// moduleBody parses a resolved source into an executable body. The returned
-// *pylang.Module, when non-nil, is a stable node the compiled engine may key
-// its code cache on (overrides persist across oracle runs; parsed modules
-// live in the shared parse cache); synthetic error bodies return nil.
-func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, string, *pylang.Module) {
+// moduleBody parses a resolved source into an executable body.
+func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, string) {
 	if src.override != nil {
-		return src.override.Body, src.path, src.override
+		return src.override.Body, src.path
 	}
 	mod, perr := in.parseCached(src.path, name, src.src)
 	if perr != nil {
@@ -229,9 +226,9 @@ func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, stri
 				Func: &pylang.NameExpr{Name: "ImportError"},
 				Args: []pylang.Expr{&pylang.StringLit{Value: perr.Error()}},
 			},
-		}}, src.path, nil
+		}}, src.path
 	}
-	return mod.Body, src.path, mod
+	return mod.Body, src.path
 }
 
 func (in *Interp) parseCached(path, name, src string) (*pylang.Module, error) {

@@ -99,23 +99,6 @@ type Interp struct {
 	// import window entirely, and stops enclosing windows from recording —
 	// see SetVolatile.
 	volatile map[string]bool
-
-	// engine selects the execution engine (see engine.go); resolved from the
-	// process default at construction time.
-	engine Engine
-
-	// Compiled-engine arenas (see compile.go): call frames and local slot
-	// vectors are bump-allocated from geometrically growing chunks and
-	// released LIFO per invocation. Existing chunks are never reallocated —
-	// frames hand out interior pointers — and they are retained for reuse
-	// across calls, so a typical interpreter allocates a few small chunks
-	// for its whole lifetime.
-	frameChunks [][]frame
-	frameChunk  int // current chunk index
-	framePos    int // next free entry in the current frame chunk
-	slotChunks  [][]Value
-	slotChunk   int
-	slotPos     int
 }
 
 // srcCacheEnt is a memoized module resolution; fp is filled lazily on the
@@ -139,7 +122,6 @@ func New(fs *vfs.FS) *Interp {
 		astCache:   NewASTCache(),
 		fuel:       DefaultFuel,
 		excClasses: buildExceptionClasses(),
-		engine:     DefaultEngine(),
 	}
 	in.builtins = in.buildBuiltins()
 	return in
@@ -153,29 +135,11 @@ func New(fs *vfs.FS) *Interp {
 type ASTCache struct {
 	mu sync.RWMutex
 	m  map[string]*pylang.Module
-
-	// Compiled-code caches (see compile.go). The debloater's rewrites
-	// preserve statement identity across Delta Debugging candidates, so
-	// compiled bodies are shared by every candidate and every interpreter
-	// using this cache. mcode maps stable module nodes to their code (fast
-	// path); bcode deduplicates module bodies by statement-pointer sequence,
-	// so every DD candidate keeping the same statements — including the
-	// accepted rewrite rebuilt from the winning subset — shares one
-	// compilation; fcode holds compiled function/lambda bodies keyed by node.
-	codeMu sync.RWMutex
-	mcode  map[*pylang.Module][]cStmt
-	bcode  map[string]*bodyCode
-	fcode  map[pylang.Node]*funcCode
 }
 
 // NewASTCache returns an empty cache.
 func NewASTCache() *ASTCache {
-	return &ASTCache{
-		m:     make(map[string]*pylang.Module),
-		mcode: make(map[*pylang.Module][]cStmt),
-		bcode: make(map[string]*bodyCode),
-		fcode: make(map[pylang.Node]*funcCode),
-	}
+	return &ASTCache{m: make(map[string]*pylang.Module)}
 }
 
 // Get looks up a cached parse.
@@ -250,18 +214,11 @@ func (in *Interp) OutputString() string {
 // Modules returns the loaded module table (sys.modules).
 func (in *Interp) Modules() map[string]*ModuleV { return in.modules }
 
-// frame is one execution context. Under the compiled engine, function frames
-// may carry a local slot vector instead of an Env: slots holds locals indexed
-// by fcode.slotOf, with nil marking an unbound local (no Value is ever a Go
-// nil — None is the boxed NoneV singleton). env then points at the function's
-// defining environment so slot misses resolve through the closure chain
-// exactly like the walker's fresh-Env lookup.
+// frame is one execution context.
 type frame struct {
 	globals *Namespace
 	env     *Env // nil at module level
 	module  string
-	slots   []Value
-	fcode   *funcCode
 }
 
 // ctrlKind describes non-linear control flow from a statement.
@@ -286,21 +243,8 @@ var ctrlNormal = ctrl{kind: ctrlNone}
 func (in *Interp) RunModule(mod *ModuleV, body []pylang.Stmt) (err *PyErr) {
 	defer in.trapFatal(&err)
 	fr := &frame{globals: mod.Dict, module: mod.Name}
-	_, perr := in.execBody(fr, body, nil)
+	_, perr := in.execStmts(fr, body)
 	return perr
-}
-
-// execBody executes a module-level statement list with the selected engine.
-// mod, when non-nil, identifies an import-owned module body that warms up
-// through the code cache (see moduleCode); a nil moduleCode result means the
-// body is cold and this execution walks it instead.
-func (in *Interp) execBody(fr *frame, body []pylang.Stmt, mod *pylang.Module) (ctrl, *PyErr) {
-	if in.engineCompiled() {
-		if code := in.astCache.moduleCode(mod, body); code != nil {
-			return in.runCStmts(fr, code)
-		}
-	}
-	return in.execStmts(fr, body)
 }
 
 // CallFunction invokes a Python function value with the given arguments,
@@ -348,13 +292,6 @@ func (in *Interp) execStmts(fr *frame, body []pylang.Stmt) (ctrl, *PyErr) {
 
 func (in *Interp) execStmt(fr *frame, s pylang.Stmt) (ctrl, *PyErr) {
 	in.chargeStmt()
-	return in.execStmtInner(fr, s)
-}
-
-// execStmtInner executes one statement after its clock/fuel charge has been
-// taken. The compiled engine delegates rare constructs here so both engines
-// share one implementation of their semantics.
-func (in *Interp) execStmtInner(fr *frame, s pylang.Stmt) (ctrl, *PyErr) {
 	switch v := s.(type) {
 	case *pylang.PassStmt:
 		return ctrlNormal, nil
@@ -436,13 +373,13 @@ func (in *Interp) execStmtInner(fr *frame, s pylang.Stmt) (ctrl, *PyErr) {
 		if err != nil {
 			return ctrlNormal, err
 		}
-		elems, perr := in.iterate(iter, v.Pos)
+		n, elem, perr := in.loopElems(iter, v.Pos)
 		if perr != nil {
 			return ctrlNormal, perr
 		}
 		broke := false
-		for _, elem := range elems {
-			if err := in.assign(fr, v.Target, elem); err != nil {
+		for i := int64(0); i < n; i++ {
+			if err := in.assign(fr, v.Target, elem(i)); err != nil {
 				return ctrlNormal, err
 			}
 			c, err := in.execStmts(fr, v.Body)
@@ -472,7 +409,6 @@ func (in *Interp) execStmtInner(fr *frame, s pylang.Stmt) (ctrl, *PyErr) {
 			Globals: fr.globals, Module: fr.module, Env: fr.env,
 			Defaults: defaults,
 		}
-		in.attachCode(fn, v)
 		in.Alloc.Alloc(SizeOf(fn) + int64(60*len(v.Body)))
 		var value Value = fn
 		// Apply decorators innermost-first.
@@ -543,7 +479,7 @@ func (in *Interp) execStmtInner(fr *frame, s pylang.Stmt) (ctrl, *PyErr) {
 	return ctrlNormal, in.NewExc("RuntimeError", "unknown statement %T", s)
 }
 
-// execImport implements "import a.b [as c]", shared by both engines.
+// execImport implements "import a.b [as c]".
 func (in *Interp) execImport(fr *frame, v *pylang.ImportStmt) (ctrl, *PyErr) {
 	for _, alias := range v.Names {
 		mod, err := in.Import(alias.Name)
@@ -671,7 +607,7 @@ func (in *Interp) exceptMatches(fr *frame, clause pylang.ExceptClause, err *PyEr
 }
 
 // matchExcClasses reports whether err matches an evaluated except type
-// (a class or tuple of classes); shared by both engines.
+// (a class or tuple of classes).
 func (in *Interp) matchExcClasses(typeVal Value, err *PyErr) (bool, *PyErr) {
 	classes := []Value{typeVal}
 	if tup, ok := typeVal.(*TupleV); ok {
@@ -731,14 +667,7 @@ func (in *Interp) evalDefaults(fr *frame, params []pylang.Param) ([]Value, *PyEr
 
 // bind assigns a simple name in the correct scope.
 func (in *Interp) bind(fr *frame, name string, v Value) {
-	if fr.slots != nil {
-		// Slot frames have no local env and no global declarations (both
-		// disqualify slot compilation); every bindable name has a slot.
-		if i, ok := fr.fcode.slotOf[name]; ok {
-			fr.slots[i] = v
-			return
-		}
-	} else if fr.env != nil && (fr.env.globalNames == nil || !fr.env.globalNames[name]) {
+	if fr.env != nil && (fr.env.globalNames == nil || !fr.env.globalNames[name]) {
 		fr.env.set(name, v)
 		return
 	}
@@ -859,6 +788,27 @@ func (in *Interp) deleteTarget(fr *frame, target pylang.Expr) *PyErr {
 		return in.NewExc("TypeError", "cannot delete item of %s", obj.TypeName())
 	}
 	return in.NewExc("SyntaxError", "cannot delete %T", target)
+}
+
+// loopElems returns a for loop's element count and element accessor.
+// Ranges and strings are read lazily, so `for i in range(2_000_000_000)`
+// spends fuel on each iteration instead of first asking Go for a 32 GB
+// slice; every other iterable is snapshotted by iterate. Either way the loop
+// sees the same elements in the same order.
+func (in *Interp) loopElems(v Value, pos pylang.Pos) (int64, func(int64) Value, *PyErr) {
+	switch t := v.(type) {
+	case *RangeV:
+		start, step := t.Start, t.Step
+		return t.Len(), func(i int64) Value { return IntV(start + i*step) }, nil
+	case StrV:
+		runes := []rune(string(t))
+		return int64(len(runes)), func(i int64) Value { return StrV(string(runes[i])) }, nil
+	}
+	elems, err := in.iterate(v, pos)
+	if err != nil {
+		return 0, nil, err
+	}
+	return int64(len(elems)), func(i int64) Value { return elems[i] }, nil
 }
 
 // iterate materializes an iterable into a slice.
@@ -1046,7 +996,6 @@ func (in *Interp) eval(fr *frame, e pylang.Expr) (Value, *PyErr) {
 		fn := &FuncV{Name: "<lambda>", Params: v.Params, Expr: v.Body,
 			Globals: fr.globals, Module: fr.module, Env: fr.env,
 			Defaults: defaults}
-		in.attachCode(fn, v)
 		in.Alloc.Alloc(SizeOf(fn))
 		return fn, nil
 	}
@@ -1054,22 +1003,7 @@ func (in *Interp) eval(fr *frame, e pylang.Expr) (Value, *PyErr) {
 }
 
 func (in *Interp) lookup(fr *frame, name string, pos pylang.Pos) (Value, *PyErr) {
-	if fr.slots != nil {
-		// Slot frame: locals live in slots; a miss (unbound local or free
-		// variable) resolves through the defining env chain, matching the
-		// walker's fresh-Env-with-parent lookup. The frame's env is the
-		// *defining* scope, so its global declarations do not apply here.
-		if i, ok := fr.fcode.slotOf[name]; ok {
-			if v := fr.slots[i]; v != nil {
-				return v, nil
-			}
-		}
-		if fr.env != nil {
-			if v, ok := fr.env.lookup(name); ok {
-				return v, nil
-			}
-		}
-	} else if fr.env != nil && (fr.env.globalNames == nil || !fr.env.globalNames[name]) {
+	if fr.env != nil && (fr.env.globalNames == nil || !fr.env.globalNames[name]) {
 		if v, ok := fr.env.lookup(name); ok {
 			return v, nil
 		}
@@ -1146,21 +1080,6 @@ func (in *Interp) call(fn Value, args []Value, kwargs map[string]Value, pos pyla
 }
 
 func (in *Interp) callFunc(f *FuncV, args []Value, kwargs map[string]Value, pos pylang.Pos) (Value, *PyErr) {
-	if in.engineCompiled() {
-		code := f.code
-		if code == nil && f.node != nil {
-			// Deferred from definition time: most defined functions are
-			// never called, so the holder lookup happens here, once.
-			code = in.astCache.funcHolder(f.node)
-			f.code = code
-		}
-		if code != nil {
-			code.ensure(in.astCache)
-			if !code.useWalker {
-				return in.callCompiled(f, code, args, kwargs)
-			}
-		}
-	}
 	env := NewEnv(f.Env)
 	// Bind positional parameters.
 	if len(args) > len(f.Params) {

@@ -209,14 +209,6 @@ type FuncV struct {
 	// Defaults holds parameter default values evaluated at definition
 	// time (CPython semantics); nil entries mark required parameters.
 	Defaults []Value
-	// code is the lazily compiled body shared by every FuncV created from
-	// the same def/lambda node (see compile.go). nil when the function was
-	// defined under the walker engine; calls then take the walker path.
-	// node, when code is nil, is the def/lambda node a compiled-engine call
-	// resolves the shared holder from on first use — most functions defined
-	// during imports are never called, so definition stays cache-free.
-	code *funcCode
-	node pylang.Node
 }
 
 func (*FuncV) TypeName() string { return "function" }

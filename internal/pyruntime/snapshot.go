@@ -820,8 +820,6 @@ type (
 		expr     pylang.Expr
 		module   string
 		cost     int64
-		code     *funcCode   // shared compiled-body holder; immutable once built
-		node     pylang.Node // def/lambda node for deferred holder resolution
 		globals  any
 		env      any
 		defaults []any
@@ -982,8 +980,6 @@ func (c *snapCloner) clone(v Value) any {
 			expr:   t.Expr,
 			module: t.Module,
 			cost:   t.Cost,
-			code:   t.code,
-			node:   t.node,
 		}
 		c.memo[v] = node
 		node.globals = c.cloneNS(t.Globals)
@@ -1172,8 +1168,6 @@ func (si *snapInstaller) value(n any) Value {
 			Expr:   t.expr,
 			Module: t.module,
 			Cost:   t.cost,
-			code:   t.code,
-			node:   t.node,
 		}
 		si.memo[t] = f
 		f.Globals = si.ns(t.globals)

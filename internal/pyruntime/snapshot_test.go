@@ -1,8 +1,12 @@
 package pyruntime
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/pyparser"
 	"repro/internal/vfs"
 )
 
@@ -269,5 +273,129 @@ func TestSnapshotProfilerHooksBypass(t *testing.T) {
 	after := snap.Stats()
 	if after.Hits != before.Hits {
 		t.Fatalf("hooked interpreter consumed cache hits: %+v vs %+v", after, before)
+	}
+}
+
+// TestSnapshotReplay: functions captured in a memoized import window behave
+// the same after a replay — defining and calling them observes exactly what
+// a run without the memo observes.
+func TestSnapshotReplay(t *testing.T) {
+	files := map[string]string{
+		"site-packages/snaplib.py": `
+def triple(x):
+    return x * 3
+table = [triple(0), triple(1)]
+`,
+	}
+	src := `
+import snaplib
+print(snaplib.table, snaplib.triple(7))
+`
+	want, _ := observe(t, src, files, nil)
+	snap := NewSnapshotCache()
+	for round := 0; round < 3; round++ {
+		got, _ := observe(t, src, files, func(in *Interp) { in.SetSnapshots(snap) })
+		if got != want {
+			t.Fatalf("memo round %d diverges from the run without it:\n want: %v\n got:  %v", round, want, got)
+		}
+	}
+	if s := snap.Stats(); s.Hits == 0 {
+		t.Fatalf("no round replayed the import window: %+v", s)
+	}
+}
+
+// FuzzSnapshotReplay checks the import memo's contract on arbitrary library
+// code. The fuzzed source is written to site-packages/fuzzlib.py and
+// imported by a fixed __main__: once without a SnapshotCache, then twice
+// over one shared cache, where the first run records fuzzlib's import
+// window and the second replays it. All three must agree on stdout, clock,
+// allocator used and peak, the error chain, and fuzzlib's namespace order.
+func FuzzSnapshotReplay(f *testing.F) {
+	for _, p := range differentialPrograms {
+		f.Add(p.src)
+	}
+	f.Add("x = [i for i in (1,2)]")
+	f.Add("print((lambda a=1, b=2: a - b)())")
+	f.Add("try:\n    assert 1 > 2, 'nope'\nexcept AssertionError as e:\n    print(e)")
+	// Found by this fuzzer: a loop over a huge range must stop on fuel, not
+	// materialize the range.
+	f.Add("def f(A):\n    total=0\n    for A in range(2000000000):if total>0:0\n(f(0) ())")
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			return
+		}
+		if _, err := pyparser.Parse("fuzzlib", src); err != nil {
+			return // the import fails the same way with or without the memo
+		}
+		files := map[string]string{"site-packages/fuzzlib.py": src}
+		run := func(setup func(*Interp)) string {
+			o, in := observe(t, "import fuzzlib\n", files, setup)
+			lib := ""
+			if m, ok := in.Modules()["fuzzlib"]; ok {
+				lib = strings.Join(m.Dict.Names(), ",")
+			}
+			return fmt.Sprintf("%v fuzzlib=%q", o, lib)
+		}
+		want := run(nil)
+		snap := NewSnapshotCache()
+		withMemo := func(in *Interp) { in.SetSnapshots(snap) }
+		if got := run(withMemo); got != want {
+			t.Fatalf("recording run diverges on:\n%s\n want: %s\n got:  %s", src, want, got)
+		}
+		if got := run(withMemo); got != want {
+			t.Fatalf("replaying run diverges on:\n%s\n want: %s\n got:  %s", src, want, got)
+		}
+	})
+}
+
+// TestSnapshotCacheInsertBounded hammers insert from many goroutines and
+// asserts the per-key FIFO cap invariant plus consistent entry/eviction
+// accounting.
+func TestSnapshotCacheInsertBounded(t *testing.T) {
+	sc := NewSnapshotCache()
+	const goroutines = 8
+	const perG = 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				sc.insert(&snapEntry{
+					name:   fmt.Sprintf("mod%d", i%3), // few keys -> heavy eviction
+					bodyFP: "fp",
+					sfp:    fmt.Sprintf("state-%d-%d", g, i),
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	sc.mu.RLock()
+	live := int64(0)
+	for key, list := range sc.m {
+		if len(list) > snapEntriesPerKey {
+			t.Errorf("key %q holds %d entries, cap is %d", key, len(list), snapEntriesPerKey)
+		}
+		seen := make(map[string]bool, len(list))
+		for _, e := range list {
+			if seen[e.sfp] {
+				t.Errorf("key %q holds duplicate sfp %q", key, e.sfp)
+			}
+			seen[e.sfp] = true
+		}
+		live += int64(len(list))
+	}
+	sc.mu.RUnlock()
+
+	st := sc.Stats()
+	if st.Entries != live {
+		t.Errorf("Stats.Entries = %d, live entries = %d", st.Entries, live)
+	}
+	// Every distinct sfp was inserted once; all but the live ones must have
+	// been evicted (duplicates were rejected before accounting).
+	if want := int64(goroutines*perG) - live; st.Evictions != want {
+		t.Errorf("Stats.Evictions = %d, want %d (inserted %d, live %d)",
+			st.Evictions, want, goroutines*perG, live)
 	}
 }
