@@ -28,6 +28,7 @@ import (
 	"repro/internal/obs/monitor"
 	"repro/internal/obs/query"
 	"repro/internal/profiler"
+	"repro/internal/pyruntime"
 )
 
 var (
@@ -211,7 +212,8 @@ func BenchmarkTable4_Fallback(b *testing.B) {
 // scratch on representative apps of increasing size, with import-snapshot
 // memoization on and off. Both arms produce byte-identical simulated
 // results (the memo contract in DESIGN.md §9) — only real wall-clock and
-// real allocations differ.
+// real allocations differ. The memo arms also report materialized_pct, the
+// share of the namespace slots replays installed that were ever read.
 func BenchmarkPipeline_FullDebloat(b *testing.B) {
 	apps := []string{"markdown", "lightgbm", "spacy", "resnet"}
 	if testing.Short() {
@@ -228,17 +230,26 @@ func BenchmarkPipeline_FullDebloat(b *testing.B) {
 			b.Run(name+"/"+arm.label, func(b *testing.B) {
 				b.ReportAllocs()
 				var oracleRuns int
+				var memo pyruntime.SnapshotStats
 				for i := 0; i < b.N; i++ {
 					app := appcorpus.MustBuild(name)
 					cfg := debloat.DefaultConfig()
 					cfg.DisableMemo = arm.disableMemo
+					if !arm.disableMemo {
+						cfg.Snapshots = pyruntime.NewSnapshotCache()
+					}
 					res, err := debloat.Run(app, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
 					oracleRuns = res.OracleRuns
+					memo = cfg.Snapshots.Stats()
 				}
 				b.ReportMetric(float64(oracleRuns), "oracle_runs")
+				if !arm.disableMemo {
+					installed := memo.Materialized + memo.Deferred
+					b.ReportMetric(100*float64(memo.Materialized)/float64(max(installed, 1)), "materialized_pct")
+				}
 			})
 		}
 	}

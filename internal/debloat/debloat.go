@@ -184,7 +184,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 		if !ok {
 			continue
 		}
-		optimized.Image.Write(path, pylang.PrintCached(ast))
+		optimized.Image.Write(path, pylang.Print(ast))
 	}
 	if tr != nil {
 		tr.StartChild(root, "materialize", "pipeline", matAt).

@@ -2,6 +2,7 @@ package debloat
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,9 +47,14 @@ func TestMemoByteIdentity(t *testing.T) {
 		func() *appspec.App { return appcorpus.MustBuild("dna-visualization") },
 	}
 	if !testing.Short() {
+		// resnet and huggingface are where replay dominates: a pass reads
+		// only a few percent of the slots their replays install, and at 4
+		// workers the DD goroutines read shared snapshot nodes at once.
 		apps = append(apps,
 			func() *appspec.App { return appcorpus.MustBuild("lightgbm") },
 			func() *appspec.App { return appcorpus.MustBuild("igraph") },
+			func() *appspec.App { return appcorpus.MustBuild("resnet") },
+			func() *appspec.App { return appcorpus.MustBuild("huggingface") },
 		)
 	}
 	for _, build := range apps {
@@ -85,5 +91,40 @@ func TestMemoByteIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunRetainsNoHeap: a debloat run with its own caches must leave nothing
+// behind once it returns. Every cache keyed by an AST pointer or an override
+// has to die with the run's SnapshotCache; a process-wide one grows with
+// every pass, because each run builds fresh override ASTs. Before such
+// caches moved onto the SnapshotCache, these five apps retained about
+// 146 KB per pass, so six passes grew the heap by about 870 KB.
+func TestRunRetainsNoHeap(t *testing.T) {
+	apps := []string{"lxml", "scikit", "igraph", "qiskit-nature", "spacy"}
+	pass := func() {
+		for _, name := range apps {
+			if _, err := Run(appcorpus.MustBuild(name), DefaultConfig()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	pass() // process-wide state every run shares is built once, here
+	base := liveHeap()
+	const passes = 6
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	const limit = 128 << 10
+	if grew := liveHeap() - base; grew > limit {
+		t.Fatalf("live heap grew %d KB over %d fresh-cache passes (limit %d KB): a cache outlives its run",
+			grew>>10, passes, limit>>10)
 	}
 }

@@ -37,7 +37,7 @@ func (in *Interp) Import(dotted string) (*ModuleV, *PyErr) {
 			parentName := strings.Join(parts[:i], ".")
 			parent := in.modules[parentName]
 			if parent != nil {
-				if _, exists := parent.Dict.Get(part); !exists {
+				if !parent.Dict.Has(part) {
 					in.Alloc.Alloc(64)
 				}
 				parent.Dict.Set(part, m)

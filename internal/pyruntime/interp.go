@@ -671,7 +671,7 @@ func (in *Interp) bind(fr *frame, name string, v Value) {
 		fr.env.set(name, v)
 		return
 	}
-	if _, exists := fr.globals.Get(name); !exists {
+	if !fr.globals.Has(name) {
 		in.Alloc.Alloc(64) // new namespace slot
 	}
 	if in.snap != nil {
@@ -1222,14 +1222,14 @@ func (in *Interp) getAttr(obj Value, name string, pos pylang.Pos) (Value, *PyErr
 func (in *Interp) setAttr(obj Value, name string, value Value, pos pylang.Pos) *PyErr {
 	switch o := obj.(type) {
 	case *ModuleV:
-		if _, exists := o.Dict.Get(name); !exists {
+		if !o.Dict.Has(name) {
 			in.Alloc.Alloc(64)
 		}
 		in.notePoisonModule(o.Name)
 		o.Dict.Set(name, value)
 		return nil
 	case *InstanceV:
-		if _, exists := o.Dict.Get(name); !exists {
+		if !o.Dict.Has(name) {
 			in.Alloc.Alloc(64)
 		}
 		o.Dict.Set(name, value)

@@ -272,9 +272,16 @@ func (*ModuleV) TypeName() string { return "module" }
 // Namespace is an insertion-ordered string-keyed mapping used for module
 // globals, class dicts and instance dicts. Order determines dir() output and
 // keeps every experiment deterministic.
+//
+// A namespace installed by an import-snapshot replay is lazy: order names
+// every recorded slot from the start, but m holds only the slots read or set
+// since the replay, and a recorded slot's value is built from its snapshot
+// node on its first Get (see snapshot.go).
 type Namespace struct {
 	order []string
 	m     map[string]Value
+	snap  *snapNS        // recorded slots; nil unless lazy
+	si    *snapInstaller // the replay that installed snap
 }
 
 // NewNamespace returns an empty namespace.
@@ -282,32 +289,46 @@ func NewNamespace() *Namespace {
 	return &Namespace{m: make(map[string]Value)}
 }
 
-// newNamespaceSize returns an empty namespace pre-sized for n attributes;
-// snapshot replay knows the final size up front and skips the map growth.
-func newNamespaceSize(n int) *Namespace {
-	return &Namespace{m: make(map[string]Value, n)}
-}
-
 // Get looks up name.
 func (ns *Namespace) Get(name string) (Value, bool) {
-	v, ok := ns.m[name]
-	return v, ok
+	if v, ok := ns.m[name]; ok {
+		return v, true
+	}
+	if ns.snap == nil {
+		return nil, false
+	}
+	return ns.materialize(name)
+}
+
+// Has reports whether name is bound, without materializing a lazy slot.
+func (ns *Namespace) Has(name string) bool {
+	if _, ok := ns.m[name]; ok {
+		return true
+	}
+	return ns.snap != nil && ns.snap.has(name)
 }
 
 // Set binds name. The map is allocated lazily so namespaces that stay empty
-// (most builtin exception class dicts) cost a single small allocation.
+// (most builtin exception class dicts) cost a single small allocation. On a
+// lazy namespace, setting a slot not yet read shadows its recorded value.
 func (ns *Namespace) Set(name string, v Value) {
 	if _, ok := ns.m[name]; !ok {
 		if ns.m == nil {
 			ns.m = make(map[string]Value, 4)
 		}
-		ns.order = append(ns.order, name)
+		if ns.snap == nil || !ns.snap.has(name) {
+			ns.order = append(ns.order, name)
+		}
 	}
 	ns.m[name] = v
 }
 
-// Delete unbinds name, reporting whether it was bound.
+// Delete unbinds name, reporting whether it was bound. A lazy namespace is
+// materialized whole first, so no recorded slot can reappear afterwards.
 func (ns *Namespace) Delete(name string) bool {
+	if ns.snap != nil {
+		ns.materializeAll()
+	}
 	if _, ok := ns.m[name]; !ok {
 		return false
 	}
@@ -336,7 +357,7 @@ func (ns *Namespace) SortedNames() []string {
 }
 
 // Len returns the number of bindings.
-func (ns *Namespace) Len() int { return len(ns.m) }
+func (ns *Namespace) Len() int { return len(ns.order) }
 
 // Env is a local variable environment with a parent chain for closures.
 type Env struct {
@@ -403,7 +424,24 @@ func Str(v Value) string {
 }
 
 // Repr renders a value as repr() would.
-func Repr(v Value) string {
+func Repr(v Value) string { return reprIn(v, nil) }
+
+// reprIn renders v inside open, the containers being rendered around it. A
+// container that holds itself renders as [...], (...) or {...}, as CPython
+// prints it, instead of recursing until the Go stack runs out.
+func reprIn(v Value, open []Value) string {
+	for _, o := range open {
+		if o == v {
+			switch v.(type) {
+			case *ListV:
+				return "[...]"
+			case *TupleV:
+				return "(...)"
+			case *DictV:
+				return "{...}"
+			}
+		}
+	}
 	switch t := v.(type) {
 	case NoneV:
 		return "None"
@@ -423,24 +461,27 @@ func Repr(v Value) string {
 	case StrV:
 		return "'" + strings.NewReplacer("\\", "\\\\", "'", "\\'", "\n", "\\n", "\t", "\\t").Replace(string(t)) + "'"
 	case *ListV:
+		open = append(open, t)
 		parts := make([]string, len(t.Elems))
 		for i, e := range t.Elems {
-			parts[i] = Repr(e)
+			parts[i] = reprIn(e, open)
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case *TupleV:
+		open = append(open, t)
 		parts := make([]string, len(t.Elems))
 		for i, e := range t.Elems {
-			parts[i] = Repr(e)
+			parts[i] = reprIn(e, open)
 		}
 		if len(parts) == 1 {
 			return "(" + parts[0] + ",)"
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
 	case *DictV:
+		open = append(open, t)
 		var parts []string
 		for _, kv := range t.Items() {
-			parts = append(parts, Repr(kv[0])+": "+Repr(kv[1]))
+			parts = append(parts, reprIn(kv[0], open)+": "+reprIn(kv[1], open))
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	case *FuncV:
@@ -454,9 +495,9 @@ func Repr(v Value) string {
 		if t.Class.Exception {
 			if args, ok := t.Dict.Get("args"); ok {
 				if tup, ok := args.(*TupleV); ok && len(tup.Elems) == 1 {
-					return t.Class.Name + "(" + Repr(tup.Elems[0]) + ")"
+					return t.Class.Name + "(" + reprIn(tup.Elems[0], open) + ")"
 				} else if ok {
-					return t.Class.Name + Repr(tup)
+					return t.Class.Name + reprIn(tup, open)
 				}
 			}
 		}

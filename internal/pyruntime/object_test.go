@@ -235,6 +235,36 @@ func TestReprFormats(t *testing.T) {
 	}
 }
 
+// TestReprSelfReference: a container that holds itself prints the way
+// CPython prints it, instead of recursing until the Go stack runs out.
+// FuzzSnapshotReplay prints the repr of every attribute a fuzzed library
+// defines, so such a library would otherwise crash the fuzzer.
+func TestReprSelfReference(t *testing.T) {
+	lst := &ListV{Elems: []Value{IntV(1)}}
+	lst.Elems = append(lst.Elems, lst)
+	d := NewDict()
+	d.SetStr("self", d)
+	inner := &ListV{}
+	tup := &TupleV{Elems: []Value{inner}}
+	inner.Elems = append(inner.Elems, tup)
+	twice := &ListV{Elems: []Value{inner, inner}}
+	cases := map[string]Value{
+		"[1, [...]]":               lst,
+		"{'self': {...}}":          d,
+		"([(...)],)":               tup,
+		"[[([...],)], [([...],)]]": twice,
+	}
+	for want, v := range cases {
+		if got := Repr(v); got != want {
+			t.Errorf("Repr = %q, want %q", got, want)
+		}
+	}
+	o, _ := observe(t, "a = [1]\na.append(a)\nprint(a, str(a))\n", nil, nil)
+	if want := "[1, [...]] [1, [...]]\n"; o.stdout != want || o.errs != "" {
+		t.Errorf("print of a self-referencing list: stdout %q err %q, want %q", o.stdout, o.errs, want)
+	}
+}
+
 func mkDict(k string, v Value) *DictV {
 	d := NewDict()
 	d.SetStr(k, v)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"sort"
 	"strings"
@@ -19,9 +20,11 @@ import (
 // is recorded once and replayed on later runs whose relevant state matches.
 // Replay advances the virtual clock, allocator, fuel and id() counter by the
 // recorded deltas, re-emits the recorded stdout and remote-call journal, and
-// installs a deep clone of the created module namespaces — so every simulated
-// observable is byte-identical to live execution, and only real wall-clock
-// time changes.
+// installs a shell for each created module whose namespace lists every
+// recorded name but builds a slot's value only when it is first read (a
+// function reads few of the library attributes it imports) — so every
+// simulated observable is byte-identical to live execution, and only real
+// wall-clock time changes.
 //
 // Soundness rests on content addressing. An entry is keyed by the importing
 // module's name plus a fingerprint of its source (override AST or file
@@ -56,20 +59,35 @@ type SnapshotStats struct {
 	Misses    int64
 	Entries   int64 // live entries across all keys
 	Evictions int64 // cumulative FIFO evictions
+
+	// Namespace slots replays installed: Materialized were read (their value
+	// was built), Deferred were never read so far.
+	Deferred     int64
+	Materialized int64
 }
 
 // SnapshotCache memoizes module import windows across interpreter instances.
 // It is safe for concurrent use: entries are immutable after insertion and
-// replay clones fresh runtime objects per interpreter, so a cache may be
+// replay builds fresh runtime objects per interpreter, so a cache may be
 // shared across the goroutines of a parallel DD session and across the apps
 // of a corpus-parallel debloat.
 type SnapshotCache struct {
-	mu        sync.RWMutex
-	m         map[string][]*snapEntry
-	hits      atomic.Int64
-	misses    atomic.Int64
-	entries   atomic.Int64
-	evictions atomic.Int64
+	mu           sync.RWMutex
+	m            map[string][]*snapEntry
+	hits         atomic.Int64
+	misses       atomic.Int64
+	entries      atomic.Int64
+	evictions    atomic.Int64
+	installed    atomic.Int64 // namespace slots installed by replays
+	materialized atomic.Int64 // of those, slots read
+
+	// astFP memoizes override fingerprints per AST pointer (trees are
+	// immutable once built). It lives and dies with the cache: Delta
+	// Debugging candidates are marked volatile and never reach the
+	// fingerprint path, so the only ASTs hashed here are accepted
+	// reductions, one per debloated module, whose pointers repeat across
+	// the remaining oracle runs.
+	astFP sync.Map // *pylang.Module -> string
 }
 
 // NewSnapshotCache returns an empty snapshot cache.
@@ -82,11 +100,14 @@ func (sc *SnapshotCache) Stats() SnapshotStats {
 	if sc == nil {
 		return SnapshotStats{}
 	}
+	materialized := sc.materialized.Load()
 	return SnapshotStats{
-		Hits:      sc.hits.Load(),
-		Misses:    sc.misses.Load(),
-		Entries:   sc.entries.Load(),
-		Evictions: sc.evictions.Load(),
+		Hits:         sc.hits.Load(),
+		Misses:       sc.misses.Load(),
+		Entries:      sc.entries.Load(),
+		Evictions:    sc.evictions.Load(),
+		Deferred:     sc.installed.Load() - materialized,
+		Materialized: materialized,
 	}
 }
 
@@ -180,7 +201,9 @@ type snapEntry struct {
 	bindings []snapBinding
 	wants    []snapWant
 	mods     []snapModule
-	nodes    int // cloned-node count at capture; pre-sizes the replay memo
+	// origins lists every snapOriginRef the node graph reaches, so replay
+	// can resolve them all before any slot is read.
+	origins []*snapOriginRef
 
 	clockDelta   time.Duration
 	allocNet     int64
@@ -206,19 +229,12 @@ func hashStrings(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// astFPMemo memoizes override fingerprints per AST pointer (trees are
-// immutable once built). It stays bounded because Delta Debugging
-// candidates are marked volatile and never reach the fingerprint path: the
-// only ASTs hashed here are stable accepted reductions, one per debloated
-// module, whose pointers repeat across the remaining oracle runs.
-var astFPMemo sync.Map // *pylang.Module -> string
-
-func astFingerprint(m *pylang.Module) string {
-	if s, ok := astFPMemo.Load(m); ok {
+func (sc *SnapshotCache) astFingerprint(m *pylang.Module) string {
+	if s, ok := sc.astFP.Load(m); ok {
 		return s.(string)
 	}
 	s := hashStrings("ast", pylang.Print(m))
-	astFPMemo.Store(m, s)
+	sc.astFP.Store(m, s)
 	return s
 }
 
@@ -228,7 +244,7 @@ func astFingerprint(m *pylang.Module) string {
 // the same image hash each file once, not once per run.
 func (in *Interp) bodyFingerprint(src moduleSource) string {
 	if src.override != nil {
-		return astFingerprint(src.override)
+		return in.snap.astFingerprint(src.override)
 	}
 	if h, ok := in.FS.ContentHash(src.path); ok {
 		return hashStrings("file", src.path, h)
@@ -306,10 +322,11 @@ type snapRecorder struct {
 	// actually captures: replays are ~100x more frequent than captures, so
 	// copying (and for replays, inverting) the maps eagerly on every adopt
 	// would dominate the replay fast path.
-	adopted      map[string]snapAdoption
-	adoptedMaps  []adoptedNodeMap
-	adoptedWants []snapWant
-	droppedDicts map[*Namespace]bool // revoked adoptions, skipped at merge
+	adopted        map[string]snapAdoption
+	adoptedMaps    []adoptedNodeMap
+	adoptedWants   []snapWant
+	adoptedOrigins []*snapOriginRef
+	droppedDicts   map[*Namespace]bool // revoked adoptions, skipped at merge
 
 	clockStart  time.Duration
 	usedStart   int64
@@ -328,19 +345,20 @@ type snapAdoption struct {
 	dict *Namespace
 }
 
-// adoptedNodeMap is a borrowed node mapping from a nested install or
-// capture. rtToNode reports the key direction: capture memos map runtime
-// object -> node, install memos map node -> runtime object.
+// adoptedNodeMap is a borrowed node mapping from a nested capture or
+// replay. A capture's memo maps runtime object -> node and is final. A
+// replay's installer maps node -> runtime object and keeps growing as its
+// lazy slots are read, so it is borrowed live: a capture then maps every
+// object materialized so far back to its node, and references the nodes of
+// slots still unread directly.
 type adoptedNodeMap struct {
-	m        map[any]any
-	rtToNode bool
+	capture map[any]any
+	inst    *snapInstaller
 }
 
-// adopt records a nested entry's modules, node mapping, and wants. The
-// mapping is borrowed, not copied — see the adoptedMaps field comment. The
-// borrowed map must not be mutated afterwards (both donors are done with
-// theirs when they adopt).
-func (r *snapRecorder) adopt(e *snapEntry, nodes map[any]any, rtToNode bool, in *Interp) {
+// adopt records a nested entry's modules, wants and origins. Its node
+// mappings are added separately (see adoptedMaps), borrowed, not copied.
+func (r *snapRecorder) adopt(e *snapEntry, in *Interp) {
 	if r.adopted == nil {
 		r.adopted = make(map[string]snapAdoption, len(e.mods))
 	}
@@ -350,8 +368,8 @@ func (r *snapRecorder) adopt(e *snapEntry, nodes map[any]any, rtToNode bool, in 
 			r.adopted[sm.name] = snapAdoption{sm: sm, dict: mod.Dict}
 		}
 	}
-	r.adoptedMaps = append(r.adoptedMaps, adoptedNodeMap{m: nodes, rtToNode: rtToNode})
 	r.adoptedWants = append(r.adoptedWants, e.wants...)
+	r.adoptedOrigins = append(r.adoptedOrigins, e.origins...)
 }
 
 // dropAdoption reverts a module to live cloning after a post-window
@@ -369,7 +387,10 @@ func (r *snapRecorder) dropAdoption(name string) {
 
 // seedCloner merges the borrowed node mappings into a capture's memo so
 // already-snapshotted objects are referenced instead of re-cloned. Dicts of
-// revoked adoptions are skipped (their namespaces must re-clone live).
+// revoked adoptions are skipped (their namespaces must re-clone live), and
+// so are resolved origins: an installer memoizes them only to resolve each
+// once per replay, and the capture keeps finding pre-existing values by
+// their owner (snapCloner.origin).
 func (r *snapRecorder) seedCloner(cl *snapCloner) {
 	keep := func(rt any) bool {
 		if r.droppedDicts == nil {
@@ -379,22 +400,26 @@ func (r *snapRecorder) seedCloner(cl *snapCloner) {
 		return !ok || !r.droppedDicts[ns]
 	}
 	for _, am := range r.adoptedMaps {
-		if am.rtToNode {
-			for rt, node := range am.m {
+		if am.inst == nil {
+			for rt, node := range am.capture {
 				if keep(rt) {
 					cl.memo[rt] = node
 				}
 			}
-		} else {
-			for node, rt := range am.m {
-				if keep(rt) {
-					cl.memo[rt] = node
-				}
+			continue
+		}
+		cl.adoptedSI[am.inst] = true
+		for node, rt := range am.inst.memo {
+			if _, isOrigin := node.(*snapOriginRef); !isOrigin && keep(rt) {
+				cl.memo[rt] = node
 			}
 		}
 	}
 	for _, w := range r.adoptedWants {
 		cl.wants[w] = true
+	}
+	for _, o := range r.adoptedOrigins {
+		cl.addOrigin(o)
 	}
 }
 
@@ -576,9 +601,19 @@ func (in *Interp) endWindow(rec *snapRecorder, err *PyErr) {
 	if entry != nil {
 		in.snap.insert(entry)
 		// Let the enclosing window reuse this entry's node graph instead of
-		// re-cloning the same modules at its own capture.
+		// re-cloning the same modules at its own capture. The replays this
+		// window adopted pass on too, because their lazy slots may still be
+		// read before the enclosing capture; they go first so that this
+		// capture's mappings (live re-clones of dropped dicts) win.
 		if n := len(in.recStack); n > 0 && !in.recStack[n-1].noInsert {
-			in.recStack[n-1].adopt(entry, nodes, true, in)
+			parent := in.recStack[n-1]
+			parent.adopt(entry, in)
+			for _, am := range rec.adoptedMaps {
+				if am.inst != nil {
+					parent.adoptedMaps = append(parent.adoptedMaps, am)
+				}
+			}
+			parent.adoptedMaps = append(parent.adoptedMaps, adoptedNodeMap{capture: nodes})
 		}
 	}
 }
@@ -644,7 +679,7 @@ func (in *Interp) captureEntry(rec *snapRecorder, sfp string, idDelta int64) (*s
 		idStart:      rec.idStart,
 		stdout:       sb.String()[rec.stdoutStart:],
 		remote:       append([]RemoteCall(nil), in.RemoteLog[rec.remoteStart:]...),
-		nodes:        len(cl.memo),
+		origins:      cl.origins,
 	}
 	return e, cl.memo
 }
@@ -705,10 +740,8 @@ func (in *Interp) validateEntry(e *snapEntry) bool {
 		if !ok {
 			return false
 		}
-		if w.attr != "" {
-			if _, ok := m.Dict.Get(w.attr); !ok {
-				return false
-			}
+		if w.attr != "" && !m.Dict.Has(w.attr) {
+			return false
 		}
 	}
 	return true
@@ -719,7 +752,8 @@ func (in *Interp) validateEntry(e *snapEntry) bool {
 // ---------------------------------------------------------------------------
 
 // replayEntry applies a validated entry: virtual deltas, recorded output and
-// side effects, and a fresh deep clone of the created module namespaces.
+// side effects, and a shell per created module whose slots are built on
+// first read (see snapInstaller).
 func (in *Interp) replayEntry(e *snapEntry) *ModuleV {
 	in.Clock.Advance(e.clockDelta)
 	in.Alloc.Alloc(e.allocPeakOff)
@@ -733,21 +767,16 @@ func (in *Interp) replayEntry(e *snapEntry) *ModuleV {
 		in.RemoteLog = append(in.RemoteLog, e.remote...)
 	}
 
-	inst := &snapInstaller{
-		in:     in,
-		memo:   make(map[any]any, e.nodes+len(e.mods)),
-		filled: make(map[*snapNS]bool, len(e.mods)),
-	}
-	// Phase 1: create every module shell so references resolve during fill.
+	inst := &snapInstaller{in: in, memo: make(map[any]any, len(e.mods)+len(e.origins))}
 	for i := range e.mods {
 		sm := &e.mods[i]
-		mod := &ModuleV{Name: sm.name, Dict: newNamespaceSize(len(sm.dict.names)), File: sm.file}
-		in.modules[sm.name] = mod
-		inst.memo[sm.dict] = mod.Dict
+		in.modules[sm.name] = &ModuleV{Name: sm.name, Dict: inst.ns(sm.dict), File: sm.file}
 	}
-	// Phase 2: populate namespaces from the captured graph.
-	for i := range e.mods {
-		inst.ns(e.mods[i].dict)
+	// Origins resolve now, before the bindings below and before any slot is
+	// read: the owning module may rebind the attribute later, and the
+	// recorded window saw the value it had at this point.
+	for _, o := range e.origins {
+		inst.memo[o] = inst.origin(o)
 	}
 	for i := range e.mods {
 		in.sfp[e.mods[i].name] = e.mods[i].sfp
@@ -782,12 +811,14 @@ func (in *Interp) replayEntry(e *snapEntry) *ModuleV {
 		}
 	}
 	// The innermost recorder adopts the entry's node graph: the runtime
-	// objects this replay just installed map back to the entry's immutable
+	// objects this replay materializes map back to the entry's immutable
 	// nodes, so the enclosing capture can reference instead of re-clone.
-	// The installer memo is borrowed as-is (node -> runtime); the capture
-	// inverts it only if it actually happens.
+	// The installer is borrowed live; the capture inverts its memo only if
+	// it actually happens.
 	if n := len(in.recStack); n > 0 && !in.recStack[n-1].noInsert {
-		in.recStack[n-1].adopt(e, inst.memo, false, in)
+		top := in.recStack[n-1]
+		top.adopt(e, in)
+		top.adoptedMaps = append(top.adoptedMaps, adoptedNodeMap{inst: inst})
 	}
 	return in.modules[e.name]
 }
@@ -809,9 +840,13 @@ type (
 	snapList       struct{ elems []any }
 	snapTuple      struct{ elems []any }
 	snapDict       struct{ pairs []snapDictPair }
-	snapNS         struct {
+	// snapNS is a namespace's recorded slots. index maps each name to its
+	// slot and is built at capture, before the entry is published, so the
+	// lazy namespaces of concurrent replays only ever read it.
+	snapNS struct {
 		names []string
 		vals  []any
+		index []int32 // open addressing: slot+1 per bucket, 0 empty
 	}
 	snapFunc struct {
 		name     string
@@ -847,6 +882,51 @@ type (
 	}
 )
 
+// snapSeed hashes snapNS names. A cache holds tens of thousands of them, so
+// the index is a flat table of slot numbers rather than a Go map, which
+// would store every name a second time.
+var snapSeed = maphash.MakeSeed()
+
+// buildIndex fills the name -> slot table at a load factor of at most one
+// half; captured names are unique.
+func (t *snapNS) buildIndex() {
+	size := 2
+	for size < 2*len(t.names) {
+		size *= 2
+	}
+	t.index = make([]int32, size)
+	mask := uint64(size - 1)
+	for i, name := range t.names {
+		h := maphash.String(snapSeed, name) & mask
+		for t.index[h] != 0 {
+			h = (h + 1) & mask
+		}
+		t.index[h] = int32(i + 1)
+	}
+}
+
+// slot returns the recorded slot of name.
+func (t *snapNS) slot(name string) (int, bool) {
+	if len(t.index) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.index) - 1)
+	for h := maphash.String(snapSeed, name) & mask; ; h = (h + 1) & mask {
+		i := t.index[h]
+		if i == 0 {
+			return 0, false
+		}
+		if t.names[i-1] == name {
+			return int(i - 1), true
+		}
+	}
+}
+
+func (t *snapNS) has(name string) bool {
+	_, ok := t.slot(name)
+	return ok
+}
+
 type snapCloner struct {
 	in      *Interp
 	created map[string]bool
@@ -854,15 +934,26 @@ type snapCloner struct {
 	memo    map[any]any // runtime pointer -> cloned node, preserves aliasing/cycles
 	wants   map[snapWant]bool
 	bad     bool
+
+	// origins lists the origin refs the graph reaches, first-seen order.
+	origins    []*snapOriginRef
+	originSeen map[*snapOriginRef]bool
+	// adoptedSI holds the replays whose node graphs this capture adopted:
+	// an unread slot of a namespace they installed is referenced as its
+	// node. Other replays' lazy namespaces are read in full, because only
+	// adopted installers map their objects back to nodes.
+	adoptedSI map[*snapInstaller]bool
 }
 
 func newSnapCloner(in *Interp, created map[string]bool) *snapCloner {
 	c := &snapCloner{
-		in:      in,
-		created: created,
-		origin:  make(map[any]any),
-		memo:    make(map[any]any),
-		wants:   make(map[snapWant]bool),
+		in:         in,
+		created:    created,
+		origin:     make(map[any]any),
+		memo:       make(map[any]any),
+		wants:      make(map[snapWant]bool),
+		originSeen: make(map[*snapOriginRef]bool),
+		adoptedSI:  make(map[*snapInstaller]bool),
 	}
 	// Index pre-existing modules' top-level values so aliases into them are
 	// captured symbolically (preserving identity with the live originals at
@@ -879,8 +970,11 @@ func newSnapCloner(in *Interp, created map[string]bool) *snapCloner {
 		if _, ok := c.origin[m.Dict]; !ok {
 			c.origin[m.Dict] = &snapModDictRef{name: mn}
 		}
-		for _, attr := range m.Dict.Names() {
-			v, _ := m.Dict.Get(attr)
+		for _, attr := range m.Dict.order {
+			v, ok := m.Dict.peek(attr)
+			if !ok {
+				continue
+			}
 			switch v.(type) {
 			case NoneV, BoolV, IntV, FloatV, StrV, *RangeV, *NativeBuf, *ModuleV:
 				continue
@@ -895,6 +989,13 @@ func newSnapCloner(in *Interp, created map[string]bool) *snapCloner {
 
 func (c *snapCloner) want(mod, attr string) {
 	c.wants[snapWant{mod: mod, attr: attr}] = true
+}
+
+func (c *snapCloner) addOrigin(o *snapOriginRef) {
+	if !c.originSeen[o] {
+		c.originSeen[o] = true
+		c.origins = append(c.origins, o)
+	}
 }
 
 func (c *snapCloner) sortedWants() []snapWant {
@@ -947,6 +1048,7 @@ func (c *snapCloner) clone(v Value) any {
 	if ref, ok := c.origin[v]; ok {
 		if o, isOrigin := ref.(*snapOriginRef); isOrigin {
 			c.want(o.mod, o.attr)
+			c.addOrigin(o)
 		}
 		return ref
 	}
@@ -1031,13 +1133,26 @@ func (c *snapCloner) cloneNS(ns *Namespace) any {
 		}
 		return ref
 	}
-	node := &snapNS{}
+	node := &snapNS{names: make([]string, 0, len(ns.order)), vals: make([]any, 0, len(ns.order))}
 	c.memo[ns] = node
-	for _, name := range ns.Names() {
-		v, _ := ns.Get(name)
+	direct := ns.snap != nil && c.adoptedSI[ns.si]
+	for _, name := range ns.order {
+		var val any
+		if v, ok := ns.m[name]; ok {
+			val = c.clone(v)
+		} else if direct {
+			// Unread slot of an adopted replay: its node is exactly what the
+			// slot holds, and reading it later maps back to the same node.
+			i, _ := ns.snap.slot(name)
+			val = ns.snap.vals[i]
+		} else {
+			v, _ := ns.Get(name)
+			val = c.clone(v)
+		}
 		node.names = append(node.names, name)
-		node.vals = append(node.vals, c.clone(v))
+		node.vals = append(node.vals, val)
 	}
+	node.buildIndex()
 	return node
 }
 
@@ -1101,10 +1216,71 @@ func (in *Interp) excPtrName(c *ClassV) (string, bool) {
 // Install: neutral snapshot graph -> fresh runtime graph
 // ---------------------------------------------------------------------------
 
+// snapInstaller builds one replay's runtime objects from an entry's nodes.
+// Namespaces are installed lazily: each keeps its snapNS node and this
+// installer, and Namespace.Get builds a slot's value on its first read. memo
+// maps each node built so far to its object, so a node reached twice (an
+// alias, a cycle) yields one object, exactly as an eager install would.
 type snapInstaller struct {
-	in     *Interp
-	memo   map[any]any
-	filled map[*snapNS]bool
+	in   *Interp
+	memo map[any]any
+}
+
+// materialize builds an unread slot's value on its first read.
+func (ns *Namespace) materialize(name string) (Value, bool) {
+	i, ok := ns.snap.slot(name)
+	if !ok {
+		return nil, false
+	}
+	v := ns.si.value(ns.snap.vals[i])
+	if ns.m == nil {
+		ns.m = make(map[string]Value, 4)
+	}
+	ns.m[name] = v
+	ns.si.in.snap.materialized.Add(1)
+	return v, true
+}
+
+// materializeAll reads every unread slot and drops the namespace's link to
+// its snapshot, after which it is an ordinary namespace.
+func (ns *Namespace) materializeAll() {
+	for _, name := range ns.order {
+		if _, ok := ns.m[name]; !ok {
+			ns.materialize(name)
+		}
+	}
+	ns.order = append([]string(nil), ns.order...) // may share the node's names
+	ns.snap, ns.si = nil, nil
+}
+
+// peek returns a slot's value without materializing it: the value of a slot
+// read or set, or, for an unread slot, the object its node was already
+// built into through another path of the same replay. An unread slot whose
+// node was never built has no runtime object yet, so nothing aliases it.
+func (ns *Namespace) peek(name string) (Value, bool) {
+	if v, ok := ns.m[name]; ok {
+		return v, true
+	}
+	if ns.snap == nil {
+		return nil, false
+	}
+	i, ok := ns.snap.slot(name)
+	if !ok {
+		return nil, false
+	}
+	v, ok := ns.si.memo[ns.snap.vals[i]].(Value)
+	return v, ok
+}
+
+// origin resolves a top-level attribute of a module that existed before the
+// recorded window.
+func (si *snapInstaller) origin(o *snapOriginRef) Value {
+	if m, ok := si.in.modules[o.mod]; ok {
+		if v, ok := m.Dict.Get(o.attr); ok {
+			return v
+		}
+	}
+	return None // unreachable: wants were validated before replay
 }
 
 func (si *snapInstaller) value(n any) Value {
@@ -1121,12 +1297,10 @@ func (si *snapInstaller) value(n any) Value {
 	case *snapModRef:
 		return si.in.modules[t.name]
 	case *snapOriginRef:
-		if m, ok := si.in.modules[t.mod]; ok {
-			if v, ok := m.Dict.Get(t.attr); ok {
-				return v
-			}
+		if v, ok := si.memo[t]; ok {
+			return v.(Value) // resolved when the replay began
 		}
-		return None // unreachable: wants were validated before replay
+		return si.origin(t)
 	case *snapList:
 		if v, ok := si.memo[t]; ok {
 			return v.(Value)
@@ -1224,31 +1398,18 @@ func (si *snapInstaller) ns(n any) *Namespace {
 		}
 		return NewNamespace()
 	case *snapNS:
-		var ns *Namespace
 		if v, ok := si.memo[t]; ok {
-			ns = v.(*Namespace)
-		} else {
-			ns = newNamespaceSize(len(t.names))
-			si.memo[t] = ns
+			return v.(*Namespace)
 		}
-		if !si.filled[t] {
-			// Mark before filling: a cycle re-entering mid-fill must get the
-			// same (partially populated) namespace, as live execution would.
-			si.filled[t] = true
-			if len(ns.order) == 0 {
-				// Fresh or still-empty shell: captured names are unique and
-				// already in insertion order, so fill directly instead of
-				// paying Set's membership check per attribute.
-				ns.order = append(ns.order, t.names...)
-				for i, name := range t.names {
-					ns.m[name] = si.value(t.vals[i])
-				}
-			} else {
-				for i, name := range t.names {
-					ns.Set(name, si.value(t.vals[i]))
-				}
-			}
+		// Every recorded name is visible at once; the order shares the
+		// node's names with its capacity capped, so a later Set appends to a
+		// copy and never writes into the shared node.
+		ns := &Namespace{order: t.names[:len(t.names):len(t.names)]}
+		if len(t.names) > 0 {
+			ns.snap, ns.si = t, si
+			si.in.snap.installed.Add(int64(len(t.names)))
 		}
+		si.memo[t] = ns
 		return ns
 	}
 	return NewNamespace()

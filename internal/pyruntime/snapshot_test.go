@@ -2,6 +2,7 @@ package pyruntime
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +63,7 @@ type snapRunResult struct {
 	fuel    int64
 	idCount int64
 	result  string
+	mods    string // every module's namespace, names in insertion order
 }
 
 func snapRun(t *testing.T, fs *vfs.FS, snap *SnapshotCache) snapRunResult {
@@ -79,6 +81,11 @@ func snapRun(t *testing.T, fs *vfs.FS, snap *SnapshotCache) snapRunResult {
 	if err != nil {
 		t.Fatalf("handler: %v", err)
 	}
+	var mods []string
+	for name, m := range in.Modules() {
+		mods = append(mods, name+": "+strings.Join(m.Dict.Names(), ","))
+	}
+	sort.Strings(mods)
 	return snapRunResult{
 		out:     in.OutputString(),
 		clock:   int64(in.Clock.Now()),
@@ -86,6 +93,7 @@ func snapRun(t *testing.T, fs *vfs.FS, snap *SnapshotCache) snapRunResult {
 		fuel:    in.fuel,
 		idCount: in.idCounter,
 		result:  Repr(res),
+		mods:    strings.Join(mods, "\n"),
 	}
 }
 
@@ -105,6 +113,9 @@ func assertSameRun(t *testing.T, want, got snapRunResult, label string) {
 	}
 	if got.result != want.result {
 		t.Errorf("%s: result diverged: %s vs %s", label, got.result, want.result)
+	}
+	if got.mods != want.mods {
+		t.Errorf("%s: module namespaces diverged:\n%s\nvs\n%s", label, got.mods, want.mods)
 	}
 	if len(got.remote) != len(want.remote) {
 		t.Fatalf("%s: remote journal length diverged: %d vs %d", label, len(got.remote), len(want.remote))
@@ -304,12 +315,280 @@ print(snaplib.table, snaplib.triple(7))
 	}
 }
 
+// lazyLibs are the libraries the lazy-namespace cases import. lib imports
+// base; alias, star and mid read lib's attributes, origin reads base's and
+// picker reads holder's.
+var lazyLibs = map[string]string{
+	"site-packages/base.py": `
+def f():
+    return "base.f"
+def other():
+    return "base.other"
+`,
+	"site-packages/lib.py": `
+import base
+from base import f as base_f
+A = 1
+B = [1, 2]
+def f():
+    return A
+g = f
+table = [f, g]
+class K:
+    z = 3
+    def m(self):
+        return self.z
+inst = K()
+inst.w = 4
+_hidden = 5
+`,
+	"site-packages/alias.py": `
+from lib import f, table
+mine = [f]
+`,
+	"site-packages/origin.py": `
+from base import f as h
+`,
+	"site-packages/star.py": `
+from lib import *
+local = A + 1
+`,
+	"site-packages/mid.py": `
+import lib
+early = lib.A
+`,
+	"site-packages/holder.py": `
+def x():
+    return "holder.x"
+class C:
+    def __init__(self, fn):
+        self.fn = fn
+lst = [x]
+items = [C(x)]
+`,
+	"site-packages/picker.py": `
+from holder import lst, items
+z = lst[0]
+first = items[0]
+`,
+}
+
+// TestSnapshotLazyNamespaces: a replay installs each namespace with every
+// recorded name but builds a slot only on its first read. Each program must
+// observe exactly the same without a memo, while it records and when it
+// replays, including its result and every module's namespace order. With
+// prime set, a first run imports those modules, so the recording run
+// replays them and captures its own windows around their unread slots.
+func TestSnapshotLazyNamespaces(t *testing.T) {
+	cases := []struct {
+		name  string
+		prime []string
+		app   string
+	}{
+		{name: "dir and len", app: `
+def handler(event, ctx):
+    import lib
+    return [dir(lib), len(dir(lib)), dir(lib.K), dir(lib.inst)]
+`},
+		{name: "star import in a function", app: `
+def handler(event, ctx):
+    from lib import *
+    return [A, B, f(), g is f, table[0] is f, K().m(), inst.w]
+`},
+		{name: "star import in a module", prime: []string{"lib"}, app: `
+import star
+def handler(event, ctx):
+    return [star.local, star.A, star.f is star.g, star.table[1] is star.f, dir(star)]
+`},
+		{name: "getattr of a missing attribute", app: `
+def handler(event, ctx):
+    import lib
+    out = []
+    try:
+        getattr(lib, "missing")
+    except AttributeError as e:
+        out.append(str(e))
+    try:
+        lib.K.missing
+    except AttributeError as e:
+        out.append(str(e))
+    try:
+        lib.inst.missing
+    except AttributeError as e:
+        out.append(str(e))
+    out.append(hasattr(lib, "missing"))
+    out.append(getattr(lib, "missing", "default"))
+    return out
+`},
+		{name: "del before first read", app: `
+def handler(event, ctx):
+    import lib
+    del lib.A
+    del lib.K.z
+    out = [hasattr(lib, "A"), hasattr(lib.K, "z"), dir(lib), lib.f is lib.g]
+    lib.A = 7
+    out.append(lib.f())
+    return out
+`},
+		{name: "del after first read", app: `
+def handler(event, ctx):
+    import lib
+    a = lib.A
+    z = lib.K.z
+    del lib.A
+    del lib.K.z
+    return [a, z, hasattr(lib, "A"), hasattr(lib.K, "z"), dir(lib)]
+`},
+		{name: "set before first read", app: `
+def handler(event, ctx):
+    import lib
+    lib.A = 10
+    lib.inst.w = 40
+    return [lib.A, lib.f(), lib.inst.w, dir(lib)]
+`},
+		{name: "set after first read", app: `
+def handler(event, ctx):
+    import lib
+    a = lib.A
+    w = lib.inst.w
+    lib.A = 10
+    lib.inst.w = 40
+    return [a, w, lib.A, lib.f(), lib.inst.w]
+`},
+		{name: "origin rebound before the alias is read", app: `
+def handler(event, ctx):
+    import base
+    import origin
+    base.f = base.other
+    return [origin.h(), origin.h is base.f, origin.h is base.other]
+`},
+		{name: "origin rebound in a replayed window", app: `
+import base
+import origin
+base.f = base.other
+def handler(event, ctx):
+    return [origin.h(), origin.h is base.f, base.f()]
+`},
+		{name: "setattr on a replayed class", app: `
+def handler(event, ctx):
+    import lib
+    setattr(lib.K, "z", 30)
+    setattr(lib.K, "y", 7)
+    k = lib.K()
+    return [k.z, k.y, k.m(), lib.inst.z, lib.inst.m(), dir(lib.K)]
+`},
+		{name: "aliasing", app: `
+def handler(event, ctx):
+    import lib
+    import base
+    import alias
+    held = [lib.f]
+    return [lib.f is lib.g, lib.table[0] is lib.f, lib.table[1] is lib.g,
+            lib.base_f is base.f, held[0] is lib.g, type(lib.inst) is lib.K,
+            alias.f is lib.g, alias.mine[0] is lib.f, alias.table is lib.table]
+`},
+		{name: "alias read after a nested capture", prime: []string{"lib"}, app: `
+import mid
+import lib
+late = lib.g
+def handler(event, ctx):
+    return [late is lib.f, late is lib.table[0], mid.early, late()]
+`},
+		{name: "unread alias of a replayed library", prime: []string{"holder"}, app: `
+def handler(event, ctx):
+    import holder
+    import picker
+    # picker.first is a copy (it is no top-level attribute of holder, see
+    # the residual contract), but what it holds keeps its identity.
+    return [picker.z is holder.x, picker.first.fn is holder.x, picker.z()]
+`},
+		{name: "replayed module set inside the recording window", prime: []string{"lib"}, app: `
+import lib
+first = lib.f
+lib.extra = 1
+lib.A = 2
+def handler(event, ctx):
+    return [first is lib.g, lib.A, lib.extra, lib.table[1] is first, lib.inst.m(), dir(lib)]
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := vfs.New()
+			for path, src := range lazyLibs {
+				fs.Write(path, src)
+			}
+			fs.Write("app.py", tc.app)
+			want := snapRun(t, fs, nil)
+
+			snap := NewSnapshotCache()
+			prime := New(fs)
+			prime.SetSnapshots(snap)
+			for _, name := range tc.prime {
+				if _, err := prime.Import(name); err != nil {
+					t.Fatalf("prime %s: %v", name, err)
+				}
+			}
+			assertSameRun(t, want, snapRun(t, fs, snap), "recording run")
+			before := snap.Stats()
+			assertSameRun(t, want, snapRun(t, fs, snap), "replaying run")
+			if after := snap.Stats(); after.Hits == before.Hits {
+				t.Fatalf("replaying run never hit the memo: %+v", after)
+			}
+		})
+	}
+}
+
+// TestSnapshotReplayMaterializesReadSlotsOnly: a replay defers every slot,
+// and reading three attributes of a 1,000-attribute library builds those
+// three and nothing else.
+func TestSnapshotReplayMaterializesReadSlotsOnly(t *testing.T) {
+	var lib strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&lib, "def f%d():\n    return %d\n", i, i)
+	}
+	files := map[string]string{"site-packages/biglib.py": lib.String()}
+	src := "import biglib\nprint(biglib.f3() + biglib.f500() + biglib.f999())\n"
+	snap := NewSnapshotCache()
+	withMemo := func(in *Interp) { in.SetSnapshots(snap) }
+	want, _ := observe(t, src, files, withMemo) // records
+	before := snap.Stats()
+	got, in := observe(t, src, files, withMemo)
+	if got != want {
+		t.Fatalf("replay diverges from the recording run:\n want: %v\n got:  %v", want, got)
+	}
+	after := snap.Stats()
+	if after.Hits != before.Hits+1 {
+		t.Fatalf("biglib was not replayed: %+v", after)
+	}
+	const slots = 1002 // f0..f999, __name__, __file__
+	if d := after.Materialized - before.Materialized; d != 3 {
+		t.Errorf("replay materialized %d slots, want 3", d)
+	}
+	if d := after.Deferred - before.Deferred; d != slots-3 {
+		t.Errorf("replay deferred %d slots, want %d", d, slots-3)
+	}
+	ns := in.Modules()["biglib"].Dict
+	if len(ns.m) != 3 {
+		t.Errorf("biglib holds %d built slots, want 3", len(ns.m))
+	}
+	if ns.Len() != slots || len(ns.Names()) != slots {
+		t.Errorf("biglib lists %d names (Len %d), want %d", len(ns.Names()), ns.Len(), slots)
+	}
+}
+
 // FuzzSnapshotReplay checks the import memo's contract on arbitrary library
 // code. The fuzzed source is written to site-packages/fuzzlib.py and
-// imported by a fixed __main__: once without a SnapshotCache, then twice
-// over one shared cache, where the first run records fuzzlib's import
+// imported by a fixed __main__ that then prints the repr of every fuzzlib
+// attribute, in reverse dir() order (so a replay builds its lazy slots in
+// an order unlike the recording's): once without a SnapshotCache, then
+// twice over one shared cache, where the first run records fuzzlib's import
 // window and the second replays it. All three must agree on stdout, clock,
 // allocator used and peak, the error chain, and fuzzlib's namespace order.
+const fuzzMain = `import fuzzlib
+for n in reversed(dir(fuzzlib)):
+    print(n, repr(getattr(fuzzlib, n)))
+`
+
 func FuzzSnapshotReplay(f *testing.F) {
 	for _, p := range differentialPrograms {
 		f.Add(p.src)
@@ -329,7 +608,7 @@ func FuzzSnapshotReplay(f *testing.F) {
 		}
 		files := map[string]string{"site-packages/fuzzlib.py": src}
 		run := func(setup func(*Interp)) string {
-			o, in := observe(t, "import fuzzlib\n", files, setup)
+			o, in := observe(t, fuzzMain, files, setup)
 			lib := ""
 			if m, ok := in.Modules()["fuzzlib"]; ok {
 				lib = strings.Join(m.Dict.Names(), ",")
