@@ -40,13 +40,26 @@ build:
 test:
 	$(GO) test -race ./...
 
-# bench: full benchmark sweep, 3 samples each, machine-readable output in
-# BENCH_<date>.json. Recover a benchstat-ready table with:
-#   jq -r 'select(.Action=="output").Output' BENCH_<date>.json | benchstat -
+# bench: the committed benchmark record. Runs cmd/bench (cmd/bench/run.sh)
+# once per workload that BENCHMARK.json names, with the benchmark's own
+# defaults (seed 1, 10 s), and writes BENCH_<date>.json: a JSON list with
+# one object per workload holding its name, the seed, the machine line and
+# the result line (the run's last line of standard output). Each run's full
+# report stays in .bench_build/.
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
+BENCH_WORKLOADS = $(shell awk '/"workloads"/ {w = 1} w && /\]/ {w = 0} \
+	w && /"name"/ {gsub(/[",]/, "", $$2); print $$2}' BENCHMARK.json)
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x -count 3 -run xxx -json . > $(BENCH_OUT)
-	@echo "benchmark log written to $(BENCH_OUT)"
+	@test -n "$(BENCH_WORKLOADS)" || { echo "bench: no workloads found in BENCHMARK.json"; exit 1; }
+	@set -e; mkdir -p .bench_build; sep='['; : > $(BENCH_OUT).tmp; \
+	for w in $(BENCH_WORKLOADS); do \
+		bash cmd/bench/run.sh --workload $$w --trace 0 > .bench_build/$$w.out; \
+		machine=$$(grep -m 1 '^machine:' .bench_build/$$w.out | sed 's/[\\"]/\\&/g'); \
+		printf '%s\n  {"workload": "%s", "seed": 1, "machine": "%s",\n   "result": %s}' \
+			"$$sep" $$w "$$machine" "$$(tail -n 1 .bench_build/$$w.out)" >> $(BENCH_OUT).tmp; \
+		sep=','; echo "bench: $$w done"; \
+	done; printf '\n]\n' >> $(BENCH_OUT).tmp; mv $(BENCH_OUT).tmp $(BENCH_OUT)
+	@echo "benchmark record written to $(BENCH_OUT)"
 
 # bench-smoke: one fast iteration of the cheap benchmarks (CI).
 bench-smoke:

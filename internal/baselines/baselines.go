@@ -163,7 +163,7 @@ func reachabilityTrim(app *appspec.App, module string, protected map[string]bool
 	}
 	binders := make(map[string][]pylang.Stmt)
 	for _, s := range ast.Body {
-		names := boundNames(s)
+		names := pylang.BoundNames(s)
 		if len(names) == 0 || bindsMagic(names) {
 			for _, ref := range referencedNames(s) {
 				keep[ref] = true
@@ -194,7 +194,7 @@ func reachabilityTrim(app *appspec.App, module string, protected map[string]bool
 	var removed []string
 	var kept []pylang.Stmt
 	for _, s := range ast.Body {
-		names := boundNames(s)
+		names := pylang.BoundNames(s)
 		if len(names) == 0 || bindsMagic(names) {
 			kept = append(kept, s)
 			continue
@@ -245,7 +245,7 @@ func Vulture(app *appspec.App) (*Result, error) {
 		}
 		for _, s := range ast.Body {
 			binds := map[string]bool{}
-			for _, n := range boundNames(s) {
+			for _, n := range pylang.BoundNames(s) {
 				binds[n] = true
 			}
 			for _, ref := range referencedNames(s) {
@@ -268,7 +268,7 @@ func Vulture(app *appspec.App) (*Result, error) {
 		var kept []pylang.Stmt
 		var removed []string
 		for _, s := range ast.Body {
-			names := boundNames(s)
+			names := pylang.BoundNames(s)
 			if len(names) == 0 || bindsMagic(names) {
 				kept = append(kept, s)
 				continue
@@ -324,45 +324,6 @@ func referencedNames(s pylang.Stmt) []string {
 		return true
 	})
 	return out
-}
-
-// boundNames mirrors the debloater's notion of which attributes a
-// statement binds.
-func boundNames(s pylang.Stmt) []string {
-	switch v := s.(type) {
-	case *pylang.DefStmt:
-		return []string{v.Name}
-	case *pylang.ClassStmt:
-		return []string{v.Name}
-	case *pylang.AssignStmt:
-		var names []string
-		for _, t := range v.Targets {
-			if n, ok := t.(*pylang.NameExpr); ok {
-				names = append(names, n.Name)
-			}
-		}
-		return names
-	case *pylang.ImportStmt:
-		names := make([]string, 0, len(v.Names))
-		for _, a := range v.Names {
-			names = append(names, a.Bound())
-		}
-		return names
-	case *pylang.FromImportStmt:
-		if v.Star {
-			return nil
-		}
-		names := make([]string, 0, len(v.Names))
-		for _, a := range v.Names {
-			if a.AsName != "" {
-				names = append(names, a.AsName)
-			} else {
-				names = append(names, a.Name)
-			}
-		}
-		return names
-	}
-	return nil
 }
 
 func moduleFile(app *appspec.App, name string) (string, bool) {

@@ -2,6 +2,7 @@ package debloat
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/pylang"
-	"repro/internal/pyparser"
 	"repro/internal/pyruntime"
 )
 
@@ -273,7 +273,7 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 		mr.Skipped = "source unavailable"
 		return mr
 	}
-	ast, perr := pyparser.Parse(name, src)
+	ast, perr := run.astCache.Parse(run.app.Image, path, name, src)
 	if perr != nil {
 		mr.Skipped = "unparseable: " + perr.Error()
 		return mr
@@ -317,36 +317,29 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 	}
 
 	if cfg.Granularity == StmtGranularity {
-		mr = debloatModuleStmts(run, name, ast, candidates, mr, cfg)
-		return mr
+		return debloatModuleStmts(run, name, ast, mr, cfg)
 	}
 
-	// Step 4: DD over the candidate attributes.
-	oracle := func(keepAttrs []string) bool {
-		removed := make(map[string]bool, len(candidates))
-		for _, c := range candidates {
-			removed[c] = true
-		}
-		for _, k := range keepAttrs {
-			delete(removed, k)
-		}
-		candidate := &pylang.Module{Name: name, Body: rewriteWithoutAttrs(ast.Body, removed)}
-		return run.test(name, candidate)
-	}
-	keep, stats := minimize(run, candidates, oracle, cfg)
+	// Step 4: DD over the candidates' indices. Every probe body is built
+	// from a kept bitmap through an index computed once per module.
+	idx := newProbeIndex(ast.Body, candidates)
+	keep, stats := minimize(run, indices(len(candidates)), func(keep []int) bool {
+		body := idx.build(keptBitmap(len(candidates), keep))
+		return run.test(name, &pylang.Module{Name: name, Body: body})
+	}, cfg)
 	mr.DD = stats
 
-	removed := make(map[string]bool, len(candidates))
-	for _, c := range candidates {
-		removed[c] = true
+	kept := keptBitmap(len(candidates), keep)
+	mr.Removed = make([]string, 0, len(candidates)-len(keep))
+	for i, c := range candidates {
+		if !kept[i] {
+			mr.Removed = append(mr.Removed, c)
+		}
 	}
-	for _, k := range keep {
-		delete(removed, k)
-	}
-	mr.Removed = sortedNames(removed)
+	sort.Strings(mr.Removed)
 	mr.AttrsAfter = mr.AttrsBefore - len(mr.Removed)
 	if len(mr.Removed) > 0 {
-		run.overrides[name] = &pylang.Module{Name: name, Body: rewriteWithoutAttrs(ast.Body, removed)}
+		run.overrides[name] = &pylang.Module{Name: name, Body: idx.build(kept)}
 	}
 	return mr
 }
@@ -361,33 +354,29 @@ func minimize[T any](run *runner, items []T, oracle dd.Oracle[T], cfg Config) ([
 	})
 }
 
-// debloatModuleStmts is the statement-granularity ablation arm.
-func debloatModuleStmts(run *runner, name string, ast *pylang.Module, candidates []string, mr ModuleResult, cfg Config) ModuleResult {
-	// Components are the indices of binding, non-magic statements.
-	var idxs []int
-	for i, s := range ast.Body {
-		if stmtIsCandidate(s) {
-			idxs = append(idxs, i)
-		}
+// indices returns 0..n-1, the DD components of n candidates.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	keep, stats := minimize(run, idxs, func(keepIdxs []int) bool {
-		keepSet := make(map[int]bool, len(keepIdxs))
-		for _, i := range keepIdxs {
-			keepSet[i] = true
-		}
-		candidate := &pylang.Module{Name: name, Body: rewriteKeepStmts(ast.Body, keepSet)}
-		return run.test(name, candidate)
+	return out
+}
+
+// debloatModuleStmts is the statement-granularity ablation arm.
+func debloatModuleStmts(run *runner, name string, ast *pylang.Module, mr ModuleResult, cfg Config) ModuleResult {
+	comp, stmts := stmtComponents(ast.Body)
+	keep, stats := minimize(run, indices(len(stmts)), func(keep []int) bool {
+		body := keepStmts(ast.Body, comp, keptBitmap(len(stmts), keep))
+		return run.test(name, &pylang.Module{Name: name, Body: body})
 	}, cfg)
 	mr.DD = stats
 
-	keepSet := make(map[int]bool, len(keep))
-	for _, i := range keep {
-		keepSet[i] = true
-	}
+	kept := keptBitmap(len(stmts), keep)
 	removedAttrs := make(map[string]bool)
-	for _, i := range idxs {
-		if !keepSet[i] {
-			for _, n := range boundNames(ast.Body[i]) {
+	for c, i := range stmts {
+		if !kept[c] {
+			for _, n := range pylang.BoundNames(ast.Body[i]) {
 				removedAttrs[n] = true
 			}
 		}
@@ -395,7 +384,7 @@ func debloatModuleStmts(run *runner, name string, ast *pylang.Module, candidates
 	mr.Removed = sortedNames(removedAttrs)
 	mr.AttrsAfter = mr.AttrsBefore - len(mr.Removed)
 	if len(mr.Removed) > 0 {
-		run.overrides[name] = &pylang.Module{Name: name, Body: rewriteKeepStmts(ast.Body, keepSet)}
+		run.overrides[name] = &pylang.Module{Name: name, Body: keepStmts(ast.Body, comp, kept)}
 	}
 	return mr
 }

@@ -42,52 +42,60 @@ func providers(body []pylang.Stmt) map[string][]int {
 		out[name] = append(out[name], idx)
 	}
 	for i, s := range body {
-		for _, name := range boundNames(s) {
+		for _, name := range pylang.BoundNames(s) {
 			add(name, i)
 		}
 	}
 	return out
 }
 
-// boundNames returns the module attributes a top-level statement binds.
-func boundNames(s pylang.Stmt) []string {
-	switch v := s.(type) {
-	case *pylang.DefStmt:
-		return []string{v.Name}
-	case *pylang.ClassStmt:
-		return []string{v.Name}
-	case *pylang.AssignStmt:
-		var names []string
-		for _, t := range v.Targets {
-			if n, ok := t.(*pylang.NameExpr); ok {
-				names = append(names, n.Name)
-			}
-		}
-		return names
-	case *pylang.ImportStmt:
-		names := make([]string, 0, len(v.Names))
-		for _, a := range v.Names {
-			names = append(names, a.Bound())
-		}
-		return names
-	case *pylang.FromImportStmt:
-		if v.Star {
-			return nil
-		}
-		names := make([]string, 0, len(v.Names))
-		for _, a := range v.Names {
-			if a.AsName != "" {
-				names = append(names, a.AsName)
-			} else {
-				names = append(names, a.Name)
-			}
-		}
-		return names
-	}
-	return nil
+// probeIndex indexes a module body for building DD probe bodies: for each
+// top-level statement, the candidate index of every name it binds, in
+// pylang.BoundNames order. It is computed once per module, so each probe
+// builds its body from a kept bitmap over the candidates without a map or a
+// BoundNames call.
+type probeIndex struct {
+	body []pylang.Stmt
+	// cands[i] holds statement i's candidate indices, -1 for a bound name
+	// that is not a candidate. It is nil when the statement is kept whatever
+	// is removed: it binds no candidate, or it is a def, class or
+	// assignment that binds a name that is not a candidate.
+	cands [][]int
 }
 
-// rewriteWithoutAttrs builds a new module body with the given attributes
+// newProbeIndex indexes body against the DD candidates.
+func newProbeIndex(body []pylang.Stmt, candidates []string) *probeIndex {
+	index := make(map[string]int, len(candidates))
+	for i, c := range candidates {
+		index[c] = i
+	}
+	p := &probeIndex{body: body, cands: make([][]int, len(body))}
+	for i, s := range body {
+		names := pylang.BoundNames(s)
+		cs := make([]int, len(names))
+		some, all := false, true
+		for j, n := range names {
+			c, ok := index[n]
+			if !ok {
+				c, all = -1, false
+			}
+			cs[j], some = c, some || ok
+		}
+		switch s.(type) {
+		case *pylang.ImportStmt, *pylang.FromImportStmt:
+			if some {
+				p.cands[i] = cs
+			}
+		default:
+			if some && all {
+				p.cands[i] = cs
+			}
+		}
+	}
+	return p
+}
+
+// build returns the module body with every candidate that kept leaves out
 // removed, at attribute granularity:
 //
 //   - def / class statements whose name is removed are dropped entirely;
@@ -97,60 +105,36 @@ func boundNames(s pylang.Stmt) []string {
 //     the paper highlights (Figure 7: "from torch.nn import Linear, MSELoss"
 //     becomes "from torch.nn import Linear");
 //   - everything else is kept untouched.
-func rewriteWithoutAttrs(body []pylang.Stmt, removed map[string]bool) []pylang.Stmt {
-	out := make([]pylang.Stmt, 0, len(body))
-	for _, s := range body {
+func (p *probeIndex) build(kept []bool) []pylang.Stmt {
+	out := make([]pylang.Stmt, 0, len(p.body))
+	for i, s := range p.body {
+		cs := p.cands[i]
+		if cs == nil {
+			out = append(out, s)
+			continue
+		}
 		switch v := s.(type) {
-		case *pylang.DefStmt:
-			if removed[v.Name] {
-				continue
-			}
-		case *pylang.ClassStmt:
-			if removed[v.Name] {
-				continue
-			}
-		case *pylang.AssignStmt:
-			names := boundNames(v)
-			if len(names) > 0 && allRemoved(names, removed) {
-				continue
-			}
 		case *pylang.ImportStmt:
-			kept := make([]pylang.Alias, 0, len(v.Names))
-			for _, a := range v.Names {
-				if !removed[a.Bound()] {
-					kept = append(kept, a)
+			if names, cut := keptAliases(v.Names, cs, kept); cut {
+				if len(names) > 0 {
+					out = append(out, &pylang.ImportStmt{Pos: v.Pos, Names: names})
 				}
-			}
-			if len(kept) == 0 {
-				continue
-			}
-			if len(kept) != len(v.Names) {
-				out = append(out, &pylang.ImportStmt{Pos: v.Pos, Names: kept})
 				continue
 			}
 		case *pylang.FromImportStmt:
-			if !v.Star {
-				kept := make([]pylang.Alias, 0, len(v.Names))
-				for _, a := range v.Names {
-					bound := a.Name
-					if a.AsName != "" {
-						bound = a.AsName
-					}
-					if !removed[bound] {
-						kept = append(kept, a)
-					}
-				}
-				if len(kept) == 0 {
-					// The import disappears entirely — and with it the
-					// submodule's own initialization cost.
-					continue
-				}
-				if len(kept) != len(v.Names) {
+			if names, cut := keptAliases(v.Names, cs, kept); cut {
+				// With no name left the import disappears entirely — and
+				// with it the submodule's own initialization cost.
+				if len(names) > 0 {
 					out = append(out, &pylang.FromImportStmt{
-						Pos: v.Pos, Level: v.Level, Module: v.Module, Names: kept,
+						Pos: v.Pos, Level: v.Level, Module: v.Module, Names: names,
 					})
-					continue
 				}
+				continue
+			}
+		default:
+			if !anyKept(cs, kept) {
+				continue
 			}
 		}
 		out = append(out, s)
@@ -158,34 +142,81 @@ func rewriteWithoutAttrs(body []pylang.Stmt, removed map[string]bool) []pylang.S
 	return out
 }
 
-func allRemoved(names []string, removed map[string]bool) bool {
-	for _, n := range names {
-		if !removed[n] {
-			return false
+// keptAliases returns the aliases whose bound name kept does not remove, and
+// whether any was removed; aliases is returned as is when none was.
+func keptAliases(aliases []pylang.Alias, cs []int, kept []bool) ([]pylang.Alias, bool) {
+	n := 0
+	for _, c := range cs {
+		if c < 0 || kept[c] {
+			n++
 		}
 	}
-	return true
+	if n == len(aliases) {
+		return aliases, false
+	}
+	out := make([]pylang.Alias, 0, n)
+	for j, c := range cs {
+		if c < 0 || kept[c] {
+			out = append(out, aliases[j])
+		}
+	}
+	return out, true
 }
 
-// rewriteKeepStmts builds a module body keeping only the statements whose
-// index is in keep (statement-granularity ablation). Statements that bind
-// no attribute — or that bind a magic attribute — are always kept, matching
-// the attribute arm's exclusion of magic attributes from DD.
-func rewriteKeepStmts(body []pylang.Stmt, keep map[int]bool) []pylang.Stmt {
+func anyKept(cs []int, kept []bool) bool {
+	for _, c := range cs {
+		if kept[c] {
+			return true
+		}
+	}
+	return false
+}
+
+// stmtComponents numbers the DD components at statement granularity, the
+// statements stmtIsCandidate accepts: stmts maps each component to its
+// statement and comp each statement to its component, -1 for a statement
+// that is always kept.
+func stmtComponents(body []pylang.Stmt) (comp, stmts []int) {
+	comp = make([]int, len(body))
+	for i, s := range body {
+		comp[i] = -1
+		if stmtIsCandidate(s) {
+			comp[i] = len(stmts)
+			stmts = append(stmts, i)
+		}
+	}
+	return comp, stmts
+}
+
+// keepStmts builds a module body at statement granularity (ablation):
+// statement i stays when it is no component (comp[i] < 0) or its component
+// is kept. Statements that bind no attribute — or that bind a magic
+// attribute — are no component, matching the attribute arm's exclusion of
+// magic attributes from DD.
+func keepStmts(body []pylang.Stmt, comp []int, kept []bool) []pylang.Stmt {
 	out := make([]pylang.Stmt, 0, len(body))
 	for i, s := range body {
-		if !stmtIsCandidate(s) || keep[i] {
+		if c := comp[i]; c < 0 || kept[c] {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
+// keptBitmap turns a DD subset of the indices 0..n-1 into a bitmap.
+func keptBitmap(n int, keep []int) []bool {
+	kept := make([]bool, n)
+	for _, k := range keep {
+		kept[k] = true
+	}
+	return kept
+}
+
 // stmtIsCandidate reports whether a statement is a valid DD component at
 // statement granularity: it binds at least one attribute and none of them
 // is magic.
 func stmtIsCandidate(s pylang.Stmt) bool {
-	names := boundNames(s)
+	names := pylang.BoundNames(s)
 	if len(names) == 0 {
 		return false
 	}

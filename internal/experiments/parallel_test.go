@@ -1,7 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -92,11 +98,69 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
+// benchGoldenPath holds the benchmark's committed reference digests; its
+// "debloat" map has one digest per app of the default-config result.
+const benchGoldenPath = "../../cmd/bench/testdata/golden.json"
+
+// checkGoldenDigests checks each app's debloat result in s against the
+// benchmark's committed digest, so a change to what the debloater removes
+// fails here even when it changes every arm the same way.
+func checkGoldenDigests(t *testing.T, s *Suite, names []string) {
+	t.Helper()
+	raw, err := os.ReadFile(benchGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g struct {
+		Debloat map[string]string `json:"debloat"`
+	}
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatalf("%s: %v", benchGoldenPath, err)
+	}
+	for _, name := range names {
+		r, err := s.Debloat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultDigest(r), g.Debloat[name]; got != want {
+			t.Errorf("%s: debloat digest %.16s, committed %.16s", name, got, want)
+		}
+	}
+}
+
+// resultDigest is a debloat.Result's identity as the benchmark's goldens
+// record it: each module's sorted removed attributes, the oracle run count,
+// the simulated debloat time, and the SHA-256 of every file the optimized
+// image rewrote.
+func resultDigest(r *debloat.Result) string {
+	var b bytes.Buffer
+	for _, m := range r.Modules {
+		removed := append([]string(nil), m.Removed...)
+		sort.Strings(removed)
+		fmt.Fprintf(&b, "module %s skipped=%q removed=%s\n", m.Module, m.Skipped, strings.Join(removed, ","))
+	}
+	fmt.Fprintf(&b, "oracle_runs %d\ndebloat_time %d\n", r.OracleRuns, r.DebloatTime)
+	for _, path := range r.App.Image.List() {
+		src, _ := r.App.Image.Read(path)
+		if orig, err := r.Original.Image.Read(path); err == nil && orig == src {
+			continue
+		}
+		fmt.Fprintf(&b, "file %s %s\n", path, sha256Hex(src))
+	}
+	return sha256Hex(b.String())
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
 // TestDebloatAllGoldenDeterminism is the PR's hard invariant: a suite
 // primed by DebloatAll(8) with shared memoization caches must render every
 // table and figure — and the trace summary — byte-identically to a
 // sequential, memoization-disabled run. Parallelism and caching may only
-// change real wall-clock time.
+// change real wall-clock time. At both scales each result must also match
+// the benchmark's committed digest.
 func TestDebloatAllGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		// Fast variant: a small corpus subset, comparing the debloat
@@ -124,6 +188,8 @@ func TestDebloatAllGoldenDeterminism(t *testing.T) {
 				t.Errorf("%s diverged:\n%s", name, firstDiff(sa, sb))
 			}
 		}
+		checkGoldenDigests(t, seq, subset)
+		checkGoldenDigests(t, par, subset)
 		return
 	}
 
@@ -151,6 +217,8 @@ func TestDebloatAllGoldenDeterminism(t *testing.T) {
 	if gs != ps {
 		t.Fatalf("trace summaries diverged:\n%s", firstDiff(gs, ps))
 	}
+	checkGoldenDigests(t, seq, AllNames())
+	checkGoldenDigests(t, par, AllNames())
 }
 
 // TestSnapshotCacheSharedAcrossSuites exercises one snapshot cache shared

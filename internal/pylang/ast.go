@@ -547,3 +547,63 @@ func walkChildren(n Node, fn func(Node) bool) {
 		Walk(v.Body, fn)
 	}
 }
+
+// BoundNames returns the module attributes a top-level statement binds: a
+// def or class name, the name targets of an assignment, and each alias of
+// an import or from-import. A star import lists no names.
+func BoundNames(s Stmt) []string {
+	n := NumBoundNames(s)
+	if n == 0 {
+		return nil
+	}
+	names := make([]string, 0, n)
+	switch v := s.(type) {
+	case *DefStmt:
+		names = append(names, v.Name)
+	case *ClassStmt:
+		names = append(names, v.Name)
+	case *AssignStmt:
+		for _, t := range v.Targets {
+			if n, ok := t.(*NameExpr); ok {
+				names = append(names, n.Name)
+			}
+		}
+	case *ImportStmt:
+		for _, a := range v.Names {
+			names = append(names, a.Bound())
+		}
+	case *FromImportStmt:
+		for _, a := range v.Names {
+			if a.AsName != "" {
+				names = append(names, a.AsName)
+			} else {
+				names = append(names, a.Name)
+			}
+		}
+	}
+	return names
+}
+
+// NumBoundNames returns len(BoundNames(s)) without building the slice.
+func NumBoundNames(s Stmt) int {
+	switch v := s.(type) {
+	case *DefStmt, *ClassStmt:
+		return 1
+	case *AssignStmt:
+		n := 0
+		for _, t := range v.Targets {
+			if _, ok := t.(*NameExpr); ok {
+				n++
+			}
+		}
+		return n
+	case *ImportStmt:
+		return len(v.Names)
+	case *FromImportStmt:
+		if v.Star {
+			return 0
+		}
+		return len(v.Names)
+	}
+	return 0
+}

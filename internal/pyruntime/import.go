@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/pylang"
-	"repro/internal/pyparser"
 )
 
 // Module search roots, in order. Application code lives at the image root;
@@ -37,10 +36,9 @@ func (in *Interp) Import(dotted string) (*ModuleV, *PyErr) {
 			parentName := strings.Join(parts[:i], ".")
 			parent := in.modules[parentName]
 			if parent != nil {
-				if !parent.Dict.Has(part) {
+				if parent.Dict.Set(part, m) {
 					in.Alloc.Alloc(64)
 				}
-				parent.Dict.Set(part, m)
 				in.noteBinding(parentName, part, prefix)
 			}
 		}
@@ -92,7 +90,8 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 
 	body, file := in.moduleBody(name, src)
 
-	mod := &ModuleV{Name: name, Dict: NewNamespace(), File: file}
+	// __name__ and __file__ plus every name the body binds at top level.
+	mod := &ModuleV{Name: name, Dict: newNamespaceSize(2 + staticBinds(body)), File: file}
 	in.Alloc.Alloc(SizeOf(mod))
 	mod.Dict.Set("__name__", StrV(name))
 	mod.Dict.Set("__file__", StrV(file))
@@ -127,6 +126,16 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 		return nil, err
 	}
 	return mod, nil
+}
+
+// staticBinds counts the names a module body's top-level statements bind
+// (pylang.BoundNames). It sizes the module's namespace before the body runs.
+func staticBinds(body []pylang.Stmt) int {
+	n := 0
+	for _, s := range body {
+		n += pylang.NumBoundNames(s)
+	}
+	return n
 }
 
 // moduleSource is a resolved module origin: either a debloater AST override
@@ -217,7 +226,7 @@ func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, stri
 	if src.override != nil {
 		return src.override.Body, src.path
 	}
-	mod, perr := in.parseCached(src.path, name, src.src)
+	mod, perr := in.astCache.Parse(in.FS, src.path, name, src.src)
 	if perr != nil {
 		// Surface parse errors as a module body that raises; the importer
 		// converts it into an ImportError.
@@ -229,25 +238,6 @@ func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, stri
 		}}, src.path
 	}
 	return mod.Body, src.path
-}
-
-func (in *Interp) parseCached(path, name, src string) (*pylang.Module, error) {
-	// Key by content hash when the file is in the image: the cache is shared
-	// across interpreters and apps, and hashing once per image beats
-	// building (and hashing) a path+source map key on every import.
-	key := path + "\x00" + src
-	if h, ok := in.FS.ContentHash(path); ok {
-		key = path + "\x00" + h
-	}
-	if m, ok := in.astCache.Get(key); ok {
-		return m, nil
-	}
-	mod, err := pyparser.Parse(name, src)
-	if err != nil {
-		return nil, err
-	}
-	in.astCache.Put(key, mod)
-	return mod, nil
 }
 
 // execFromImport implements "from X import a, b" including relative levels

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/pylang"
+	"repro/internal/pyparser"
 	"repro/internal/simtime"
 	"repro/internal/vfs"
 )
@@ -142,19 +143,30 @@ func NewASTCache() *ASTCache {
 	return &ASTCache{m: make(map[string]*pylang.Module)}
 }
 
-// Get looks up a cached parse.
-func (c *ASTCache) Get(key string) (*pylang.Module, bool) {
+// Parse returns the parse of src, the source of path in fs, and keeps it for
+// every later caller asking for the same path and content. The key is the
+// image's content hash when path is in fs: the cache is shared across
+// interpreters and apps, and hashing once per image beats building (and
+// hashing) a path+source map key on every import.
+func (c *ASTCache) Parse(fs *vfs.FS, path, name, src string) (*pylang.Module, error) {
+	key := path + "\x00" + src
+	if h, ok := fs.ContentHash(path); ok {
+		key = path + "\x00" + h
+	}
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	m, ok := c.m[key]
-	return m, ok
-}
-
-// Put stores a parse result.
-func (c *ASTCache) Put(key string, mod *pylang.Module) {
+	c.mu.RUnlock()
+	if ok {
+		return m, nil
+	}
+	m, err := pyparser.Parse(name, src)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = mod
+	c.m[key] = m
+	c.mu.Unlock()
+	return m, nil
 }
 
 // SetASTCache shares a parse cache across interpreter instances.
@@ -671,9 +683,6 @@ func (in *Interp) bind(fr *frame, name string, v Value) {
 		fr.env.set(name, v)
 		return
 	}
-	if !fr.globals.Has(name) {
-		in.Alloc.Alloc(64) // new namespace slot
-	}
 	if in.snap != nil {
 		// A global bind outside the module's own open import window (e.g. a
 		// cross-module `global` assignment) mutates memoized state.
@@ -681,7 +690,9 @@ func (in *Interp) bind(fr *frame, name string, v Value) {
 			in.notePoisonModule(fr.module)
 		}
 	}
-	fr.globals.Set(name, v)
+	if fr.globals.Set(name, v) {
+		in.Alloc.Alloc(64) // new namespace slot
+	}
 }
 
 func (in *Interp) assign(fr *frame, target pylang.Expr, value Value) *PyErr {
@@ -1222,17 +1233,15 @@ func (in *Interp) getAttr(obj Value, name string, pos pylang.Pos) (Value, *PyErr
 func (in *Interp) setAttr(obj Value, name string, value Value, pos pylang.Pos) *PyErr {
 	switch o := obj.(type) {
 	case *ModuleV:
-		if !o.Dict.Has(name) {
+		in.notePoisonModule(o.Name)
+		if o.Dict.Set(name, value) {
 			in.Alloc.Alloc(64)
 		}
-		in.notePoisonModule(o.Name)
-		o.Dict.Set(name, value)
 		return nil
 	case *InstanceV:
-		if !o.Dict.Has(name) {
+		if o.Dict.Set(name, value) {
 			in.Alloc.Alloc(64)
 		}
-		o.Dict.Set(name, value)
 		return nil
 	case *ClassV:
 		// CPython forbids mutating built-in types; enforcing that here also

@@ -289,6 +289,12 @@ func NewNamespace() *Namespace {
 	return &Namespace{m: make(map[string]Value)}
 }
 
+// newNamespaceSize returns an empty namespace with room for n names, so a
+// module body whose binds are known up front never grows its map.
+func newNamespaceSize(n int) *Namespace {
+	return &Namespace{order: make([]string, 0, n), m: make(map[string]Value, n)}
+}
+
 // Get looks up name.
 func (ns *Namespace) Get(name string) (Value, bool) {
 	if v, ok := ns.m[name]; ok {
@@ -308,19 +314,22 @@ func (ns *Namespace) Has(name string) bool {
 	return ns.snap != nil && ns.snap.has(name)
 }
 
-// Set binds name. The map is allocated lazily so namespaces that stay empty
-// (most builtin exception class dicts) cost a single small allocation. On a
-// lazy namespace, setting a slot not yet read shadows its recorded value.
-func (ns *Namespace) Set(name string, v Value) {
-	if _, ok := ns.m[name]; !ok {
-		if ns.m == nil {
-			ns.m = make(map[string]Value, 4)
-		}
-		if ns.snap == nil || !ns.snap.has(name) {
-			ns.order = append(ns.order, name)
-		}
+// Set binds name and reports whether the name is new, which callers use to
+// charge a slot without a second lookup. The map is allocated lazily so
+// namespaces that stay empty (most builtin exception class dicts) cost a
+// single small allocation. On a lazy namespace, setting a slot not yet read
+// shadows its recorded value; that name is not new.
+func (ns *Namespace) Set(name string, v Value) bool {
+	if ns.m == nil {
+		ns.m = make(map[string]Value, 4)
 	}
+	n := len(ns.m)
 	ns.m[name] = v
+	if len(ns.m) == n || ns.snap != nil && ns.snap.has(name) {
+		return false
+	}
+	ns.order = append(ns.order, name)
+	return true
 }
 
 // Delete unbinds name, reporting whether it was bound. A lazy namespace is
@@ -426,6 +435,10 @@ func Str(v Value) string {
 // Repr renders a value as repr() would.
 func Repr(v Value) string { return reprIn(v, nil) }
 
+// strEscaper escapes a str's repr. A Replacer builds its lookup table on
+// first use and is safe for concurrent use, so one serves every call.
+var strEscaper = strings.NewReplacer("\\", "\\\\", "'", "\\'", "\n", "\\n", "\t", "\\t")
+
 // reprIn renders v inside open, the containers being rendered around it. A
 // container that holds itself renders as [...], (...) or {...}, as CPython
 // prints it, instead of recursing until the Go stack runs out.
@@ -459,7 +472,7 @@ func reprIn(v Value, open []Value) string {
 		}
 		return s
 	case StrV:
-		return "'" + strings.NewReplacer("\\", "\\\\", "'", "\\'", "\n", "\\n", "\t", "\\t").Replace(string(t)) + "'"
+		return "'" + strEscaper.Replace(string(t)) + "'"
 	case *ListV:
 		open = append(open, t)
 		parts := make([]string, len(t.Elems))

@@ -150,6 +150,73 @@ func TestNamespaceOrderAndDelete(t *testing.T) {
 	}
 }
 
+// TestNamespaceSetReportsNewName: Set reports whether it bound a new name,
+// which bind, setAttr and Import use to charge a namespace slot without a
+// second lookup. A replayed namespace's recorded slot is not new, whether or
+// not it was read, and a Set on it keeps its place in Names().
+func TestNamespaceSetReportsNewName(t *testing.T) {
+	plain := func(*testing.T) *Namespace {
+		ns := NewNamespace()
+		ns.Set("a", IntV(1))
+		ns.Set("b", IntV(2))
+		return ns
+	}
+	replayed := func(t *testing.T) *Namespace {
+		files := map[string]string{"site-packages/lib.py": "A = 1\nB = 2\nC = 3\n"}
+		snap := NewSnapshotCache()
+		withMemo := func(in *Interp) { in.SetSnapshots(snap) }
+		observe(t, "import lib\n", files, withMemo) // records
+		_, in := observe(t, "import lib\n", files, withMemo)
+		ns := in.Modules()["lib"].Dict
+		if ns.snap == nil || len(ns.m) != 0 {
+			t.Fatalf("lib was not replayed lazily with every slot unread (%d built)", len(ns.m))
+		}
+		return ns
+	}
+	read := func(name string) func(*Namespace) {
+		return func(ns *Namespace) { ns.Get(name) }
+	}
+	del := func(name string) func(*Namespace) {
+		return func(ns *Namespace) { ns.Delete(name) }
+	}
+	cases := []struct {
+		name  string
+		ns    func(*testing.T) *Namespace
+		prep  func(*Namespace) // runs before Set(key); may be nil
+		key   string
+		want  bool
+		names string
+	}{
+		{"new name", plain, nil, "c", true, "a,b,c"},
+		{"rebind", plain, nil, "a", false, "a,b"},
+		{"set after Delete", plain, del("a"), "a", true, "b,a"},
+		{"unread recorded slot", replayed, nil, "B", false, "__name__,__file__,A,B,C"},
+		{"read recorded slot", replayed, read("B"), "B", false, "__name__,__file__,A,B,C"},
+		{"new name on a replayed namespace", replayed, nil, "D", true, "__name__,__file__,A,B,C,D"},
+		{"set after Delete on a replayed namespace", replayed, del("B"), "B", true, "__name__,__file__,A,C,B"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ns := c.ns(t)
+			if c.prep != nil {
+				c.prep(ns)
+			}
+			if got := ns.Set(c.key, IntV(9)); got != c.want {
+				t.Errorf("Set(%q) = %v, want %v", c.key, got, c.want)
+			}
+			if got := strings.Join(ns.Names(), ","); got != c.names {
+				t.Errorf("Names() = %s, want %s", got, c.names)
+			}
+			if ns.Len() != len(ns.Names()) {
+				t.Errorf("Len() = %d, Names() lists %d", ns.Len(), len(ns.Names()))
+			}
+			if v, ok := ns.Get(c.key); !ok || v != IntV(9) {
+				t.Errorf("Get(%q) = %v, %v after Set", c.key, v, ok)
+			}
+		})
+	}
+}
+
 // Property: Equal is reflexive and symmetric over generated scalar values.
 func TestQuickEqualSymmetric(t *testing.T) {
 	mk := func(kind uint8, i int64, f float64, s string) Value {
@@ -222,6 +289,9 @@ func TestReprFormats(t *testing.T) {
 		"3.0":           FloatV(3),
 		"'hi'":          StrV("hi"),
 		"'a\\nb'":       StrV("a\nb"),
+		"'a\\\\b'":      StrV("a\\b"),
+		"'it\\'s'":      StrV("it's"),
+		"'a\\tb'":       StrV("a\tb"),
 		"[1, 'x']":      &ListV{Elems: []Value{IntV(1), StrV("x")}},
 		"(1,)":          &TupleV{Elems: []Value{IntV(1)}},
 		"(1, 2)":        &TupleV{Elems: []Value{IntV(1), IntV(2)}},
