@@ -1,14 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-smoke race experiments monitor-smoke rollout-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke
-
-## race: the race-detector sweep CI runs on the concurrency-bearing
-## packages (parallel DD, the corpus scheduler, the shared snapshot cache,
-## and the sharded fleet replay, whose lock-free store handles and ledger
-## rows rest on each shard having a single owner)
-race:
-	$(GO) test -race -short ./internal/debloat/... ./internal/dd/... ./internal/experiments/... \
-		./internal/fleet/... ./internal/obs/... ./internal/chaos/...
+.PHONY: check fmt vet build test bench bench-smoke experiments monitor-smoke rollout-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke
 
 ## check: everything CI would run — formatting, vet, build, race-enabled
 ## tests, and a short fuzz pass over the config parsers and the import memo

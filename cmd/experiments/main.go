@@ -35,43 +35,10 @@ import (
 	"repro/internal/obs"
 )
 
-type renderer interface{ Render() string }
-
-// drivers maps each target to its suite method, in presentation order.
-// This slice is the single source of truth: the usage string, -list, and
-// the default "all" set all derive from it.
-var drivers = []struct {
-	name string
-	desc string
-	run  func(*experiments.Suite) (renderer, error)
-}{
-	{"fig1", "cold/warm start latency anatomy", func(s *experiments.Suite) (renderer, error) { return s.Figure1() }},
-	{"table1", "corpus applications", func(s *experiments.Suite) (renderer, error) { return s.Table1() }},
-	{"fig2", "cost breakdown per application", func(s *experiments.Suite) (renderer, error) { return s.Figure2() }},
-	{"fig8", "initialization time reduction", func(s *experiments.Suite) (renderer, error) { return s.Figure8() }},
-	{"table2", "debloating outcomes", func(s *experiments.Suite) (renderer, error) { return s.Table2() }},
-	{"table2x", "debloating outcomes (extended)", func(s *experiments.Suite) (renderer, error) { return s.Table2Ext() }},
-	{"fig9", "scoring-method ablation", func(s *experiments.Suite) (renderer, error) { return s.Figure9() }},
-	{"table3", "debloating cost", func(s *experiments.Suite) (renderer, error) { return s.Table3() }},
-	{"fig10", "memory footprint reduction", func(s *experiments.Suite) (renderer, error) { return s.Figure10() }},
-	{"fig11", "monetary cost reduction", func(s *experiments.Suite) (renderer, error) { return s.Figure11() }},
-	{"fig12", "K sensitivity", func(s *experiments.Suite) (renderer, error) { return s.Figure12() }},
-	{"fig13", "granularity ablation", func(s *experiments.Suite) (renderer, error) { return s.Figure13() }},
-	{"fig14", "call-graph protection ablation", func(s *experiments.Suite) (renderer, error) { return s.Figure14() }},
-	{"table4", "SnapStart comparison", func(s *experiments.Suite) (renderer, error) { return s.Table4() }},
-	{"ext-tune", "power-tuning extension", func(s *experiments.Suite) (renderer, error) { return s.ExtPowerTune() }},
-	{"reliability", "faulted replay comparison", func(s *experiments.Suite) (renderer, error) { return s.Reliability() }},
-	{"monitor", "SLO-monitored replay comparison", func(s *experiments.Suite) (renderer, error) { return s.Monitor() }},
-	{"rollout", "closed-loop canary/breaker/self-heal replay", func(s *experiments.Suite) (renderer, error) { return s.Rollout() }},
-	{"fleet", "fleet-scale sharded replay (10k functions, streaming telemetry)", func(s *experiments.Suite) (renderer, error) { return s.Fleet() }},
-	{"query", "metrics query engine over a fleet replay (rules, exemplars, 1-vs-4-worker identity)", func(s *experiments.Suite) (renderer, error) { return s.Query() }},
-	{"chaos", "incident-day chaos replay: mitigations off vs on over a 4-arm fleet", func(s *experiments.Suite) (renderer, error) { return s.Chaos() }},
-}
-
 func targetNames() []string {
-	names := make([]string, len(drivers))
-	for i, d := range drivers {
-		names[i] = d.name
+	names := make([]string, len(experiments.Targets))
+	for i, d := range experiments.Targets {
+		names[i] = d.Name
 	}
 	return names
 }
@@ -113,8 +80,8 @@ func run() int {
 
 	if *list {
 		fmt.Println("experiment targets:")
-		for _, d := range drivers {
-			fmt.Printf("  %-12s %s\n", d.name, d.desc)
+		for _, d := range experiments.Targets {
+			fmt.Printf("  %-12s %s\n", d.Name, d.Desc)
 		}
 		return 0
 	}
@@ -174,9 +141,9 @@ func run() int {
 		}
 	}
 
-	byName := make(map[string]func(*experiments.Suite) (renderer, error), len(drivers))
-	for _, d := range drivers {
-		byName[d.name] = d.run
+	byName := make(map[string]func(*experiments.Suite) (experiments.Renderer, error), len(experiments.Targets))
+	for _, d := range experiments.Targets {
+		byName[d.Name] = d.Run
 	}
 	for _, target := range targets {
 		driver, ok := byName[strings.ToLower(target)]

@@ -450,14 +450,7 @@ func runFleet(opt fleetOptions) int {
 			fmt.Fprintf(os.Stderr, "parsing -chaos-mitigations: %v\n", err)
 			return 2
 		}
-		// Field the wrapper arms alongside the paper's two, so the chaos
-		// day exercises the fallback double-bill and the breaker in one
-		// replay.
-		pc.ArmMix = []fleet.ArmShare{
-			{Arm: chaos.ArmDebloated, Frac: 0.25},
-			{Arm: chaos.ArmFallback, Frac: 0.25},
-			{Arm: chaos.ArmBreaker, Frac: 0.25},
-		}
+		pc.ArmMix = fleet.ChaosArmMix()
 		cfg.Chaos = &chaos.Config{Seed: pc.Seed, Incidents: incidents, Mitigations: mit}
 		cfg.SLOs = fleet.DefaultChaosSLOs()
 	}

@@ -61,7 +61,7 @@ func main() {
 	fmt.Printf("%-12s %8s %8s | %12s %12s %12s\n",
 		"keep-alive", "cold", "warm", "invoc $", "snapstart $", "with λ-trim $")
 	for _, ka := range []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour} {
-		pool := trace.SimulatePool(fn.Arrivals, orig.Exec, ka)
+		pool := trace.SimulatePoolStream(trace.Slice(fn.Arrivals), orig.Exec, ka, nil)
 
 		costOf := func(inv *faas.Invocation, ckpt *checkpoint.Checkpoint) (float64, float64) {
 			memMB := pricing.ConfigureMemory(inv.PeakMB)

@@ -64,11 +64,7 @@ func (s *Suite) ChaosWith(cfg ChaosConfig) (*ChaosResult, error) {
 	pc.Functions = cfg.Functions
 	pc.Seed = cfg.Seed
 	pc.Pricing = s.Platform.Pricing
-	pc.ArmMix = []fleet.ArmShare{
-		{Arm: chaos.ArmDebloated, Frac: 0.25},
-		{Arm: chaos.ArmFallback, Frac: 0.25},
-		{Arm: chaos.ArmBreaker, Frac: 0.25},
-	}
+	pc.ArmMix = fleet.ChaosArmMix()
 	pop := fleet.GeneratePopulation(pc, nil)
 
 	run := func(m chaos.Mitigations) (*fleet.Result, error) {

@@ -280,10 +280,7 @@ func TestFigure12CheckpointCrossover(t *testing.T) {
 }
 
 func TestFigure13SnapStartDominatesCosts(t *testing.T) {
-	r, err := suite.Figure13()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "fig13").(*Figure13Result)
 	if len(r.Curves) != 3 {
 		t.Fatalf("%d curves, want 3", len(r.Curves))
 	}

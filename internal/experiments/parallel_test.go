@@ -17,45 +17,21 @@ import (
 	"repro/internal/pyruntime"
 )
 
-// goldenRenderer matches every driver's Render method.
-type goldenRenderer interface{ Render() string }
-
-// goldenDrivers lists every table and figure, in presentation order —
-// the same set cmd/experiments renders for "all".
-var goldenDrivers = []struct {
-	name string
-	run  func(*Suite) (goldenRenderer, error)
-}{
-	{"fig1", func(s *Suite) (goldenRenderer, error) { return s.Figure1() }},
-	{"table1", func(s *Suite) (goldenRenderer, error) { return s.Table1() }},
-	{"fig2", func(s *Suite) (goldenRenderer, error) { return s.Figure2() }},
-	{"fig8", func(s *Suite) (goldenRenderer, error) { return s.Figure8() }},
-	{"table2", func(s *Suite) (goldenRenderer, error) { return s.Table2() }},
-	{"table2x", func(s *Suite) (goldenRenderer, error) { return s.Table2Ext() }},
-	{"fig9", func(s *Suite) (goldenRenderer, error) { return s.Figure9() }},
-	{"table3", func(s *Suite) (goldenRenderer, error) { return s.Table3() }},
-	{"fig10", func(s *Suite) (goldenRenderer, error) { return s.Figure10() }},
-	{"fig11", func(s *Suite) (goldenRenderer, error) { return s.Figure11() }},
-	{"fig12", func(s *Suite) (goldenRenderer, error) { return s.Figure12() }},
-	{"fig13", func(s *Suite) (goldenRenderer, error) { return s.Figure13() }},
-	{"fig14", func(s *Suite) (goldenRenderer, error) { return s.Figure14() }},
-	{"table4", func(s *Suite) (goldenRenderer, error) { return s.Table4() }},
-	{"ext-tune", func(s *Suite) (goldenRenderer, error) { return s.ExtPowerTune() }},
-	{"reliability", func(s *Suite) (goldenRenderer, error) { return s.Reliability() }},
-	{"monitor", func(s *Suite) (goldenRenderer, error) { return s.Monitor() }},
-	{"rollout", func(s *Suite) (goldenRenderer, error) { return s.Rollout() }},
-	{"fleet", func(s *Suite) (goldenRenderer, error) { return s.Fleet() }},
-}
-
+// renderEverything renders every target but query and chaos: they read no
+// debloat result, replay thousands of functions twice each at their
+// defaults, and their worker-count identity is pinned by their own tests.
 func renderEverything(t *testing.T, s *Suite) string {
 	t.Helper()
 	var b strings.Builder
-	for _, d := range goldenDrivers {
-		r, err := d.run(s)
-		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
+	for _, d := range Targets {
+		if d.Name == "query" || d.Name == "chaos" {
+			continue
 		}
-		fmt.Fprintf(&b, "== %s ==\n%s\n", d.name, r.Render())
+		r, err := d.Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		fmt.Fprintf(&b, "== %s ==\n%s\n", d.Name, r.Render())
 	}
 	return b.String()
 }

@@ -9,12 +9,33 @@ import (
 // the rows and headline lines cmd/experiments users rely on. These reuse
 // the shared suite, so they add no pipeline cost.
 
-func TestRenderTable1(t *testing.T) {
-	r, err := suite.Table1()
-	if err != nil {
-		t.Fatal(err)
+// results caches target results from the shared suite, so tests that only
+// read a target's output share one run of its driver (drivers are
+// deterministic). Tests in this package do not run in parallel.
+var results = map[string]Renderer{}
+
+// result returns the named target's result from the shared suite.
+func result(t *testing.T, name string) Renderer {
+	t.Helper()
+	if r, ok := results[name]; ok {
+		return r
 	}
-	out := r.Render()
+	for _, tg := range Targets {
+		if tg.Name == name {
+			r, err := tg.Run(suite)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			results[name] = r
+			return r
+		}
+	}
+	t.Fatalf("no target %q", name)
+	return nil
+}
+
+func TestRenderTable1(t *testing.T) {
+	out := result(t, "table1").Render()
 	for _, needle := range []string{"Table 1", "resnet", "huggingface", "RainbowCake", "PyPI"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("render missing %q", needle)
@@ -26,11 +47,7 @@ func TestRenderTable1(t *testing.T) {
 }
 
 func TestRenderFigure8(t *testing.T) {
-	r, err := suite.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Render()
+	out := result(t, "fig8").Render()
 	for _, needle := range []string{"Figure 8", "average speedup", "max", "Cost/100K"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("render missing %q", needle)
@@ -39,11 +56,7 @@ func TestRenderFigure8(t *testing.T) {
 }
 
 func TestRenderFigure13(t *testing.T) {
-	r, err := suite.Figure13()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Render()
+	out := result(t, "fig13").Render()
 	for _, needle := range []string{"Figure 13", "p50", "median SnapStart share", "15m"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("render missing %q", needle)
@@ -52,11 +65,7 @@ func TestRenderFigure13(t *testing.T) {
 }
 
 func TestRenderTable4(t *testing.T) {
-	r, err := suite.Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Render()
+	out := result(t, "table4").Render()
 	for _, needle := range []string{"Table 4", "Fallback Warm", "Fallback Cold", "Cold", "Warm", "spacy"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("render missing %q", needle)
@@ -64,25 +73,30 @@ func TestRenderTable4(t *testing.T) {
 	}
 }
 
+// TestRenderAllNonEmpty renders every target and checks that each one's
+// title — its first rendered line — contains the description -list shows.
+// The fleet, query, and chaos targets read no debloat result, so they run
+// from a small-population suite instead of their 10k/4k-function defaults.
 func TestRenderAllNonEmpty(t *testing.T) {
-	renders := []func() (interface{ Render() string }, error){
-		func() (interface{ Render() string }, error) { return suite.Figure1() },
-		func() (interface{ Render() string }, error) { return suite.Figure2() },
-		func() (interface{ Render() string }, error) { return suite.Table2() },
-		func() (interface{ Render() string }, error) { return suite.Figure9() },
-		func() (interface{ Render() string }, error) { return suite.Table3() },
-		func() (interface{ Render() string }, error) { return suite.Figure10() },
-		func() (interface{ Render() string }, error) { return suite.Figure11() },
-		func() (interface{ Render() string }, error) { return suite.Figure12() },
-		func() (interface{ Render() string }, error) { return suite.Figure14() },
-	}
-	for i, fn := range renders {
-		r, err := fn()
-		if err != nil {
-			t.Fatalf("driver %d: %v", i, err)
+	small := NewSuite()
+	small.FleetFunctions = 200
+	fleetPlane := map[string]bool{"fleet": true, "query": true, "chaos": true}
+	for _, tg := range Targets {
+		var r Renderer
+		if fleetPlane[tg.Name] {
+			var err error
+			if r, err = tg.Run(small); err != nil {
+				t.Fatalf("%s: %v", tg.Name, err)
+			}
+		} else {
+			r = result(t, tg.Name)
 		}
-		if len(r.Render()) < 80 {
-			t.Errorf("driver %d render suspiciously short", i)
+		out := r.Render()
+		if len(out) < 80 {
+			t.Errorf("%s: render suspiciously short", tg.Name)
+		}
+		if title, _, _ := strings.Cut(out, "\n"); !strings.Contains(title, tg.Desc) {
+			t.Errorf("%s: title %q does not contain the description %q", tg.Name, title, tg.Desc)
 		}
 	}
 }

@@ -113,7 +113,7 @@ func (s *Suite) Figure13() (*Figure13Result, error) {
 				continue
 			}
 			dur := time.Duration(fn.DurationMS * float64(time.Millisecond))
-			pool := trace.SimulatePool(fn.Arrivals, dur, ka)
+			pool := trace.SimulatePoolStream(trace.Slice(fn.Arrivals), dur, ka, nil)
 
 			// Function state checkpoint: process base plus its working set.
 			ckptMB := checkpoint.ProcessBaseMB + fn.MemoryMB*0.9
@@ -224,7 +224,7 @@ func (s *Suite) Figure14() (*Figure14Result, error) {
 			continue
 		}
 		dur := origInv.Exec
-		pool := trace.SimulatePool(fn.Arrivals, dur, keepAlive)
+		pool := trace.SimulatePoolStream(trace.Slice(fn.Arrivals), dur, keepAlive, nil)
 		n := float64(pool.Invocations)
 
 		amortize := func(inv *faas.Invocation, ckpt *checkpoint.Checkpoint) (float64, float64) {

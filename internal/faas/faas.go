@@ -161,14 +161,6 @@ type Config struct {
 	// TSDB, SLO burn-rate evaluation, and the cost-attribution ledger.
 	// Nil (the default) disables monitoring with no behavioral change.
 	Monitor *monitor.Monitor
-
-	// Chaos, when set, is asked for a directive on every invocation
-	// attempt: scheduled incidents can reject the request up front or
-	// stretch its init/exec phases. Directives carry no randomness from
-	// the platform, so chaos composes with Faults without perturbing its
-	// seeded stream; nil (the default) is byte-identical to an injector
-	// that always returns the zero directive.
-	Chaos ChaosInjector
 }
 
 // DefaultConfig mirrors the paper's AWS Lambda setup.
@@ -523,36 +515,6 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 	inv := &Invocation{Function: d.app.Name, MemoryMB: d.configuredMB}
 	start := p.now
 
-	// Chaos: a scheduled incident may reject this request up front (zone
-	// outage, throttle storm) or stretch its phases below. The directive
-	// is a pure function of (function, virtual time) — no draw comes from
-	// the platform's fault stream.
-	var chaos ChaosDirective
-	if p.cfg.Chaos != nil {
-		chaos = p.cfg.Chaos.Directive(d.app.Name, p.now)
-	}
-	if chaos.Reject {
-		class := chaos.RejectClass
-		if class == FailureNone {
-			class = FailureUnavailable
-		}
-		if class == FailureThrottle {
-			d.throttles++
-		}
-		detail := chaos.Detail
-		if detail == "" {
-			detail = "chaos incident"
-		}
-		inv.Class = class
-		inv.Err = &FailureError{Class: class, Function: d.app.Name, Detail: detail}
-		inv.E2E = p.cfg.RoutingOverhead
-		if advanceClock {
-			p.now += inv.E2E
-		}
-		p.recordInvocation(parent, start, inv)
-		return inv, nil
-	}
-
 	// Throttling: under a per-function concurrency limit, a request that
 	// arrives while that many instances are busy is rejected up front —
 	// never billed, never assigned an instance (Lambda's 429).
@@ -629,11 +591,6 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 			inv.SnapStartRestore = true
 			inv.RestoreFeeUSD = d.snapstart.RestoreFeeUSD
 		}
-		// Chaos: a dependency brownout stretches the import window (billed,
-		// like any initialization). SnapStart restores do not import.
-		if chaos.InitFactor > 1 && !inv.SnapStartRestore {
-			inv.Init = time.Duration(float64(inv.Init) * chaos.InitFactor)
-		}
 		// Fault draw 2 (cold): a transient init crash kills the fresh
 		// environment at the end of initialization. The init duration is
 		// billed (Lambda bills a failed INIT phase) and the instance never
@@ -677,11 +634,6 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 		inv.Class = FailureHandler
 	} else {
 		inv.Result = pyruntime.Repr(result)
-	}
-	// Chaos: a latency storm stretches execution (billed; the kill logic
-	// below sees the stretched window).
-	if chaos.ExecFactor > 1 {
-		inv.Exec = time.Duration(float64(inv.Exec) * chaos.ExecFactor)
 	}
 
 	// Footprint. Fault draw 3 (every attempt): an input-dependent memory

@@ -42,10 +42,6 @@ const (
 	// FailureInitCrash is a transient crash during Function
 	// Initialization (billed; the environment is destroyed).
 	FailureInitCrash
-	// FailureUnavailable is an up-front rejection because the platform
-	// side is down — a chaos-injected zone outage. Never billed;
-	// retryable (an independent attempt may land on a healthy host).
-	FailureUnavailable
 )
 
 func (c FailureClass) String() string {
@@ -62,8 +58,6 @@ func (c FailureClass) String() string {
 		return "throttle"
 	case FailureInitCrash:
 		return "init-crash"
-	case FailureUnavailable:
-		return "unavailable"
 	}
 	return fmt.Sprintf("failure(%d)", int(c))
 }
@@ -136,10 +130,6 @@ type RetryPolicy struct {
 	// Jitter in [0,1] randomizes that fraction of each wait, drawn from
 	// the platform's seeded stream (0 = fully deterministic waits).
 	Jitter float64
-	// RetryOn lists the retryable classes; nil means the default set
-	// (throttle, init-crash, timeout, OOM — everything but handler
-	// errors, which are deterministic).
-	RetryOn []FailureClass
 	// Budget, when non-nil, caps the total number of retries across every
 	// request sharing the budget, per sliding sim-time window. Per-request
 	// backoff bounds amplification within one request; the budget bounds it
@@ -239,19 +229,13 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// retries reports whether the policy retries the class.
-func (rp RetryPolicy) retries(c FailureClass) bool {
-	if c == FailureNone {
-		return false
-	}
-	if rp.RetryOn == nil {
-		return c == FailureThrottle || c == FailureInitCrash ||
-			c == FailureTimeout || c == FailureOOM || c == FailureUnavailable
-	}
-	for _, rc := range rp.RetryOn {
-		if rc == c {
-			return true
-		}
+// retryable reports whether a failure class can clear on a fresh attempt:
+// throttle, init-crash, timeout and OOM. Handler errors are deterministic
+// (the same input hits the same code), so they are never retried.
+func retryable(c FailureClass) bool {
+	switch c {
+	case FailureThrottle, FailureInitCrash, FailureTimeout, FailureOOM:
+		return true
 	}
 	return false
 }
@@ -345,7 +329,7 @@ func (p *Platform) InvokeWithRetry(name string, event map[string]any, pol RetryP
 		}
 		st.absorb(inv, attempt)
 		tr.Metrics().Inc("faas.retry.attempts", 1)
-		if inv.Err == nil || !pol.retries(inv.Class) || attempt == maxA {
+		if inv.Err == nil || !retryable(inv.Class) || attempt == maxA {
 			break
 		}
 		if !pol.allowRetry(p.now) {
@@ -431,7 +415,7 @@ func (p *Platform) InvokeGroupWithRetry(name string, events []map[string]any, po
 		}
 		st.absorb(inv, 1)
 		tr.Metrics().Inc("faas.retry.attempts", 1)
-		st.done = inv.Err == nil || !pol.retries(inv.Class) || maxA == 1
+		st.done = inv.Err == nil || !retryable(inv.Class) || maxA == 1
 		if inv.E2E > maxE2E {
 			maxE2E = inv.E2E
 		}
@@ -458,7 +442,7 @@ func (p *Platform) InvokeGroupWithRetry(name string, events []map[string]any, po
 			}
 			st.absorb(inv, len(st.costs)+1)
 			tr.Metrics().Inc("faas.retry.attempts", 1)
-			st.done = inv.Err == nil || !pol.retries(inv.Class) || len(st.costs) >= maxA
+			st.done = inv.Err == nil || !retryable(inv.Class) || len(st.costs) >= maxA
 			ends[i] = p.now
 		}
 	}

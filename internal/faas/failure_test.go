@@ -1,6 +1,8 @@
 package faas
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -567,17 +569,9 @@ func TestQuickRetryBudgetBoundsWorkloadRetries(t *testing.T) {
 // faultedWorkload drives a mixed workload (singles, groups, idle gaps)
 // against a fault-heavy platform and returns the canonical log.
 func faultedWorkload(seed int64) string {
-	return faultedWorkloadChaos(seed, nil)
-}
-
-// faultedWorkloadChaos is faultedWorkload with a chaos injector wired in,
-// so the nil-vs-zero-directive byte-identity contract is testable on the
-// exact workload the determinism test pins.
-func faultedWorkloadChaos(seed int64, inj ChaosInjector) string {
 	cfg := DefaultConfig()
 	cfg.EnforceMemory = true
 	cfg.FaultSeed = seed
-	cfg.Chaos = inj
 	cfg.Faults = FaultConfig{
 		Enabled:          true,
 		InitCrashRate:    0.3,
@@ -631,5 +625,67 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 	}
 	if c := faultedWorkload(1042); c == a {
 		t.Error("different seeds should perturb the workload")
+	}
+}
+
+func TestClassify(t *testing.T) {
+	throttle := &FailureError{Class: FailureThrottle, Function: "fn", Detail: "limit"}
+	cases := []struct {
+		name string
+		err  error
+		want FailureClass
+	}{
+		{"nil", nil, FailureNone},
+		{"direct", throttle, FailureThrottle},
+		{"wrapped", fmt.Errorf("attempt 2: %w", throttle), FailureThrottle},
+		{"double-wrapped", fmt.Errorf("request: %w", fmt.Errorf("attempt: %w",
+			&FailureError{Class: FailureInitCrash})), FailureInitCrash},
+		{"unknown", errors.New("boom"), FailureHandler},
+		{"joined", errors.Join(errors.New("context"), throttle), FailureThrottle},
+	}
+	for _, tc := range cases {
+		if got := Classify(tc.err); got != tc.want {
+			t.Errorf("%s: Classify = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestFailureClassStringOutOfRange(t *testing.T) {
+	if got := FailureClass(42).String(); got != "failure(42)" {
+		t.Errorf("FailureClass(42) = %q", got)
+	}
+	if got := FailureClass(-1).String(); got != "failure(-1)" {
+		t.Errorf("FailureClass(-1) = %q", got)
+	}
+}
+
+// TestRetryBudgetCompaction: a day-long monotone charge stream must not
+// accumulate expired entries — the backing slice stays bounded by the cap,
+// not by the total number of grants (the old prune leaked the expired
+// prefix and held every charge of the run).
+func TestRetryBudgetCompaction(t *testing.T) {
+	b := NewRetryBudget(4, time.Second)
+	grants := 0
+	for i := 0; i < 100000; i++ {
+		if b.Spend(time.Duration(i) * 300 * time.Millisecond) {
+			grants++
+		}
+		if len(b.spent) > b.MaxRetries {
+			t.Fatalf("step %d: %d resident entries exceed cap %d", i, len(b.spent), b.MaxRetries)
+		}
+	}
+	if grants < 1000 {
+		t.Fatalf("window never recovered: only %d grants", grants)
+	}
+	if c := cap(b.spent); c > 8 {
+		t.Errorf("backing array grew to %d entries despite compaction", c)
+	}
+	// Whole-run budgets store nothing at all.
+	whole := NewRetryBudget(2, 0)
+	for i := 0; i < 1000; i++ {
+		whole.Spend(time.Duration(i) * time.Second)
+	}
+	if whole.spent != nil {
+		t.Error("whole-run budget allocated per-charge storage")
 	}
 }

@@ -34,6 +34,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -106,9 +107,6 @@ type Config struct {
 	// DashboardEvery renders a dashboard frame at this virtual interval
 	// from the merged windows (0 disables frames).
 	DashboardEvery time.Duration
-	// TopSpenders and Exemplars size the top-K tables (defaults 5).
-	TopSpenders int
-	Exemplars   int
 	// Seed keys the deterministic exemplar sampler.
 	Seed int64
 	// Pricing bills each invocation (default AWS).
@@ -166,12 +164,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.KeepAlive <= 0 {
 		cfg.KeepAlive = 15 * time.Minute
-	}
-	if cfg.TopSpenders <= 0 {
-		cfg.TopSpenders = 5
-	}
-	if cfg.Exemplars <= 0 {
-		cfg.Exemplars = 5
 	}
 	if cfg.Pricing == (faas.Pricing{}) {
 		cfg.Pricing = faas.AWSPricing()
@@ -251,7 +243,7 @@ func newPartial(cfg *Config) *partial {
 	p.arch = monitor.NewLedger()
 	p.reg = obs.NewRegistry()
 	p.hist = stats.NewHistogram()
-	p.ex = newExemplars(cfg.Exemplars, cfg.Seed)
+	p.ex = newExemplars(topK, cfg.Seed)
 	p.series = p.store.SampleSeries(cfg.SLOs)
 	if cfg.LabelSeries {
 		p.armSeries = make(map[string]*monitor.SampleSeries)
@@ -550,16 +542,7 @@ func (p *partial) drop(r *fnReplay, at time.Duration, d *chaos.Drop) {
 // slice when present, the seeded Poisson stream drawn from rng otherwise.
 func (fn *Function) arrivalSource(rng *rand.Rand, period time.Duration) func() (time.Duration, bool) {
 	if fn.Arrivals != nil {
-		arr := fn.Arrivals
-		i := 0
-		return func() (time.Duration, bool) {
-			if i >= len(arr) {
-				return 0, false
-			}
-			at := arr[i]
-			i++
-			return at, true
-		}
+		return trace.Slice(fn.Arrivals)
 	}
 	return trace.ArrivalStreamFrom(rng, fn.Seed, fn.Rate, period)
 }
@@ -587,6 +570,9 @@ func validate(cfg *Config, fns []Function) error {
 		}
 		if fn.MemoryMB <= 0 {
 			return fmt.Errorf("fleet: function %q has non-positive MemoryMB", fn.Name)
+		}
+		if fn.Arrivals == nil && (math.IsNaN(fn.Rate) || math.IsInf(fn.Rate, 0) || fn.Rate < 0) {
+			return fmt.Errorf("fleet: function %q has invalid arrival Rate %v", fn.Name, fn.Rate)
 		}
 		if !sort.SliceIsSorted(fn.Arrivals, func(a, b int) bool { return fn.Arrivals[a] < fn.Arrivals[b] }) {
 			return fmt.Errorf("fleet: function %q has unsorted arrivals", fn.Name)
@@ -716,7 +702,6 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		Registry:    final.reg,
 		Latency:     final.hist,
 		ArmFns:      final.armFns,
-		topK:        cfg.TopSpenders,
 	}
 	if !cfg.DisableTelemetry {
 		res.Alerts, res.FireCounts = monitor.EvaluateSLOs(final.store, cfg.SLOs, final.latest)

@@ -287,7 +287,7 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 	var events []event
 	for i := range fns {
 		fn := &fns[i]
-		trace.SimulatePoolObserved(fn.Arrivals, fn.Exec, keepAlive, func(ev trace.PoolEvent) {
+		trace.SimulatePoolStream(trace.Slice(fn.Arrivals), fn.Exec, keepAlive, func(ev trace.PoolEvent) {
 			var init time.Duration
 			if ev.Cold {
 				init = coldInit
@@ -497,5 +497,30 @@ func TestReplayValidation(t *testing.T) {
 	}
 	if res.Invocations != 3 || res.Store != nil || res.CostUSD() != 0 {
 		t.Fatalf("telemetry-off replay: %+v", res)
+	}
+}
+
+// A streamed function whose Rate is NaN, infinite or negative is rejected
+// by name instead of replayed: the non-finite rates would spin the arrival
+// stream forever, so each case runs under a deadline.
+func TestReplayRejectsInvalidRate(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		fns := []Function{
+			{ID: 0, Name: "steady", Exec: time.Millisecond, MemoryMB: 128, Rate: 10, Seed: 1},
+			{ID: 1, Name: "bad-rate", Exec: time.Millisecond, MemoryMB: 128, Rate: rate, Seed: 2},
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Replay(Config{Workers: 1, Period: time.Hour}, fns)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), `"bad-rate"`) {
+				t.Errorf("rate %v: Replay error = %v, want one naming \"bad-rate\"", rate, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("rate %v: Replay still running after 10s", rate)
+		}
 	}
 }

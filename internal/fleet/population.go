@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/appcorpus"
+	"repro/internal/chaos"
 	"repro/internal/faas"
 )
 
@@ -190,6 +191,19 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 type ArmShare struct {
 	Arm  string
 	Frac float64
+}
+
+// ChaosArmMix is the population a chaos replay fields: a quarter each of
+// the debloated, fallback-wrapper and breaker-protected arms, with the
+// remaining quarter original — the wrapper arms alongside the paper's
+// two, so one incident day exercises the fallback double-bill and the
+// breaker together.
+func ChaosArmMix() []ArmShare {
+	return []ArmShare{
+		{Arm: chaos.ArmDebloated, Frac: 0.25},
+		{Arm: chaos.ArmFallback, Frac: 0.25},
+		{Arm: chaos.ArmBreaker, Frac: 0.25},
+	}
 }
 
 // armFromMix walks the cumulative shares; the leftover mass deploys the

@@ -62,8 +62,6 @@ type Result struct {
 	// Chaos is the resilience scorecard — non-nil only when the replay
 	// ran with Config.Chaos and telemetry enabled.
 	Chaos *chaos.Scorecard
-
-	topK int
 }
 
 // Scorecard renders the resilience scorecard, empty outside chaos
@@ -100,6 +98,10 @@ func (r *Result) QueryEngine() *query.Engine {
 // Dashboard returns the concatenated dashboard frames.
 func (r *Result) Dashboard() string { return strings.Join(r.Frames, "") }
 
+// topK sizes the report's top-spender table and each of its three
+// exemplar sets.
+const topK = 5
+
 // Spender is one row of the top-spender table.
 type Spender struct {
 	Function string
@@ -130,14 +132,14 @@ func (h *spenderHeap) Pop() any {
 }
 
 // TopSpenders returns the k costliest functions, largest bill first with
-// a name tiebreak (k <= 0 uses the configured table size). The selection
-// runs over the merged ledger with a bounded heap, so fleets of any size
-// produce the table without sorting every function.
+// a name tiebreak (k <= 0 uses the report's table size, topK). The
+// selection runs over the merged ledger with a bounded heap, so fleets of
+// any size produce the table without sorting every function.
 func (r *Result) TopSpenders(k int) []Spender {
 	if k <= 0 {
-		k = r.topK
+		k = topK
 	}
-	if r.Ledger == nil || k <= 0 {
+	if r.Ledger == nil {
 		return nil
 	}
 	h := make(spenderHeap, 0, k+1)
@@ -327,20 +329,6 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func writeFamily(b *strings.Builder, name, typ string, lines ...string) {
-	b.WriteString("# TYPE ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(typ)
-	b.WriteByte('\n')
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-}
-
 // exemplarFor attaches OpenMetrics exemplars to the exposition: the
 // slowest invocation rides req.total's max line and the priciest rides
 // cost.usd's, each carrying the function name and the span ID that
@@ -379,49 +367,12 @@ func (r *Result) exemplarFor(series, kind string) string {
 func (r *Result) OpenMetrics() []byte {
 	var b strings.Builder
 	monitor.StoreFamilies(&b, r.Store, r.exemplarFor)
-
-	if len(r.FireCounts) > 0 {
-		firing := make([]string, 0, len(r.FireCounts))
-		fired := make([]string, 0, len(r.FireCounts))
-		for _, c := range r.FireCounts {
-			v := "0"
-			if c.Firing {
-				v = "1"
-			}
-			firing = append(firing, `lambdatrim_slo_firing{slo="`+c.Name+`"} `+v)
-			fired = append(fired, `lambdatrim_slo_fired_total{slo="`+c.Name+`"} `+strconv.Itoa(c.Fired))
-		}
-		writeFamily(&b, "lambdatrim_slo_firing", "gauge", firing...)
-		writeFamily(&b, "lambdatrim_slo_fired_total", "counter", fired...)
-	}
-
-	if r.Latency != nil && r.Latency.Count() > 0 {
-		qs := []struct {
-			q float64
-			s string
-		}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
-		lines := make([]string, 0, len(qs))
-		for _, q := range qs {
-			lines = append(lines,
-				`lambdatrim_latency_seconds{quantile="`+q.s+`"} `+fmtFloat(r.Latency.Quantile(q.q)))
-		}
-		writeFamily(&b, "lambdatrim_latency_seconds", "gauge", lines...)
-	}
-
-	total := r.Ledger.Total()
-	if total.Invocations > 0 {
-		writeFamily(&b, "lambdatrim_cost_phase_usd", "gauge",
-			`lambdatrim_cost_phase_usd{phase="init"} `+fmtFloat(total.InitUSD),
-			`lambdatrim_cost_phase_usd{phase="handler"} `+fmtFloat(total.ExecUSD),
-			`lambdatrim_cost_phase_usd{phase="idle"} `+fmtFloat(total.IdleUSD),
-			`lambdatrim_cost_phase_usd{phase="restore"} `+fmtFloat(total.RestoreUSD))
-	}
-
-	writeFamily(&b, "lambdatrim_fleet_functions", "gauge",
+	monitor.SummaryFamilies(&b, r.FireCounts, r.Latency, r.Ledger.Total())
+	obs.WriteFamily(&b, "lambdatrim_fleet_functions", "gauge",
 		"lambdatrim_fleet_functions "+strconv.Itoa(r.Functions))
-	writeFamily(&b, "lambdatrim_fleet_invocations_total", "counter",
+	obs.WriteFamily(&b, "lambdatrim_fleet_invocations_total", "counter",
 		"lambdatrim_fleet_invocations_total "+strconv.FormatUint(r.Invocations, 10))
-	writeFamily(&b, "lambdatrim_fleet_cold_starts_total", "counter",
+	obs.WriteFamily(&b, "lambdatrim_fleet_cold_starts_total", "counter",
 		"lambdatrim_fleet_cold_starts_total "+strconv.FormatUint(r.ColdStarts, 10))
 	if len(r.ArmFns) > 0 {
 		fns := make([]string, 0, len(r.ArmFns))
@@ -431,11 +382,11 @@ func (r *Result) OpenMetrics() []byte {
 			ph := r.Arms.Function(arm)
 			fns = append(fns, `lambdatrim_fleet_arm_functions{arm="`+arm+`"} `+strconv.Itoa(r.ArmFns[arm]))
 			invs = append(invs, `lambdatrim_fleet_arm_invocations_total{arm="`+arm+`"} `+strconv.FormatUint(ph.Invocations, 10))
-			cost = append(cost, `lambdatrim_fleet_arm_cost_usd{arm="`+arm+`"} `+fmtFloat(ph.CostUSD()))
+			cost = append(cost, `lambdatrim_fleet_arm_cost_usd{arm="`+arm+`"} `+obs.FormatFloat(ph.CostUSD()))
 		}
-		writeFamily(&b, "lambdatrim_fleet_arm_functions", "gauge", fns...)
-		writeFamily(&b, "lambdatrim_fleet_arm_invocations_total", "counter", invs...)
-		writeFamily(&b, "lambdatrim_fleet_arm_cost_usd", "gauge", cost...)
+		obs.WriteFamily(&b, "lambdatrim_fleet_arm_functions", "gauge", fns...)
+		obs.WriteFamily(&b, "lambdatrim_fleet_arm_invocations_total", "counter", invs...)
+		obs.WriteFamily(&b, "lambdatrim_fleet_arm_cost_usd", "gauge", cost...)
 	}
 	b.WriteString("# EOF\n")
 	return []byte(b.String())
@@ -538,7 +489,7 @@ func (r *Result) emitExemplarSpans(tr *obs.Tracer) {
 			obs.String("archetype", e.Archetype),
 			obs.String("arm", e.Arm),
 			obs.Bool("cold", e.Cold),
-			obs.Attr{Key: "cost_usd", Val: fmtFloat(e.CostUSD)},
+			obs.Attr{Key: "cost_usd", Val: obs.FormatFloat(e.CostUSD)},
 		)
 		if e.Init > 0 {
 			tr.StartChild(s, "init", "fleet.phase", start).Finish(start + e.Init)

@@ -137,21 +137,22 @@ func TestSnapshotOpenMetricsContents(t *testing.T) {
 	r.SetGauge("pool.size", 2)
 	r.Observe("faas.cold.e2e", 0.25)
 	r.Observe("faas.cold.e2e", 0.75)
-	om := string(r.Snapshot().OpenMetrics())
-	for _, want := range []string{
-		"# TYPE lambdatrim_faas_invocations counter",
-		"lambdatrim_faas_invocations_total 3",
-		"lambdatrim_pool_size 2",
-		"lambdatrim_faas_cold_e2e_count 2",
-		"lambdatrim_faas_cold_e2e_sum 1",
-		`lambdatrim_faas_cold_e2e{quantile="0.95"}`,
-	} {
-		if !strings.Contains(om, want) {
-			t.Errorf("exposition missing %q:\n%s", want, om)
-		}
-	}
-	if !strings.HasSuffix(om, "# EOF\n") {
-		t.Error("exposition must end with # EOF")
+	want := `# TYPE lambdatrim_faas_invocations counter
+lambdatrim_faas_invocations_total 3
+# TYPE lambdatrim_pool_size gauge
+lambdatrim_pool_size 2
+# TYPE lambdatrim_faas_cold_e2e_count counter
+lambdatrim_faas_cold_e2e_count 2
+# TYPE lambdatrim_faas_cold_e2e_sum gauge
+lambdatrim_faas_cold_e2e_sum 1
+# TYPE lambdatrim_faas_cold_e2e gauge
+lambdatrim_faas_cold_e2e{quantile="0.5"} 0.27384196342643613
+lambdatrim_faas_cold_e2e{quantile="0.95"} 0.75
+lambdatrim_faas_cold_e2e{quantile="0.99"} 0.75
+# EOF
+`
+	if got := string(r.Snapshot().OpenMetrics()); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 	if !bytes.Equal(r.Snapshot().OpenMetrics(), r.Snapshot().OpenMetrics()) {
 		t.Error("exposition is not byte-stable")

@@ -32,44 +32,10 @@ func FoldSample(st *Store, at time.Duration, s Sample, slos []SLO) {
 	}
 }
 
-// SeriesNames binds the built-in sample series to one precomputed label
-// set: high-rate producers (the fleet replay folds millions of samples) pay
-// the LabeledSeries encoding once per label set instead of once per sample.
-type SeriesNames struct {
-	Total, Errors, Cold, Cost string
-}
-
-// NamedSeries precomputes the built-in series names for a label set.
-func NamedSeries(labels ...Label) SeriesNames {
-	return SeriesNames{
-		Total:  LabeledSeries(seriesTotal, labels...),
-		Errors: LabeledSeries(seriesErrors, labels...),
-		Cold:   LabeledSeries(seriesCold, labels...),
-		Cost:   LabeledSeries(seriesCost, labels...),
-	}
-}
-
-// FoldSampleInto records one sample into a precomputed labeled series set,
-// mirroring FoldSample's built-in series. Per-SLO bad series stay
-// unlabeled (objectives are fleet-wide), so they are not duplicated here.
-func FoldSampleInto(st *Store, at time.Duration, s Sample, names SeriesNames) {
-	if st == nil {
-		return
-	}
-	st.Record(names.Total, at, s.E2E.Seconds())
-	if s.Class != "ok" {
-		st.Record(names.Errors, at, 1)
-	}
-	if s.Cold {
-		st.Record(names.Cold, at, 1)
-	}
-	st.Record(names.Cost, at, s.CostUSD)
-}
-
 // SampleSeries is a single-owner handle set over the series one sample
-// folds into — FoldSample's built-in and per-objective bad series, or
-// FoldSampleInto's labeled built-ins — resolved once so a high-rate
-// producer folds each sample with no lock, no map lookup, and no name
+// folds into — FoldSample's built-in and per-objective bad series, or the
+// built-ins under a label set — resolved once so a high-rate producer
+// folds each sample with no lock, no map lookup, and no name
 // construction. Like every Handle it creates a series only on the first
 // write, so Names and the exposition match the FoldSample path exactly.
 // It is owned by one goroutine together with its store (see Store).
@@ -87,14 +53,13 @@ type sloSeries struct {
 // SampleSeries prepares the handle set for a label set. With no labels
 // and the replay's objectives it mirrors FoldSample; with labels (and no
 // objectives — they are fleet-wide, so their bad series stay unlabeled) it
-// mirrors FoldSampleInto over NamedSeries(labels...).
+// records the built-in series under their LabeledSeries names.
 func (st *Store) SampleSeries(slos []SLO, labels ...Label) *SampleSeries {
-	names := NamedSeries(labels...)
 	f := &SampleSeries{
-		total:  st.Handle(names.Total),
-		errors: st.Handle(names.Errors),
-		cold:   st.Handle(names.Cold),
-		cost:   st.Handle(names.Cost),
+		total:  st.Handle(LabeledSeries(seriesTotal, labels...)),
+		errors: st.Handle(LabeledSeries(seriesErrors, labels...)),
+		cold:   st.Handle(LabeledSeries(seriesCold, labels...)),
+		cost:   st.Handle(LabeledSeries(seriesCost, labels...)),
 	}
 	for _, def := range slos {
 		if def.ownsBadSeries() {
@@ -104,8 +69,8 @@ func (st *Store) SampleSeries(slos []SLO, labels ...Label) *SampleSeries {
 	return f
 }
 
-// Fold records one sample at `at`, exactly as FoldSample (or
-// FoldSampleInto) would for the same store. A nil set records nothing.
+// Fold records one sample at `at`, exactly as FoldSample would for the
+// same store and no labels. A nil set records nothing.
 func (f *SampleSeries) Fold(at time.Duration, s *Sample) {
 	if f == nil {
 		return
@@ -128,9 +93,7 @@ func (f *SampleSeries) Fold(at time.Duration, s *Sample) {
 // burnOver computes an objective's burn rate over the trailing window ending
 // at boundary T, reading the given store. Windows are clipped at the start
 // of the run so early evaluations use the data that exists instead of
-// diluting it with emptiness. This is the one burn-rate implementation: the
-// live Monitor and the post-hoc EvaluateSLOs sweep both call it, so the two
-// evaluation modes cannot drift apart.
+// diluting it with emptiness.
 func burnOver(st *Store, def SLO, T, window time.Duration) float64 {
 	from := T - window
 	if from < 0 {
@@ -186,35 +149,17 @@ func EvaluateSLOs(st *Store, slos []SLO, latest time.Duration) ([]AlertEvent, []
 	var alerts []AlertEvent
 	for T := res; T <= end; T += res {
 		for i := range states {
-			st_ := &states[i]
-			burnS := burnOver(st, st_.def, T, st_.def.ShortWindow)
-			burnL := burnOver(st, st_.def, T, st_.def.LongWindow)
-			firing := burnS >= st_.def.Burn && burnL >= st_.def.Burn
-			if firing != st_.firing {
-				st_.firing = firing
-				if firing {
-					st_.fired++
-				}
-				alerts = append(alerts, AlertEvent{
-					At: T, SLO: st_.def.Name, Firing: firing,
-					BurnShort: burnS, BurnLong: burnL,
-				})
+			if e, ok := states[i].step(st, T); ok {
+				alerts = append(alerts, e)
 			}
 		}
 	}
-	counts := make([]SLOFireCount, 0, len(states))
-	for i := range states {
-		counts = append(counts, SLOFireCount{
-			Name: states[i].def.Name, Kind: states[i].def.Kind,
-			Fired: states[i].fired, Firing: states[i].firing,
-		})
-	}
-	return alerts, counts
+	return alerts, fireCounts(states)
 }
 
 // RenderAlertLog renders alert transitions as the canonical text log, one
-// line per event ("" when no transitions occurred) — the same format
-// Monitor.AlertLog produces.
+// line per event ("" when no transitions occurred). Monitor.AlertLog and
+// the fleet result render through it.
 func RenderAlertLog(alerts []AlertEvent) string {
 	var b []byte
 	for _, e := range alerts {

@@ -80,9 +80,10 @@ func TestHandleMatchesRecord(t *testing.T) {
 }
 
 // TestSampleSeriesMatchesFoldSample checks the precomputed handle set
-// against the FoldSample/FoldSampleInto path it replaces: same series, same
-// rollups, same exposition — including per-SLO bad series created only
-// when a sample is actually bad.
+// against the per-sample path it replaces — FoldSample for the unlabeled
+// set, one Store.Record per built-in series name for the labeled set: same
+// series, same rollups, same exposition — including per-SLO bad series
+// created only when a sample is actually bad.
 func TestSampleSeriesMatchesFoldSample(t *testing.T) {
 	slos := []SLO{
 		{Name: "lat", Kind: KindLatency, Threshold: 800 * time.Millisecond},
@@ -96,7 +97,10 @@ func TestSampleSeriesMatchesFoldSample(t *testing.T) {
 	viaHandle := NewStore(time.Minute, 30)
 	plain := viaHandle.SampleSeries(slos)
 	labeled := viaHandle.SampleSeries(nil, arm)
-	names := NamedSeries(arm)
+	total := LabeledSeries("req.total", arm)
+	errs := LabeledSeries("req.error", arm)
+	cold := LabeledSeries("req.cold", arm)
+	cost := LabeledSeries("cost.usd", arm)
 	rng := rand.New(rand.NewSource(4))
 	classes := []string{"ok", "ok", "ok", "shed", "throttle"}
 	for i := 0; i < 500; i++ {
@@ -108,7 +112,14 @@ func TestSampleSeriesMatchesFoldSample(t *testing.T) {
 			CostUSD: rng.Float64() * 1e-6,
 		}
 		FoldSample(viaFold, at, s, slos)
-		FoldSampleInto(viaFold, at, s, names)
+		viaFold.Record(total, at, s.E2E.Seconds())
+		if s.Class != "ok" {
+			viaFold.Record(errs, at, 1)
+		}
+		if s.Cold {
+			viaFold.Record(cold, at, 1)
+		}
+		viaFold.Record(cost, at, s.CostUSD)
 		plain.Fold(at, &s)
 		labeled.Fold(at, &s)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestLabeledSeriesCanonical(t *testing.T) {
@@ -169,34 +171,15 @@ func TestStoreFamiliesUnlabeledCompat(t *testing.T) {
 	var legacy strings.Builder
 	for _, name := range st.Names() {
 		tot := st.Total(name)
-		mn := metricName(name)
-		writeFamily(&legacy, mn+"_count", "counter",
+		mn := obs.MetricName(name)
+		obs.WriteFamily(&legacy, mn+"_count", "counter",
 			mn+"_count "+strconv.FormatUint(tot.Count, 10))
-		writeFamily(&legacy, mn+"_sum", "gauge",
-			mn+"_sum "+fmtFloat(tot.Sum))
-		writeFamily(&legacy, mn+"_max", "gauge",
-			mn+"_max "+fmtFloat(tot.Max))
+		obs.WriteFamily(&legacy, mn+"_sum", "gauge",
+			mn+"_sum "+obs.FormatFloat(tot.Sum))
+		obs.WriteFamily(&legacy, mn+"_max", "gauge",
+			mn+"_max "+obs.FormatFloat(tot.Max))
 	}
 	if b.String() != legacy.String() {
 		t.Fatalf("unlabeled exposition drifted:\ngot:\n%s\nwant:\n%s", b.String(), legacy.String())
-	}
-}
-
-func TestLabeledObserve(t *testing.T) {
-	m := New(Config{Resolution: time.Minute, Windows: 60, LabelSeries: true})
-	m.Observe(time.Second, Sample{Function: "f1", Class: "ok", E2E: 2 * time.Second, CostUSD: 0.5})
-	m.Observe(2*time.Second, Sample{Function: "f2", Class: "error", Cold: true, E2E: time.Second, CostUSD: 0.25})
-	m.Finish()
-	if got := m.Store().Total(LabeledSeries("req.total", Label{"function", "f1"})); got.Count != 1 {
-		t.Fatalf("f1 labeled total = %+v", got)
-	}
-	if got := m.Store().Total(LabeledSeries("req.error", Label{"function", "f2"})); got.Count != 1 {
-		t.Fatalf("f2 labeled errors = %+v", got)
-	}
-	if got := m.Store().Total(LabeledSeries("req.cold", Label{"function", "f2"})); got.Count != 1 {
-		t.Fatalf("f2 labeled cold = %+v", got)
-	}
-	if got := m.Store().Total("req.total"); got.Count != 2 {
-		t.Fatalf("unlabeled total = %+v (labeled series must not displace it)", got)
 	}
 }

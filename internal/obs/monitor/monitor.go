@@ -55,11 +55,6 @@ type Config struct {
 	// DashboardEvery renders a text dashboard frame at this virtual-time
 	// interval (0 disables frames).
 	DashboardEvery time.Duration
-	// LabelSeries additionally records the built-in series under a
-	// {function="..."} label per sample (the LabeledSeries encoding), which
-	// is what mql label matchers select on. Off by default: labeled series
-	// multiply store cardinality by the function count.
-	LabelSeries bool
 }
 
 // Monitor watches a replay on the simulated timeline: samples land in the
@@ -77,8 +72,6 @@ type Monitor struct {
 	alerts []AlertEvent
 	frames []string
 	hist   *stats.Histogram // cumulative E2E seconds
-
-	labeled map[string]SeriesNames // per-function labeled series names (LabelSeries)
 
 	nextTick  time.Duration
 	nextFrame time.Duration // negative when frames are disabled
@@ -128,17 +121,6 @@ func (m *Monitor) Observe(at time.Duration, s Sample) {
 		m.latest = at
 	}
 	FoldSample(m.store, at, s, m.defs)
-	if m.cfg.LabelSeries && s.Function != "" {
-		names, ok := m.labeled[s.Function]
-		if !ok {
-			names = NamedSeries(Label{Key: "function", Val: s.Function})
-			if m.labeled == nil {
-				m.labeled = make(map[string]SeriesNames)
-			}
-			m.labeled[s.Function] = names
-		}
-		FoldSampleInto(m.store, at, s, names)
-	}
 	m.ledger.Record(s)
 	m.hist.Observe(s.E2E.Seconds())
 }
@@ -166,41 +148,25 @@ func (m *Monitor) Finish() {
 }
 
 // advanceLocked replays boundary crossings (SLO ticks and dashboard
-// frames, interleaved in time order) up to and including `at`.
+// frames, interleaved in time order) up to and including `at`. A tick
+// evaluates every objective at its boundary and records the transitions.
 func (m *Monitor) advanceLocked(at time.Duration) {
 	for {
 		tick := m.nextTick <= at
 		frame := m.nextFrame >= 0 && m.nextFrame <= at
 		switch {
 		case tick && (!frame || m.nextTick <= m.nextFrame):
-			m.evalTickLocked(m.nextTick)
+			for i := range m.states {
+				if e, ok := m.states[i].step(m.store, m.nextTick); ok {
+					m.alerts = append(m.alerts, e)
+				}
+			}
 			m.nextTick += m.cfg.Resolution
 		case frame:
 			m.frameLocked(m.nextFrame)
 			m.nextFrame += m.cfg.DashboardEvery
 		default:
 			return
-		}
-	}
-}
-
-// evalTickLocked evaluates every objective at boundary T and records alert
-// transitions.
-func (m *Monitor) evalTickLocked(T time.Duration) {
-	for i := range m.states {
-		st := &m.states[i]
-		burnS := m.burn(st.def, T, st.def.ShortWindow)
-		burnL := m.burn(st.def, T, st.def.LongWindow)
-		firing := burnS >= st.def.Burn && burnL >= st.def.Burn
-		if firing != st.firing {
-			st.firing = firing
-			if firing {
-				st.fired++
-			}
-			m.alerts = append(m.alerts, AlertEvent{
-				At: T, SLO: st.def.Name, Firing: firing,
-				BurnShort: burnS, BurnLong: burnL,
-			})
 		}
 	}
 }
@@ -242,17 +208,7 @@ func (m *Monitor) Alerts() []AlertEvent {
 
 // AlertLog renders the alert transitions as the canonical text log, one
 // line per event ("" when no transitions occurred).
-func (m *Monitor) AlertLog() string {
-	if m == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, e := range m.Alerts() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func (m *Monitor) AlertLog() string { return RenderAlertLog(m.Alerts()) }
 
 // Dashboard returns the concatenated dashboard frames rendered so far.
 func (m *Monitor) Dashboard() string {
@@ -279,15 +235,7 @@ func (m *Monitor) FireCounts() []SLOFireCount {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]SLOFireCount, 0, len(m.states))
-	for i := range m.states {
-		st := &m.states[i]
-		out = append(out, SLOFireCount{
-			Name: st.def.Name, Kind: st.def.Kind,
-			Fired: st.fired, Firing: st.firing,
-		})
-	}
-	return out
+	return fireCounts(m.states)
 }
 
 // Store exposes the underlying TSDB (nil when monitoring is disabled).

@@ -5,42 +5,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/stats"
 )
-
-// metricName sanitizes a series name into an OpenMetrics metric name:
-// every character outside [a-zA-Z0-9_] becomes '_', and the exposition
-// namespace prefix is applied.
-// MetricName exposes the exposition name mangling to other packages that
-// render OpenMetrics families alongside the monitor's.
-func MetricName(s string) string { return metricName(s) }
-
-func metricName(s string) string {
-	var b strings.Builder
-	b.WriteString("lambdatrim_")
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func writeFamily(b *strings.Builder, name, typ string, lines ...string) {
-	b.WriteString("# TYPE ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(typ)
-	b.WriteByte('\n')
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-}
 
 // labelBlock renders a decoded label set as an OpenMetrics label block
 // ("" for unlabeled series). Keys arrive sorted (SplitSeries preserves the
@@ -76,9 +44,9 @@ func ExemplarAnnotation(labels []Label, value float64, ts time.Duration) string 
 		b.WriteString("{}")
 	}
 	b.WriteByte(' ')
-	b.WriteString(fmtFloat(value))
+	b.WriteString(obs.FormatFloat(value))
 	b.WriteByte(' ')
-	b.WriteString(fmtFloat(ts.Seconds()))
+	b.WriteString(obs.FormatFloat(ts.Seconds()))
 	return b.String()
 }
 
@@ -119,7 +87,7 @@ func StoreFamilies(b *strings.Builder, st *Store, exemplar func(series, kind str
 		{"max", "_max", "gauge"},
 	}
 	for _, fam := range fams {
-		mn := metricName(fam)
+		mn := obs.MetricName(fam)
 		for _, k := range kinds {
 			lines := make([]string, 0, len(byFam[fam]))
 			for _, m := range byFam[fam] {
@@ -129,9 +97,9 @@ func StoreFamilies(b *strings.Builder, st *Store, exemplar func(series, kind str
 				case "count":
 					val = strconv.FormatUint(tot.Count, 10)
 				case "sum":
-					val = fmtFloat(tot.Sum)
+					val = obs.FormatFloat(tot.Sum)
 				default:
-					val = fmtFloat(tot.Max)
+					val = obs.FormatFloat(tot.Max)
 				}
 				line := mn + k.suffix + labelBlock(m.labels) + " " + val
 				if exemplar != nil {
@@ -139,26 +107,18 @@ func StoreFamilies(b *strings.Builder, st *Store, exemplar func(series, kind str
 				}
 				lines = append(lines, line)
 			}
-			writeFamily(b, mn+k.suffix, k.typ, lines...)
+			obs.WriteFamily(b, mn+k.suffix, k.typ, lines...)
 		}
 	}
 }
 
-// OpenMetrics renders the monitor state as an OpenMetrics text exposition:
-// per-series cumulative count/sum/max, per-objective firing state and fire
+// SummaryFamilies writes the families that follow the store families in
+// every monitor-shaped exposition: per-objective firing state and fire
 // counts, cumulative E2E latency quantiles, and the ledger's per-phase
-// dollar decomposition. Series, label values, and quantiles are emitted in
-// sorted/fixed order, so the exposition is byte-stable for a fixed sample
-// sequence. Safe on a nil monitor (empty exposition, still terminated).
-func (m *Monitor) OpenMetrics() []byte {
-	var b strings.Builder
-	if m == nil {
-		b.WriteString("# EOF\n")
-		return []byte(b.String())
-	}
-	StoreFamilies(&b, m.store, nil)
-
-	counts := m.FireCounts()
+// dollars. A family with nothing to report (no objectives, no latency
+// observations, no invocations) is omitted. Monitor.OpenMetrics and the
+// fleet result's exposition both write them through here.
+func SummaryFamilies(b *strings.Builder, counts []SLOFireCount, latency *stats.Histogram, cost Phase) {
 	if len(counts) > 0 {
 		firing := make([]string, 0, len(counts))
 		fired := make([]string, 0, len(counts))
@@ -170,31 +130,34 @@ func (m *Monitor) OpenMetrics() []byte {
 			firing = append(firing, `lambdatrim_slo_firing{slo="`+c.Name+`"} `+v)
 			fired = append(fired, `lambdatrim_slo_fired_total{slo="`+c.Name+`"} `+strconv.Itoa(c.Fired))
 		}
-		writeFamily(&b, "lambdatrim_slo_firing", "gauge", firing...)
-		writeFamily(&b, "lambdatrim_slo_fired_total", "counter", fired...)
+		obs.WriteFamily(b, "lambdatrim_slo_firing", "gauge", firing...)
+		obs.WriteFamily(b, "lambdatrim_slo_fired_total", "counter", fired...)
 	}
-
-	hist := m.Latency()
-	if hist.Count() > 0 {
-		qs := []struct {
-			q float64
-			s string
-		}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
-		lines := make([]string, 0, len(qs))
-		for _, q := range qs {
-			lines = append(lines,
-				`lambdatrim_latency_seconds{quantile="`+q.s+`"} `+fmtFloat(hist.Quantile(q.q)))
-		}
-		writeFamily(&b, "lambdatrim_latency_seconds", "gauge", lines...)
+	if latency != nil && latency.Count() > 0 {
+		obs.WriteFamily(b, "lambdatrim_latency_seconds", "gauge",
+			`lambdatrim_latency_seconds{quantile="0.5"} `+obs.FormatFloat(latency.Quantile(0.50)),
+			`lambdatrim_latency_seconds{quantile="0.95"} `+obs.FormatFloat(latency.Quantile(0.95)),
+			`lambdatrim_latency_seconds{quantile="0.99"} `+obs.FormatFloat(latency.Quantile(0.99)))
 	}
+	if cost.Invocations > 0 {
+		obs.WriteFamily(b, "lambdatrim_cost_phase_usd", "gauge",
+			`lambdatrim_cost_phase_usd{phase="init"} `+obs.FormatFloat(cost.InitUSD),
+			`lambdatrim_cost_phase_usd{phase="handler"} `+obs.FormatFloat(cost.ExecUSD),
+			`lambdatrim_cost_phase_usd{phase="idle"} `+obs.FormatFloat(cost.IdleUSD),
+			`lambdatrim_cost_phase_usd{phase="restore"} `+obs.FormatFloat(cost.RestoreUSD))
+	}
+}
 
-	total := m.Ledger().Total()
-	if total.Invocations > 0 {
-		writeFamily(&b, "lambdatrim_cost_phase_usd", "gauge",
-			`lambdatrim_cost_phase_usd{phase="init"} `+fmtFloat(total.InitUSD),
-			`lambdatrim_cost_phase_usd{phase="handler"} `+fmtFloat(total.ExecUSD),
-			`lambdatrim_cost_phase_usd{phase="idle"} `+fmtFloat(total.IdleUSD),
-			`lambdatrim_cost_phase_usd{phase="restore"} `+fmtFloat(total.RestoreUSD))
+// OpenMetrics renders the monitor state as an OpenMetrics text exposition:
+// per-series cumulative count/sum/max (StoreFamilies) followed by the
+// SummaryFamilies. Series, label values, and quantiles are emitted in
+// sorted/fixed order, so the exposition is byte-stable for a fixed sample
+// sequence. Safe on a nil monitor (empty exposition, still terminated).
+func (m *Monitor) OpenMetrics() []byte {
+	var b strings.Builder
+	if m != nil {
+		StoreFamilies(&b, m.store, nil)
+		SummaryFamilies(&b, m.FireCounts(), m.Latency(), m.ledger.Total())
 	}
 	b.WriteString("# EOF\n")
 	return []byte(b.String())

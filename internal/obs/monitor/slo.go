@@ -171,11 +171,11 @@ func (e AlertEvent) String() string {
 		state, e.SLO, fmtOffset(e.At), e.BurnShort, e.BurnLong)
 }
 
-// fmtOffset renders a virtual-time offset as +HHhMMmSSs.
 // FmtOffset renders a virtual-time offset in the canonical log form used
 // across alert and rollout event logs.
 func FmtOffset(d time.Duration) string { return fmtOffset(d) }
 
+// fmtOffset renders a virtual-time offset as +HHhMMmSSs.
 func fmtOffset(d time.Duration) string {
 	if d < 0 {
 		d = 0
@@ -193,11 +193,36 @@ type sloState struct {
 	fired  int // fire transitions, for summaries
 }
 
-// burn computes the burn rate over the trailing window ending at T — the
-// shared implementation lives in burnOver (eval.go) so the live monitor and
-// the post-hoc sharded-replay sweep evaluate identically.
-func (m *Monitor) burn(def SLO, T, window time.Duration) float64 {
-	return burnOver(m.store, def, T, window)
+// step evaluates the objective at boundary T over st — firing needs both
+// the short and the long window to burn at or above the threshold — and
+// returns the alert transition it causes, if any. The live Monitor and
+// the post-hoc EvaluateSLOs sweep both advance through it, so the two
+// evaluation modes cannot drift apart.
+func (s *sloState) step(st *Store, T time.Duration) (AlertEvent, bool) {
+	burnS := burnOver(st, s.def, T, s.def.ShortWindow)
+	burnL := burnOver(st, s.def, T, s.def.LongWindow)
+	firing := burnS >= s.def.Burn && burnL >= s.def.Burn
+	if firing == s.firing {
+		return AlertEvent{}, false
+	}
+	s.firing = firing
+	if firing {
+		s.fired++
+	}
+	return AlertEvent{At: T, SLO: s.def.Name, Firing: firing, BurnShort: burnS, BurnLong: burnL}, true
+}
+
+// fireCounts summarizes each objective's outcome, in configuration order.
+func fireCounts(states []sloState) []SLOFireCount {
+	out := make([]SLOFireCount, 0, len(states))
+	for i := range states {
+		st := &states[i]
+		out = append(out, SLOFireCount{
+			Name: st.def.Name, Kind: st.def.Kind,
+			Fired: st.fired, Firing: st.firing,
+		})
+	}
+	return out
 }
 
 // ParseSLOs parses a compact SLO spec of comma-separated key=value pairs:

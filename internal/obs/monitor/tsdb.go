@@ -209,9 +209,11 @@ func (h *Handle) Record(at time.Duration, v float64) {
 	h.st.record(h.se, at, v)
 }
 
-// Range aggregates the windows fully covered by [from, to). Windows that
-// have slid out of the ring contribute nothing (their samples remain in
-// Total). A missing series yields a zero rollup.
+// Range aggregates every window the interval [from, to) touches: from's
+// window through the window holding to-1, whole, so an endpoint between
+// boundaries brings in its entire window. Windows that have slid out of
+// the ring contribute nothing (their samples remain in Total). A missing
+// series yields a zero rollup.
 func (s *Store) Range(name string, from, to time.Duration) Rollup {
 	var out Rollup
 	if s == nil || to <= from {

@@ -5,10 +5,11 @@ import (
 	"strings"
 )
 
-// openMetricsName sanitizes a registry metric name for text exposition:
-// characters outside [a-zA-Z0-9_] become '_', under the shared
-// "lambdatrim_" namespace used by the monitor exposition.
-func openMetricsName(s string) string {
+// MetricName sanitizes a metric or series name for text exposition:
+// characters outside [a-zA-Z0-9_] become '_', under the "lambdatrim_"
+// namespace every exposition in this repository shares (the tracer's
+// registry, the monitor, the fleet result and the rollout controller).
+func MetricName(s string) string {
 	var b strings.Builder
 	b.WriteString("lambdatrim_")
 	for _, r := range s {
@@ -22,7 +23,22 @@ func openMetricsName(s string) string {
 	return b.String()
 }
 
-func openMetricsFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// FormatFloat renders a sample value in its shortest round-trip form.
+func FormatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// WriteFamily writes one OpenMetrics family: its "# TYPE name typ" line,
+// then each sample line, newline-terminated.
+func WriteFamily(b *strings.Builder, name, typ string, lines ...string) {
+	b.WriteString("# TYPE ")
+	b.WriteString(name)
+	b.WriteByte(' ')
+	b.WriteString(typ)
+	b.WriteByte('\n')
+	for _, l := range lines {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+}
 
 // OpenMetrics renders the snapshot as an OpenMetrics text exposition:
 // counters as counter families, gauges as gauge families, and histograms
@@ -32,25 +48,21 @@ func openMetricsFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1,
 func (s Snapshot) OpenMetrics() []byte {
 	var b strings.Builder
 	for _, c := range s.Counters {
-		n := openMetricsName(c.Name)
-		b.WriteString("# TYPE " + n + " counter\n")
-		b.WriteString(n + "_total " + strconv.FormatInt(c.Value, 10) + "\n")
+		n := MetricName(c.Name)
+		WriteFamily(&b, n, "counter", n+"_total "+strconv.FormatInt(c.Value, 10))
 	}
 	for _, g := range s.Gauges {
-		n := openMetricsName(g.Name)
-		b.WriteString("# TYPE " + n + " gauge\n")
-		b.WriteString(n + " " + openMetricsFloat(g.Value) + "\n")
+		n := MetricName(g.Name)
+		WriteFamily(&b, n, "gauge", n+" "+FormatFloat(g.Value))
 	}
 	for _, h := range s.Histograms {
-		n := openMetricsName(h.Name)
-		b.WriteString("# TYPE " + n + "_count counter\n")
-		b.WriteString(n + "_count " + strconv.FormatUint(h.Count, 10) + "\n")
-		b.WriteString("# TYPE " + n + "_sum gauge\n")
-		b.WriteString(n + "_sum " + openMetricsFloat(h.Sum) + "\n")
-		b.WriteString("# TYPE " + n + " gauge\n")
-		b.WriteString(n + `{quantile="0.5"} ` + openMetricsFloat(h.P50) + "\n")
-		b.WriteString(n + `{quantile="0.95"} ` + openMetricsFloat(h.P95) + "\n")
-		b.WriteString(n + `{quantile="0.99"} ` + openMetricsFloat(h.P99) + "\n")
+		n := MetricName(h.Name)
+		WriteFamily(&b, n+"_count", "counter", n+"_count "+strconv.FormatUint(h.Count, 10))
+		WriteFamily(&b, n+"_sum", "gauge", n+"_sum "+FormatFloat(h.Sum))
+		WriteFamily(&b, n, "gauge",
+			n+`{quantile="0.5"} `+FormatFloat(h.P50),
+			n+`{quantile="0.95"} `+FormatFloat(h.P95),
+			n+`{quantile="0.99"} `+FormatFloat(h.P99))
 	}
 	b.WriteString("# EOF\n")
 	return []byte(b.String())

@@ -34,15 +34,28 @@ func (e *Engine) End() time.Duration {
 	return (e.Latest/res + 1) * res
 }
 
-// Instant evaluates x at boundary `at` (at<0 means End()).
+// Instant evaluates x at the boundary for `at`: End() for at<0, otherwise
+// `at` snapped up to the next resolution boundary (see boundary).
 func (e *Engine) Instant(x Expr, at time.Duration) float64 {
 	if e == nil || e.Store == nil {
 		return 0
 	}
+	return x.eval(e.Store, e.boundary(at))
+}
+
+// boundary returns the boundary a query at `at` evaluates at: End() for
+// at<0, otherwise `at` snapped up to the next resolution boundary. Instant
+// queries and Range's endpoints both snap through it: evaluating between
+// boundaries would read the whole window `at` falls in, samples after `at`
+// included.
+func (e *Engine) boundary(at time.Duration) time.Duration {
 	if at < 0 {
-		at = e.End()
+		return e.End()
 	}
-	return x.eval(e.Store, at)
+	if e == nil || e.Store == nil || e.Store.Resolution() <= 0 {
+		return at
+	}
+	return snapUp(at, e.Store.Resolution())
 }
 
 // Point is one range-query evaluation.
@@ -59,14 +72,10 @@ func (e *Engine) Range(x Expr, from, to, step time.Duration) []Point {
 	if step <= 0 {
 		return nil
 	}
-	if to < 0 {
-		to = e.End()
-	}
 	if from < 0 {
 		from = 0
 	}
-	res := e.Store.Resolution()
-	from, to = snapUp(from, res), snapUp(to, res)
+	from, to = snapUp(from, e.Store.Resolution()), e.boundary(to)
 	var pts []Point
 	for t := from; t <= to; t += step {
 		pts = append(pts, Point{T: t, V: x.eval(e.Store, t)})
@@ -105,18 +114,17 @@ func jsonFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// InstantJSON parses and evaluates q at boundary `at` (<0: End()) and
-// renders the result as one canonical JSON object. The rendering is
-// hand-built and byte-stable: CLI goldens and the live /query endpoint
-// share it, so a served response and the smoke artifact compare with cmp.
+// InstantJSON parses and evaluates q as Instant does and renders the
+// result as one canonical JSON object, whose at_us is the boundary it was
+// evaluated at. The rendering is hand-built and byte-stable: CLI goldens
+// and the live /query endpoint share it, so a served response and the
+// smoke artifact compare with cmp.
 func (e *Engine) InstantJSON(q string, at time.Duration) (string, error) {
 	x, err := Parse(q)
 	if err != nil {
 		return "", err
 	}
-	if at < 0 {
-		at = e.End()
-	}
+	at = e.boundary(at)
 	v := e.Instant(x, at)
 	var b strings.Builder
 	b.WriteString(`{"query":`)

@@ -164,6 +164,60 @@ func TestRangeJSONStepMatchesSpacing(t *testing.T) {
 	}
 }
 
+// TestInstantJSONSnapsToBoundary is the instant query's metadata property:
+// for random resolutions and evaluation times — most of them between
+// boundaries — at_us is the next resolution boundary at or after the
+// requested time, and the value is the Range point at that boundary, so an
+// instant query never counts a sample its reported time has not reached.
+func TestInstantJSONSnapsToBoundary(t *testing.T) {
+	x, err := Parse("req.total")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		res := time.Duration(1+rng.Intn(120)) * time.Second
+		st := monitor.NewStore(res, 64)
+		for j := 0; j < 20; j++ {
+			st.Record("req.total", time.Duration(rng.Int63n(int64(40*res))), 1)
+		}
+		e := &Engine{Store: st, Latest: 40 * res}
+		at := time.Duration(rng.Int63n(int64(40 * res)))
+		out, err := e.InstantJSON("req.total", at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			AtUS  int64   `json:"at_us"`
+			Value float64 `json:"value"`
+		}
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("bad JSON %s: %v", out, err)
+		}
+		b := time.Duration(doc.AtUS) * time.Microsecond
+		if b%res != 0 || b < at || b-at >= res {
+			t.Fatalf("res=%v at=%v: at_us=%d is not the next boundary", res, at, doc.AtUS)
+		}
+		pts := e.Range(x, b, b, 0)
+		if len(pts) != 1 || pts[0].T != b || pts[0].V != doc.Value {
+			t.Fatalf("res=%v at=%v: instant %s, range point %v", res, at, out, pts)
+		}
+	}
+	// The reported repro: samples at 30 s and 100 s at 1 m resolution,
+	// queried at 90 s, evaluate at (and report) the 2 m boundary.
+	st := monitor.NewStore(time.Minute, 60)
+	st.Record("req.total", 30*time.Second, 1)
+	st.Record("req.total", 100*time.Second, 1)
+	e := &Engine{Store: st, Latest: 100 * time.Second}
+	got, err := e.InstantJSON("req.total", 90*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"query":"req.total","type":"instant","at_us":120000000,"value":2}`; got != want {
+		t.Fatalf("InstantJSON at 90s = %s, want %s", got, want)
+	}
+}
+
 func TestNilEngine(t *testing.T) {
 	var e *Engine
 	if got := e.Instant(Number(3), 0); got != 0 {

@@ -95,6 +95,15 @@ func TestQueryEndpointAt(t *testing.T) {
 	}
 }
 
+// An at= between window boundaries evaluates at, and reports, the next
+// boundary: the samples at 30 s, 90 s and 150 s all lie before 3 m.
+func TestQueryEndpointAtSnaps(t *testing.T) {
+	_, body, _ := get(t, testSite(), "/query?q=req.total&at=150s")
+	if want := `{"query":"req.total","type":"instant","at_us":180000000,"value":6}` + "\n"; body != want {
+		t.Fatalf("body = %q, want %q", body, want)
+	}
+}
+
 func TestQueryEndpointErrors(t *testing.T) {
 	for _, url := range []string{
 		"/query",

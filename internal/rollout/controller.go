@@ -466,13 +466,14 @@ func (c *Controller) EventLog() string {
 func (c *Controller) OpenMetrics() []byte {
 	var b strings.Builder
 	for _, series := range c.store.Names() {
-		tot := c.store.Total(series)
-		mn := monitor.MetricName("rollout_" + series)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s_total %d\n", mn, mn, tot.Count)
+		mn := obs.MetricName("rollout_" + series)
+		obs.WriteFamily(&b, mn, "counter", mn+"_total "+strconv.FormatUint(c.store.Total(series).Count, 10))
 	}
 	names := append([]string(nil), c.order...)
 	sort.Strings(names)
-	var stage, breakerOpenG []string
+	stageName := obs.MetricName("rollout_canary_stage")
+	openName := obs.MetricName("rollout_breaker_open_state")
+	var stage, breakerOpen []string
 	for _, name := range names {
 		s, _ := c.Status(name)
 		open := 0
@@ -480,23 +481,15 @@ func (c *Controller) OpenMetrics() []byte {
 			open = 1
 		}
 		label := "{fn=\"" + name + "\"}"
-		stage = append(stage, monitor.MetricName("rollout_canary_stage")+label+" "+strconv.Itoa(s.Stage))
-		breakerOpenG = append(breakerOpenG, monitor.MetricName("rollout_breaker_open_state")+label+" "+strconv.Itoa(open))
+		stage = append(stage, stageName+label+" "+strconv.Itoa(s.Stage))
+		breakerOpen = append(breakerOpen, openName+label+" "+strconv.Itoa(open))
 	}
-	writeGauge(&b, monitor.MetricName("rollout_canary_stage"), stage)
-	writeGauge(&b, monitor.MetricName("rollout_breaker_open_state"), breakerOpenG)
+	if len(names) > 0 {
+		obs.WriteFamily(&b, stageName, "gauge", stage...)
+		obs.WriteFamily(&b, openName, "gauge", breakerOpen...)
+	}
 	b.WriteString("# EOF\n")
 	return []byte(b.String())
-}
-
-func writeGauge(b *strings.Builder, name string, lines []string) {
-	if len(lines) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "# TYPE %s gauge\n", name)
-	for _, l := range lines {
-		b.WriteString(l + "\n")
-	}
 }
 
 // eventf appends one line to the transition log.

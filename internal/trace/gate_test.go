@@ -23,26 +23,17 @@ func TestPassThroughGateMatchesStream(t *testing.T) {
 	const keepAlive = 2 * time.Minute
 
 	var plainEvents []PoolEvent
-	plain := SimulatePoolObserved(arrivals, busy, keepAlive, func(e PoolEvent) {
+	plain := SimulatePoolStream(Slice(arrivals), busy, keepAlive, func(e PoolEvent) {
 		plainEvents = append(plainEvents, e)
 	})
 
-	i := 0
-	next := func() (time.Duration, bool) {
-		if i >= len(arrivals) {
-			return 0, false
-		}
-		at := arrivals[i]
-		i++
-		return at, true
-	}
 	gate := PoolGate{
 		Admit: func(time.Duration) bool { return true },
 		Busy:  func(time.Duration, bool) time.Duration { return busy },
 		Flush: func(time.Duration) time.Duration { return -1 },
 	}
 	var gatedEvents []PoolEvent
-	gated := SimulatePoolGated(next, busy, keepAlive, gate, func(e PoolEvent) {
+	gated := SimulatePoolGated(Slice(arrivals), busy, keepAlive, gate, func(e PoolEvent) {
 		gatedEvents = append(gatedEvents, e)
 	})
 
@@ -60,16 +51,7 @@ func TestGateAdmitDrops(t *testing.T) {
 	arrivals := gateArrivals()
 	kept := 0
 	gate := PoolGate{Admit: func(at time.Duration) bool { return at >= 10*time.Minute }}
-	i := 0
-	next := func() (time.Duration, bool) {
-		if i >= len(arrivals) {
-			return 0, false
-		}
-		at := arrivals[i]
-		i++
-		return at, true
-	}
-	res := SimulatePoolGated(next, time.Second, time.Minute, gate, func(e PoolEvent) {
+	res := SimulatePoolGated(Slice(arrivals), time.Second, time.Minute, gate, func(e PoolEvent) {
 		kept++
 		if e.At < 10*time.Minute {
 			t.Fatalf("dropped arrival observed at %v", e.At)
@@ -92,17 +74,8 @@ func TestGateAdmitDrops(t *testing.T) {
 func TestGateFlushCut(t *testing.T) {
 	arrivals := []time.Duration{0, 5 * time.Second}
 	run := func(cut time.Duration) PoolResult {
-		i := 0
-		next := func() (time.Duration, bool) {
-			if i >= len(arrivals) {
-				return 0, false
-			}
-			at := arrivals[i]
-			i++
-			return at, true
-		}
 		gate := PoolGate{Flush: func(time.Duration) time.Duration { return cut }}
-		return SimulatePoolGated(next, time.Second, time.Hour, gate, nil)
+		return SimulatePoolGated(Slice(arrivals), time.Second, time.Hour, gate, nil)
 	}
 	// No cut: the instance freed at 1s serves the 5s arrival warm.
 	if res := run(-1); res.WarmStarts != 1 || res.ColdStarts != 1 {

@@ -105,16 +105,18 @@ func poissonArrivals(rng *rand.Rand, expected float64, period time.Duration) []t
 // poissonStream is the streaming core of poissonArrivals: it yields the
 // same thinned, diurnally-modulated arrival sequence one offset at a time
 // (peak mid-period at 1.6x, trough at 0.4x — the day/night swing in the
-// Azure trace) without materializing the sequence.
+// Azure trace) without materializing the sequence. A rate that is not
+// positive and finite yields nothing: under NaN or +Inf the thinning loop
+// would never advance t.
 func poissonStream(rng *rand.Rand, expected float64, period time.Duration) func() (time.Duration, bool) {
 	base := expected / period.Seconds()
 	maxRate := base * 1.6
+	if math.IsNaN(maxRate) || math.IsInf(maxRate, 0) || maxRate <= 0 {
+		return func() (time.Duration, bool) { return 0, false }
+	}
 	t := 0.0
 	limit := period.Seconds()
 	return func() (time.Duration, bool) {
-		if maxRate <= 0 {
-			return 0, false
-		}
 		for {
 			t += rng.ExpFloat64() / maxRate
 			if t >= limit {
@@ -171,34 +173,29 @@ type PoolEvent struct {
 	Live int
 }
 
-// SimulatePool runs the keep-alive instance-pool dynamics: each arrival is
-// served warm when a non-expired idle instance exists, cold otherwise.
-// Arrivals must be sorted.
-func SimulatePool(arrivals []time.Duration, duration time.Duration, keepAlive time.Duration) PoolResult {
-	return SimulatePoolObserved(arrivals, duration, keepAlive, nil)
-}
-
-// SimulatePoolObserved is SimulatePool with an observer invoked once per
-// served arrival, in arrival order. A nil observer reproduces SimulatePool
-// exactly; the observer cannot perturb the pool dynamics either way.
-func SimulatePoolObserved(arrivals []time.Duration, duration time.Duration, keepAlive time.Duration, observe func(PoolEvent)) PoolResult {
+// Slice adapts sorted arrival offsets to the iterator form the pool
+// simulation consumes: it yields each offset in order and then (0, false).
+func Slice(arrivals []time.Duration) func() (time.Duration, bool) {
 	i := 0
-	return SimulatePoolStream(func() (time.Duration, bool) {
+	return func() (time.Duration, bool) {
 		if i >= len(arrivals) {
 			return 0, false
 		}
 		at := arrivals[i]
 		i++
 		return at, true
-	}, duration, keepAlive, observe)
+	}
 }
 
-// SimulatePoolStream runs the keep-alive pool dynamics over an arrival
-// iterator instead of a materialized slice: next() yields sorted offsets
-// and then (0, false). The pool state is bounded by the function's peak
-// concurrency, so a stream of millions of arrivals simulates in flat
-// memory — the substrate the sharded fleet replay engine runs on. The
-// dynamics are identical to SimulatePoolObserved (which wraps this).
+// SimulatePoolStream runs the keep-alive instance-pool dynamics: each
+// arrival is served warm when a non-expired idle instance exists, cold
+// otherwise. next() yields sorted offsets and then (0, false) — a
+// materialized trace goes through Slice. The observer, when non-nil, is
+// invoked once per served arrival, in arrival order, and cannot perturb the
+// dynamics. The pool state is bounded by the function's peak concurrency,
+// so a stream of millions of arrivals simulates in flat memory — the
+// substrate the sharded fleet replay engine runs on. It is the zero-gate
+// form of SimulatePoolGated.
 func SimulatePoolStream(next func() (time.Duration, bool), duration time.Duration, keepAlive time.Duration, observe func(PoolEvent)) PoolResult {
 	return SimulatePoolGated(next, duration, keepAlive, PoolGate{}, observe)
 }

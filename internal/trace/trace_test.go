@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -90,7 +91,7 @@ func TestGenerateShape(t *testing.T) {
 
 func TestSimulatePoolAllWarmWhenDense(t *testing.T) {
 	arrivals := []time.Duration{0, time.Minute, 2 * time.Minute, 3 * time.Minute}
-	res := SimulatePool(arrivals, time.Second, 10*time.Minute)
+	res := SimulatePoolStream(Slice(arrivals), time.Second, 10*time.Minute, nil)
 	if res.ColdStarts != 1 || res.WarmStarts != 3 {
 		t.Errorf("res = %+v, want 1 cold 3 warm", res)
 	}
@@ -101,7 +102,7 @@ func TestSimulatePoolAllWarmWhenDense(t *testing.T) {
 
 func TestSimulatePoolAllColdWhenSparse(t *testing.T) {
 	arrivals := []time.Duration{0, time.Hour, 2 * time.Hour}
-	res := SimulatePool(arrivals, time.Second, time.Minute)
+	res := SimulatePoolStream(Slice(arrivals), time.Second, time.Minute, nil)
 	if res.ColdStarts != 3 || res.WarmStarts != 0 {
 		t.Errorf("res = %+v, want all cold", res)
 	}
@@ -110,7 +111,7 @@ func TestSimulatePoolAllColdWhenSparse(t *testing.T) {
 func TestSimulatePoolConcurrency(t *testing.T) {
 	// Two overlapping requests need two instances.
 	arrivals := []time.Duration{0, time.Millisecond}
-	res := SimulatePool(arrivals, time.Second, 10*time.Minute)
+	res := SimulatePoolStream(Slice(arrivals), time.Second, 10*time.Minute, nil)
 	if res.ColdStarts != 2 {
 		t.Errorf("overlapping arrivals should both be cold: %+v", res)
 	}
@@ -119,7 +120,7 @@ func TestSimulatePoolConcurrency(t *testing.T) {
 	}
 	// A third request after both finish reuses one.
 	arrivals = append(arrivals, 2*time.Second)
-	res = SimulatePool(arrivals, time.Second, 10*time.Minute)
+	res = SimulatePoolStream(Slice(arrivals), time.Second, 10*time.Minute, nil)
 	if res.WarmStarts != 1 {
 		t.Errorf("third arrival should be warm: %+v", res)
 	}
@@ -129,12 +130,12 @@ func TestSimulatePoolKeepAliveBoundary(t *testing.T) {
 	arrivals := []time.Duration{0, time.Second + 5*time.Minute}
 	dur := time.Second
 	// Second arrival lands exactly at the keep-alive horizon: still warm.
-	res := SimulatePool(arrivals, dur, 5*time.Minute)
+	res := SimulatePoolStream(Slice(arrivals), dur, 5*time.Minute, nil)
 	if res.WarmStarts != 1 {
 		t.Errorf("boundary arrival should be warm: %+v", res)
 	}
 	// One nanosecond later: cold.
-	res = SimulatePool([]time.Duration{0, time.Second + 5*time.Minute + 1}, dur, 5*time.Minute)
+	res = SimulatePoolStream(Slice([]time.Duration{0, time.Second + 5*time.Minute + 1}), dur, 5*time.Minute, nil)
 	if res.ColdStarts != 2 {
 		t.Errorf("past-boundary arrival should be cold: %+v", res)
 	}
@@ -185,7 +186,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 		}
 		dur := time.Duration(durMS) * time.Millisecond
 		ka := time.Duration(kaSec) * time.Second
-		res := SimulatePool(arrivals, dur, ka)
+		res := SimulatePoolStream(Slice(arrivals), dur, ka, nil)
 		if res.ColdStarts+res.WarmStarts != len(arrivals) {
 			return false
 		}
@@ -211,8 +212,8 @@ func TestQuickKeepAliveMonotone(t *testing.T) {
 			acc += time.Duration(r) * time.Second / 4
 			arrivals[i] = acc
 		}
-		short := SimulatePool(arrivals, time.Second, time.Minute)
-		long := SimulatePool(arrivals, time.Second, time.Hour)
+		short := SimulatePoolStream(Slice(arrivals), time.Second, time.Minute, nil)
+		long := SimulatePoolStream(Slice(arrivals), time.Second, time.Hour, nil)
 		return long.ColdStarts <= short.ColdStarts
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -223,10 +224,10 @@ func TestQuickKeepAliveMonotone(t *testing.T) {
 func TestSimulatePoolObservedMatchesResult(t *testing.T) {
 	arrivals := []time.Duration{0, time.Millisecond, 2 * time.Second, time.Hour}
 	var events []PoolEvent
-	obs := SimulatePoolObserved(arrivals, time.Second, 5*time.Minute, func(ev PoolEvent) {
+	obs := SimulatePoolStream(Slice(arrivals), time.Second, 5*time.Minute, func(ev PoolEvent) {
 		events = append(events, ev)
 	})
-	plain := SimulatePool(arrivals, time.Second, 5*time.Minute)
+	plain := SimulatePoolStream(Slice(arrivals), time.Second, 5*time.Minute, nil)
 	if obs != plain {
 		t.Errorf("observer changed the result: %+v vs %+v", obs, plain)
 	}
@@ -254,34 +255,34 @@ func TestSimulatePoolObservedMatchesResult(t *testing.T) {
 	}
 }
 
+// The pool over a lazily generated arrival stream matches, event for
+// event, the pool over the same arrivals materialized into a slice.
 func TestSimulatePoolStreamMatchesSlice(t *testing.T) {
-	tr := Generate(GenConfig{Functions: 12, Period: 2 * time.Hour, Seed: 3})
-	for _, f := range tr.Functions {
-		dur := time.Duration(f.DurationMS * float64(time.Millisecond))
+	const period = 2 * time.Hour
+	for seed := int64(1); seed <= 12; seed++ {
+		dur := time.Duration(seed) * 150 * time.Millisecond
+		rate := float64(seed * seed * 40)
+		var arrivals []time.Duration
+		next := ArrivalStream(seed, rate, period)
+		for at, ok := next(); ok; at, ok = next() {
+			arrivals = append(arrivals, at)
+		}
 		var sliceEvents, streamEvents []PoolEvent
-		want := SimulatePoolObserved(f.Arrivals, dur, 10*time.Minute, func(ev PoolEvent) {
+		want := SimulatePoolStream(Slice(arrivals), dur, 10*time.Minute, func(ev PoolEvent) {
 			sliceEvents = append(sliceEvents, ev)
 		})
-		i := 0
-		got := SimulatePoolStream(func() (time.Duration, bool) {
-			if i >= len(f.Arrivals) {
-				return 0, false
-			}
-			at := f.Arrivals[i]
-			i++
-			return at, true
-		}, dur, 10*time.Minute, func(ev PoolEvent) {
+		got := SimulatePoolStream(ArrivalStream(seed, rate, period), dur, 10*time.Minute, func(ev PoolEvent) {
 			streamEvents = append(streamEvents, ev)
 		})
 		if got != want {
-			t.Fatalf("fn %d: stream result %+v != slice result %+v", f.ID, got, want)
+			t.Fatalf("seed %d: stream result %+v != slice result %+v", seed, got, want)
 		}
 		if len(streamEvents) != len(sliceEvents) {
-			t.Fatalf("fn %d: %d stream events vs %d slice events", f.ID, len(streamEvents), len(sliceEvents))
+			t.Fatalf("seed %d: %d stream events vs %d slice events", seed, len(streamEvents), len(sliceEvents))
 		}
 		for j := range streamEvents {
 			if streamEvents[j] != sliceEvents[j] {
-				t.Fatalf("fn %d event %d: %+v != %+v", f.ID, j, streamEvents[j], sliceEvents[j])
+				t.Fatalf("seed %d event %d: %+v != %+v", seed, j, streamEvents[j], sliceEvents[j])
 			}
 		}
 	}
@@ -331,5 +332,30 @@ func TestArrivalStreamDeterministicAndSorted(t *testing.T) {
 	c0, _ := c()
 	if c0 == a[0] {
 		t.Error("different seeds should produce different first arrivals")
+	}
+}
+
+// A non-finite expected count yields no arrivals instead of spinning: under
+// NaN or +Inf the thinning loop never advanced its clock. Each stream is
+// drained under a deadline.
+func TestArrivalStreamNonFiniteRateEnds(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		done := make(chan int, 1)
+		go func() {
+			n := 0
+			next := ArrivalStream(1, rate, time.Hour)
+			for _, ok := next(); ok; _, ok = next() {
+				n++
+			}
+			done <- n
+		}()
+		select {
+		case n := <-done:
+			if n != 0 {
+				t.Errorf("rate %v: %d arrivals, want none", rate, n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rate %v: ArrivalStream still running after 5s", rate)
+		}
 	}
 }
