@@ -7,10 +7,12 @@ GO ?= go
 check: fmt vet build test fuzz-smoke
 
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
-# take operator-written specs (SLOs, canary stages) and on the import memo
+# take operator-written specs (SLOs, canary stages), on the import memo
 # (an imported library must observe byte-for-byte the same without the memo,
-# while it records, and when it replays). Seeds alone run in the normal test
-# pass; this also explores.
+# while it records, and when it replays), and on the two fast paths that must
+# equal their definitions (trace.Source against math/rand's generator, the
+# histogram's bucket table against its log form). Seeds alone run in the
+# normal test pass; this also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
@@ -18,6 +20,8 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
+	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -run xxx ./internal/trace
+	$(GO) test -fuzz FuzzHistBucket -fuzztime $(FUZZTIME) -run xxx ./internal/stats
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -37,12 +41,14 @@ test:
 # defaults (seed 1, 10 s), and writes BENCH_<date>.json: a JSON list with
 # one object per workload holding its name, the seed, the machine line and
 # the result line (the run's last line of standard output). Each run's full
-# report stays in .bench_build/.
+# report stays in .bench_build/. It refuses to overwrite an existing record:
+# name another with BENCH_OUT=<file>.
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 BENCH_WORKLOADS = $(shell awk '/"workloads"/ {w = 1} w && /\]/ {w = 0} \
 	w && /"name"/ {gsub(/[",]/, "", $$2); print $$2}' BENCHMARK.json)
 bench:
 	@test -n "$(BENCH_WORKLOADS)" || { echo "bench: no workloads found in BENCHMARK.json"; exit 1; }
+	@test ! -e $(BENCH_OUT) || { echo "bench: $(BENCH_OUT) exists; set BENCH_OUT to write another record"; exit 1; }
 	@set -e; mkdir -p .bench_build; sep='['; : > $(BENCH_OUT).tmp; \
 	for w in $(BENCH_WORKLOADS); do \
 		bash cmd/bench/run.sh --workload $$w --trace 0 > .bench_build/$$w.out; \

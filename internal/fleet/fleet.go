@@ -214,7 +214,8 @@ type partial struct {
 	costInit  monitor.Handle
 	costExec  monitor.Handle
 	chaos     *chaos.Series
-	// rng is reseeded for each streamed function (trace.ArrivalStreamFrom).
+	// rng draws from a trace.Source, reseeded for each streamed function
+	// (trace.ArrivalStreamFrom).
 	rng *rand.Rand
 
 	invocations uint64
@@ -399,7 +400,7 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 		}
 	}
 	if p.rng == nil && fn.Arrivals == nil {
-		p.rng = rand.New(rand.NewSource(0))
+		p.rng = rand.New(trace.NewSource(0))
 	}
 	res := trace.SimulatePoolGated(fn.arrivalSource(p.rng, cfg.Period), fn.Exec, cfg.KeepAlive, gate,
 		func(ev trace.PoolEvent) { p.serve(cfg, r, ev) })

@@ -9,6 +9,7 @@ import (
 	"repro/internal/appcorpus"
 	"repro/internal/chaos"
 	"repro/internal/faas"
+	"repro/internal/trace"
 )
 
 // Archetype is one corpus application reduced to the four observables the
@@ -110,9 +111,13 @@ func GeneratePopulation(pc PopConfig, archs []Archetype) []Function {
 		pc.Pricing = faas.AWSPricing()
 	}
 	fns := make([]Function, 0, pc.Functions)
+	// One generator, reseeded per member: a trace.Source reproduces
+	// math/rand's sequence for every seed and reseeds several times
+	// faster than allocating a fresh rand.NewSource.
+	rng := rand.New(trace.NewSource(0))
 	for id := 0; id < pc.Functions; id++ {
 		h := exemplarFnKey(pc.Seed, id)
-		rng := rand.New(rand.NewSource(int64(h >> 1)))
+		rng.Seed(int64(h >> 1))
 		a := archs[rng.Intn(len(archs))]
 		// One arm draw regardless of mix shape, so switching between
 		// DebloatedFraction and an equivalent ArmMix leaves every other

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -68,19 +69,63 @@ type Point struct {
 // Step(step) (to<0 means End()). Endpoints snap up to the next resolution
 // boundary so every evaluation point is a boundary.
 func (e *Engine) Range(x Expr, from, to, step time.Duration) []Point {
-	step = e.Step(step)
-	if step <= 0 {
-		return nil
-	}
-	if from < 0 {
-		from = 0
-	}
-	from, to = snapUp(from, e.Store.Resolution()), e.boundary(to)
+	from, to, step = e.rangeBounds(from, to, step)
 	var pts []Point
 	for t := from; t <= to; t += step {
 		pts = append(pts, Point{T: t, V: x.eval(e.Store, t)})
 	}
 	return pts
+}
+
+// rangeBounds returns the first and last boundary Range evaluates at and
+// their spacing; last < first when there is no point.
+func (e *Engine) rangeBounds(from, to, step time.Duration) (time.Duration, time.Duration, time.Duration) {
+	step = e.Step(step)
+	if step <= 0 {
+		return 0, -1, 0
+	}
+	if from < 0 {
+		from = 0
+	}
+	return snapUp(from, e.Store.Resolution()), e.boundary(to), step
+}
+
+// maxReads bounds the store windows one InstantJSON or RangeJSON request
+// may read. A query's length does not bound its work: a few kilobytes of
+// summed day-long windows, evaluated at every minute of a day, read
+// hundreds of millions of windows. The heaviest query of the repository's
+// own mixes reads under a million.
+const maxReads = 1 << 24
+
+// checkReads rejects a request that evaluates x at n boundaries if that
+// could read more than maxReads windows. Recording rules are written by
+// the operator and are not bounded.
+func (e *Engine) checkReads(x Expr, n int64) error {
+	if e == nil || e.Store.Resolution() <= 0 {
+		return nil
+	}
+	if r := float64(n) * reads(x, e.End(), e.Store.Resolution()); r > maxReads {
+		return fmt.Errorf("mql: query may read %.0f store windows, over the per-request bound of %d", r, maxReads)
+	}
+	return nil
+}
+
+// reads bounds the windows one evaluation of x at a boundary up to end
+// reads from a store of resolution res: a selector's cumulative sum
+// covers [0, end), a range call its window (one more for a window that
+// straddles a boundary), a number nothing.
+func reads(x Expr, end, res time.Duration) float64 {
+	switch x := x.(type) {
+	case Selector:
+		return float64(end/res + 1)
+	case Call:
+		return float64(min(x.Window, end)/res + 1)
+	case Unary:
+		return reads(x.X, end, res)
+	case Binary:
+		return reads(x.L, end, res) + reads(x.R, end, res)
+	}
+	return 0
 }
 
 // Step returns the spacing Range actually uses for a requested step: the
@@ -124,6 +169,9 @@ func (e *Engine) InstantJSON(q string, at time.Duration) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	if err := e.checkReads(x, 1); err != nil {
+		return "", err
+	}
 	at = e.boundary(at)
 	v := e.Instant(x, at)
 	var b strings.Builder
@@ -144,6 +192,11 @@ func (e *Engine) RangeJSON(q string, from, to, step time.Duration) (string, erro
 	x, err := Parse(q)
 	if err != nil {
 		return "", err
+	}
+	if first, last, spacing := e.rangeBounds(from, to, step); last >= first {
+		if err := e.checkReads(x, int64((last-first)/spacing)+1); err != nil {
+			return "", err
+		}
 	}
 	pts := e.Range(x, from, to, step)
 	// Report the spacing the points actually have, not the request.

@@ -227,3 +227,62 @@ func TestNilEngine(t *testing.T) {
 		t.Fatalf("nil engine range = %v", pts)
 	}
 }
+
+// dayEngine queries a one-day, one-minute store with a sample in every
+// window of the series the query smoke test reads.
+func dayEngine() *Engine {
+	st := monitor.NewStore(time.Minute, 24*60+6*60+1)
+	var at time.Duration
+	for at = 30 * time.Second; at < 24*time.Hour; at += time.Minute {
+		st.Record("req.total", at, 1)
+		st.Record("cost.usd", at, 0.5)
+		st.Record(monitor.LabeledSeries("cost.usd", monitor.Label{Key: "phase", Val: "init"}), at, 0.25)
+		st.Record(monitor.LabeledSeries("req.total", monitor.Label{Key: "arm", Val: "debloated"}), at, 1)
+		st.Record("fleet:cost_usd:sum5m", at, 1)
+		st.Record("fleet:req:rate5m", at, 1)
+	}
+	return &Engine{Store: st, Latest: at - time.Minute}
+}
+
+// sumOf joins n copies of term with " + ".
+func sumOf(term string, n int) string {
+	return strings.TrimSuffix(strings.Repeat(term+" + ", n), " + ")
+}
+
+// TestQueryWorkBound checks the per-request read bound: two short queries
+// whose evaluation at a one-minute step over a day costs seconds are
+// rejected with both numbers named, and the query smoke test's queries
+// pass as instant queries and at 5 m and 1 h steps.
+func TestQueryWorkBound(t *testing.T) {
+	e := dayEngine()
+	for _, q := range []string{
+		sumOf("sum(req.total[24h])", 100),   // 2,197 bytes
+		sumOf("rate(req.total[5m])", 10000), // about 220 KB
+	} {
+		_, err := e.RangeJSON(q, 0, -1, time.Minute)
+		if err == nil || !strings.Contains(err.Error(), "store windows") || !strings.Contains(err.Error(), "16777216") {
+			t.Errorf("%d-byte query at a 1m step: err = %v, want the read bound", len(q), err)
+		}
+	}
+	for _, q := range []string{
+		"cost.usd / req.total",
+		`sum(cost.usd{phase="init"}[24h]) / sum(cost.usd[24h])`,
+		`rate(req.total{arm="debloated"}[6h])`,
+		"fleet:cost_usd:sum5m",
+		"max(fleet:req:rate5m[24h])",
+	} {
+		if _, err := e.InstantJSON(q, -1); err != nil {
+			t.Errorf("instant %s: %v", q, err)
+		}
+		for _, step := range []time.Duration{5 * time.Minute, time.Hour} {
+			if _, err := e.RangeJSON(q, 0, -1, step); err != nil {
+				t.Errorf("%s at step %s: %v", q, step, err)
+			}
+		}
+	}
+	// An instant query is one boundary: a sum that a range at a minute step
+	// rejects passes.
+	if _, err := e.InstantJSON(sumOf("sum(req.total[24h])", 100), -1); err != nil {
+		t.Errorf("instant sum of 100 day windows: %v", err)
+	}
+}

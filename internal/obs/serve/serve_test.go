@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -209,5 +210,24 @@ func TestHeadServed(t *testing.T) {
 func TestServerBoundsHeaderReads(t *testing.T) {
 	if got := testSite().server(":0").ReadHeaderTimeout; got <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", got)
+	}
+}
+
+// A short query whose evaluation would read hundreds of millions of store
+// windows gets a 400 naming the bound, not seconds of CPU.
+func TestQueryEndpointBoundsWork(t *testing.T) {
+	st := monitor.NewStore(time.Minute, 24*60+1)
+	var at time.Duration
+	for at = 30 * time.Second; at < 24*time.Hour; at += time.Minute {
+		st.Record("req.total", at, 1)
+	}
+	s := &Site{Engine: &query.Engine{Store: st, Latest: at - time.Minute}}
+	q := strings.TrimSuffix(strings.Repeat("sum(req.total[24h]) + ", 100), " + ")
+	code, body, _ := get(t, s, "/query?step=1m&q="+url.QueryEscape(q))
+	if code != 400 || !strings.Contains(body, "store windows") {
+		t.Fatalf("code=%d body=%q, want 400 naming the read bound", code, body)
+	}
+	if code, body, _ := get(t, s, "/query?step=5m&q="+url.QueryEscape("sum(req.total[24h])")); code != 200 {
+		t.Fatalf("bounded query: code=%d body=%q", code, body)
 	}
 }

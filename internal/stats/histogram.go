@@ -38,9 +38,11 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// histBucket maps a positive value to its bucket index, clamping values
-// outside the representable range into the edge buckets.
-func histBucket(v float64) int {
+// histBucketLog is the defining bucket map: a positive value's bucket by
+// its base-10 logarithm, with values outside the representable range
+// clamped into the edge buckets. Only the init-time tables below call it;
+// histBucket answers the same from them.
+func histBucketLog(v float64) int {
 	idx := int(math.Floor((math.Log10(v) - histMinDecade) * histBucketsPerDecade))
 	if idx < 0 {
 		return 0
@@ -51,9 +53,64 @@ func histBucket(v float64) int {
 	return idx
 }
 
-// bucketValue is the representative (geometric midpoint) of bucket i.
-func bucketValue(i int) float64 {
-	return math.Pow(10, float64(histMinDecade)+(float64(i)+0.5)/histBucketsPerDecade)
+var (
+	// histValue[i] is bucket i's representative, its geometric midpoint.
+	histValue [HistogramBuckets]float64
+	// histLower[i] is the smallest float64 histBucketLog puts in bucket i
+	// or above (0 for bucket 0), and the +Inf past the last bucket ends
+	// histBucket's search.
+	histLower [HistogramBuckets + 1]float64
+	// histStart[e] is the bucket of the smallest positive float64 whose
+	// biased binary exponent is e (0 to 2046: every finite float64). A
+	// binade spans log10(2)·8 ≈ 2.4 buckets, so it holds at most three
+	// lower bounds.
+	histStart [2047]uint8
+)
+
+// The tables come from the log form on the running machine, so every
+// architecture buckets exactly as its math.Log10 does.
+func init() {
+	for i := range histValue {
+		histValue[i] = math.Pow(10, float64(histMinDecade)+(float64(i)+0.5)/histBucketsPerDecade)
+	}
+	// Positive float64s order as their bit patterns do, so each bound is
+	// a bisection over patterns between the smallest subnormal (bucket 0)
+	// and MaxFloat64 (the last bucket).
+	for i := 1; i < HistogramBuckets; i++ {
+		lo, hi := uint64(1), math.Float64bits(math.MaxFloat64)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if histBucketLog(math.Float64frombits(mid)) >= i {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		histLower[i] = math.Float64frombits(hi)
+	}
+	histLower[HistogramBuckets] = math.Inf(1)
+	b := 0
+	for e := range histStart {
+		least := math.Float64frombits(uint64(e) << 52)
+		if e == 0 {
+			least = math.SmallestNonzeroFloat64
+		}
+		for least >= histLower[b+1] {
+			b++
+		}
+		histStart[e] = uint8(b)
+	}
+}
+
+// histBucket maps a positive finite value to its bucket: the bucket its
+// binary exponent starts in, stepped past at most three lower bounds. It
+// returns histBucketLog(v) for every such v.
+func histBucket(v float64) int {
+	i := int(histStart[math.Float64bits(v)>>52])
+	for v >= histLower[i+1] {
+		i++
+	}
+	return i
 }
 
 // Observe records one value. Zero is counted in a dedicated zero bucket
@@ -140,13 +197,21 @@ func (h *Histogram) Quantile(q float64) float64 {
 		// The rank falls among the non-positive observations.
 		return h.clamp(0)
 	}
-	for i, c := range h.counts {
+	// No positive observation lies below min's bucket, and Merge keeps
+	// min the least of both sides, so the scan starts there: hedging's
+	// per-request p95 reads a function's few occupied buckets, not all.
+	start := 0
+	if h.min > 0 {
+		start = histBucket(h.min)
+	}
+	for i := start; i < HistogramBuckets; i++ {
+		c := h.counts[i]
 		if c == 0 {
 			continue
 		}
 		cum += float64(c)
 		if cum >= target {
-			return h.clamp(bucketValue(i))
+			return h.clamp(histValue[i])
 		}
 	}
 	return h.max

@@ -140,14 +140,16 @@ func poissonStream(rng *rand.Rand, expected float64, period time.Duration) func(
 // would have produced — and it never materializes the sequence, so memory
 // stays flat no matter how hot the function is.
 func ArrivalStream(seed int64, expected float64, period time.Duration) func() (time.Duration, bool) {
-	return poissonStream(rand.New(rand.NewSource(seed)), expected, period)
+	return poissonStream(rand.New(NewSource(seed)), expected, period)
 }
 
 // ArrivalStreamFrom is ArrivalStream over a caller-owned generator: it
 // reseeds rng with seed and draws the stream from it, so a replay shard can
 // reuse one generator across its functions instead of allocating a source
 // per function. The offsets are exactly ArrivalStream(seed, expected,
-// period)'s. The stream owns rng until it is drained or abandoned.
+// period)'s when rng draws from a Source or from math/rand's own source;
+// a Source reseeds several times faster. The stream owns rng until it
+// is drained or abandoned.
 func ArrivalStreamFrom(rng *rand.Rand, seed int64, expected float64, period time.Duration) func() (time.Duration, bool) {
 	rng.Seed(seed)
 	return poissonStream(rng, expected, period)
