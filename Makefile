@@ -7,7 +7,7 @@ GO ?= go
 check: fmt vet build test fuzz-smoke
 
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
-# take operator-written specs (SLOs, canary stages), on the import memo
+# take operator-written specs (SLOs, queries, incidents), on the import memo
 # (an imported library must observe byte-for-byte the same without the memo,
 # while it records, and when it replays), and on the two fast paths that must
 # equal their definitions (trace.Source against math/rand's generator, the
@@ -16,7 +16,6 @@ check: fmt vet build test fuzz-smoke
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
-	$(GO) test -fuzz FuzzParseStages -fuzztime $(FUZZTIME) -run xxx ./internal/rollout
 	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
@@ -29,6 +28,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	cd cmd/bench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

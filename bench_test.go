@@ -393,23 +393,6 @@ func BenchmarkAblation_BillingGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelDD measures the §9 future-work feature: the
-// wall-clock effect of evaluating DD subsets concurrently.
-func BenchmarkAblation_ParallelDD(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				app := appcorpus.MustBuild("resnet")
-				cfg := debloat.DefaultConfig()
-				cfg.Workers = workers
-				if _, err := debloat.Run(app, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExtension_BurstColdStorm measures λ-trim under the bursty
 // scale-out workload the paper's introduction motivates: a burst of
 // concurrent requests against an empty pool cold-starts one instance per
@@ -420,7 +403,7 @@ func BenchmarkExtension_BurstColdStorm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const burst = 16
+	burst := make([]map[string]any, 16) // 16 empty events
 	for _, arm := range []struct {
 		name string
 		app  func() *faas.Platform
@@ -440,7 +423,7 @@ func BenchmarkExtension_BurstColdStorm(b *testing.B) {
 			var totalCost, aggInitSec float64
 			for i := 0; i < b.N; i++ {
 				p := arm.app()
-				invs, err := p.InvokeBurst("resnet", map[string]any{}, burst)
+				invs, err := p.InvokeGroupWithRetry("resnet", burst, faas.RetryPolicy{MaxAttempts: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

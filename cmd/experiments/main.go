@@ -63,8 +63,8 @@ func run() int {
 	flag.Parse()
 
 	// Reject non-positive worker counts up front: they would reach the
-	// corpus pool and the DD scheduler, which quietly degrade to sequential;
-	// a misconfigured harness should fail loudly and deterministically.
+	// corpus pool, which quietly degrades to sequential; a misconfigured
+	// harness should fail loudly and deterministically.
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "-workers must be >= 1 (got %d)\n", *workers)
 		return 2

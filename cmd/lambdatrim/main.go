@@ -10,8 +10,8 @@
 //	lambdatrim -list
 //
 // With -all, every corpus application is debloated under the default
-// configuration on a bounded worker pool (-workers, default GOMAXPROCS) and
-// a before/after cold-start summary table is printed. Parallelism only
+// configuration on a pool of -workers goroutines (default GOMAXPROCS) and
+// a before/after cold-start summary table is printed. The pool size only
 // changes wall-clock time; all simulated results are schedule-independent.
 //
 // With -dir, the application is loaded from a real directory (handler.py +
@@ -60,7 +60,7 @@ func main() {
 	k := fs.Int("k", 20, "number of top-ranked modules to debloat")
 	scoring := fs.String("scoring", "combined", "profiler scoring: combined|time|memory|random")
 	granularity := fs.String("granularity", "attr", "DD granularity: attr|stmt")
-	workers := fs.Int("workers", 1, "concurrent oracle evaluations per DD round, default 1 (with -all and no explicit -workers, the corpus pool sizes itself to GOMAXPROCS instead)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "apps debloated at once with -all (wall-clock only; results are identical at any count)")
 	all := fs.Bool("all", false, "debloat the entire corpus in parallel and print a summary table")
 	dir := fs.String("dir", "", "load the application from this directory instead of the corpus")
 	out := fs.String("out", "", "export the optimized image to this directory")
@@ -99,9 +99,9 @@ func main() {
 	}
 	fs.Parse(args)
 
-	// A non-positive worker count would otherwise flow into the DD scheduler
-	// and the -all corpus pool; reject it here so every misuse fails the same
-	// way instead of silently degrading to sequential.
+	// A non-positive worker count would otherwise reach the -all corpus
+	// pool; reject it here so every misuse fails the same way instead of
+	// silently degrading to sequential.
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "-workers must be >= 1 (got %d)\n", *workers)
 		os.Exit(2)
@@ -143,17 +143,11 @@ func main() {
 	}
 
 	if *all {
-		corpusWorkers := runtime.GOMAXPROCS(0)
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				corpusWorkers = *workers
-			}
-		})
 		var tr *obs.Tracer
 		if *trace != "" || *events != "" || *metrics != "" || *flame != "" || *openmetrics != "" || *traceSummary {
 			tr = obs.New()
 		}
-		code := runCorpus(corpusWorkers, tr)
+		code := runCorpus(*workers, tr)
 		if tr != nil && code == 0 {
 			if *traceSummary {
 				fmt.Println()
@@ -195,23 +189,12 @@ func main() {
 	}
 	cfg := debloat.DefaultConfig()
 	cfg.K = *k
-	switch *scoring {
-	case "combined":
-		cfg.Scoring = profiler.Combined
-	case "time":
-		cfg.Scoring = profiler.TimeOnly
-	case "memory":
-		cfg.Scoring = profiler.MemoryOnly
-	case "random":
-		cfg.Scoring = profiler.Random
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scoring %q\n", *scoring)
+	var err error
+	cfg.Scoring, cfg.Granularity, err = parseModes(*scoring, *granularity)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *granularity == "stmt" {
-		cfg.Granularity = debloat.StmtGranularity
-	}
-	cfg.Workers = *workers
 
 	// One tracer spans the whole run: the debloat pipeline on its virtual
 	// timeline, then every platform measurement on the platform clock.
@@ -370,6 +353,32 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// parseModes maps the -scoring and -granularity values onto the pipeline's
+// profiler ranking and DD granularity. An unknown value is an error naming
+// the valid ones.
+func parseModes(scoring, granularity string) (profiler.Scoring, debloat.Granularity, error) {
+	var s profiler.Scoring
+	switch scoring {
+	case "combined":
+		s = profiler.Combined
+	case "time":
+		s = profiler.TimeOnly
+	case "memory":
+		s = profiler.MemoryOnly
+	case "random":
+		s = profiler.Random
+	default:
+		return 0, 0, fmt.Errorf("unknown -scoring %q (want combined|time|memory|random)", scoring)
+	}
+	switch granularity {
+	case "attr":
+		return s, debloat.AttrGranularity, nil
+	case "stmt":
+		return s, debloat.StmtGranularity, nil
+	}
+	return 0, 0, fmt.Errorf("unknown -granularity %q (want attr|stmt)", granularity)
 }
 
 // multiFlag collects a repeatable string flag.

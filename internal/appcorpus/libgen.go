@@ -83,26 +83,6 @@ type LibSpec struct {
 	ExtraInitLines []string
 }
 
-// TotalMS returns the library's full import-time cost in milliseconds
-// (excluding per-statement interpreter cost and dependencies).
-func (l *LibSpec) TotalMS() float64 {
-	t := l.CoreMS + l.CoreLoadMS
-	for _, g := range l.Groups {
-		t += g.MS
-	}
-	return t
-}
-
-// TotalMB returns the library's full import memory in MB (excluding
-// dependencies and per-object accounting).
-func (l *LibSpec) TotalMB() float64 {
-	m := l.CoreMB + l.CoreLoadMB + l.PadMemMB
-	for _, g := range l.Groups {
-		m += g.MB
-	}
-	return m
-}
-
 // RemovableMS returns the import-time cost hanging off removable groups.
 func (l *LibSpec) RemovableMS() float64 {
 	t := 0.0
@@ -121,19 +101,6 @@ func (l *LibSpec) RemovableMB() float64 {
 		m += g.MB
 	}
 	return m
-}
-
-// TopAttrs estimates the top-level attribute count the generated module
-// will expose (excluding magic attributes and machinery bindings).
-func (l *LibSpec) TopAttrs() int {
-	n := len(l.CoreExports) + l.PadAttrs + l.KeptCluster
-	for _, g := range l.Groups {
-		n += g.Attrs
-	}
-	if l.KeptCluster > 0 {
-		n++ // the registry itself
-	}
-	return n
 }
 
 // WriteTo generates the library's files into the image under

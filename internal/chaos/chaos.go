@@ -188,9 +188,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Config returns the defaulted, validated config.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Admission model constants. The client loop treats an incident strike as
 // sticky within one arrival: retries against a throttling or dead backend
 // mostly fail again (the draws are conditional, not independent), which
@@ -349,10 +346,6 @@ func (e *Engine) Function(fn FnView) *FnState {
 	}
 	return st
 }
-
-// Zone and Host report the function's fault-domain placement.
-func (st *FnState) Zone() int { return st.zone }
-func (st *FnState) Host() int { return st.host }
 
 // active returns the strongest active incident of the kind, if any.
 func (st *FnState) active(kind Kind, at time.Duration) (Incident, bool) {

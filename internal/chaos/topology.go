@@ -30,7 +30,6 @@ const (
 	saltShed       = 0x73686564 // "shed": load-shedding draw
 	saltLatency    = 0x6C617463 // "latc": latency-storm stretch draw
 	saltFallback   = 0x66616C6C // "fall": fallback-path draw
-	saltHedge      = 0x68656467 // "hedg": hedged attempt's exec redraw
 	saltChurnPick  = 0x63687231 // "chr1": is this host in the churn wave?
 	saltChurnPhase = 0x63687232 // "chr2": when inside the wave it recycles
 )

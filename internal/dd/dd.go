@@ -35,25 +35,12 @@ type Stats struct {
 // Minimize runs DD over items and returns a 1-minimal subset, along with
 // statistics. The oracle must accept the full set; if it does not, the full
 // set is returned unchanged with Stats.Tests == 1 (nothing can be proven
-// removable against a broken baseline).
+// removable against a broken baseline). opts optionally traces the run
+// over the caller's simulated clock.
 //
 // Indices into the original item list are used internally so memoization
 // keys are stable and the returned subset preserves original order.
-func Minimize[T any](items []T, oracle Oracle[T]) ([]T, Stats) {
-	return MinimizeWith(items, oracle, Options{})
-}
-
-// MinimizeWith runs DD with explicit options: worker count (parallel
-// oracle evaluation) and an optional tracer recording rounds, oracle
-// calls, and waves over the caller's simulated clock.
-func MinimizeWith[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
-	if opts.Workers > 1 {
-		return minimizeParallel(items, oracle, opts)
-	}
-	return minimize(items, oracle, opts)
-}
-
-func minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
+func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 	var stats Stats
 	memo := make(map[string]bool)
 	t := newTrace(opts, len(items))

@@ -43,7 +43,7 @@ func TestMinimizeFindsExactNeededSet(t *testing.T) {
 	}
 	for _, needed := range cases {
 		items := seq(10)
-		min, stats := Minimize(items, subsetOracle(needed))
+		min, stats := Minimize(items, subsetOracle(needed), Options{})
 		if len(min) != len(needed) {
 			t.Errorf("needed %v: got %v (stats %+v)", needed, min, stats)
 			continue
@@ -61,7 +61,7 @@ func TestMinimizeFindsExactNeededSet(t *testing.T) {
 }
 
 func TestMinimizeEmptyInput(t *testing.T) {
-	min, stats := Minimize(nil, func(keep []string) bool { return true })
+	min, stats := Minimize(nil, func(keep []string) bool { return true }, Options{})
 	if len(min) != 0 || stats.Tests != 0 {
 		t.Errorf("min=%v stats=%+v", min, stats)
 	}
@@ -70,7 +70,7 @@ func TestMinimizeEmptyInput(t *testing.T) {
 func TestMinimizeBrokenBaseline(t *testing.T) {
 	// If even the full set fails, DD returns it unchanged.
 	items := seq(6)
-	min, stats := Minimize(items, func(keep []int) bool { return false })
+	min, stats := Minimize(items, func(keep []int) bool { return false }, Options{})
 	if len(min) != len(items) {
 		t.Errorf("broken baseline should return full set, got %v", min)
 	}
@@ -80,11 +80,11 @@ func TestMinimizeBrokenBaseline(t *testing.T) {
 }
 
 func TestMinimizeSingleItem(t *testing.T) {
-	min, _ := Minimize([]int{7}, subsetOracle([]int{7}))
+	min, _ := Minimize([]int{7}, subsetOracle([]int{7}), Options{})
 	if len(min) != 1 {
 		t.Errorf("needed single item removed: %v", min)
 	}
-	min, _ = Minimize([]int{7}, subsetOracle(nil))
+	min, _ = Minimize([]int{7}, subsetOracle(nil), Options{})
 	if len(min) != 0 {
 		t.Errorf("removable single item kept: %v", min)
 	}
@@ -98,7 +98,7 @@ func TestMinimizePreservesOrder(t *testing.T) {
 			have[k] = true
 		}
 		return have["b"] && have["d"]
-	})
+	}, Options{})
 	if len(min) != 2 || min[0] != "b" || min[1] != "d" {
 		t.Errorf("min = %v, want [b d]", min)
 	}
@@ -111,7 +111,7 @@ func TestMinimizeMemoization(t *testing.T) {
 		calls++
 		return subsetOracle([]int{1, 6})(keep)
 	}
-	_, stats := Minimize(items, oracle)
+	_, stats := Minimize(items, oracle, Options{})
 	if stats.Tests != calls {
 		t.Errorf("stats.Tests=%d but oracle called %d times", stats.Tests, calls)
 	}
@@ -129,7 +129,7 @@ func TestQuickMinimizeMonotone(t *testing.T) {
 				needed = append(needed, i)
 			}
 		}
-		min, _ := Minimize(seq(n), subsetOracle(needed))
+		min, _ := Minimize(seq(n), subsetOracle(needed), Options{})
 		if len(min) != len(needed) {
 			return false
 		}
@@ -176,7 +176,7 @@ func TestQuickMinimizeOneMinimal(t *testing.T) {
 			}
 			return true
 		}
-		min, _ := Minimize(seq(n), oracle)
+		min, _ := Minimize(seq(n), oracle, Options{})
 		if !oracle(min) {
 			t.Fatalf("trial %d: result %v fails oracle", trial, min)
 		}
@@ -222,11 +222,19 @@ func TestComplement(t *testing.T) {
 // quadratic worst case.
 func TestMinimizeStatsReasonable(t *testing.T) {
 	items := seq(200)
-	_, stats := Minimize(items, subsetOracle([]int{10, 100, 190}))
+	_, stats := Minimize(items, subsetOracle([]int{10, 100, 190}), Options{})
 	if stats.Tests > 600 {
 		t.Errorf("ddmin used %d tests for n=200, k=3 — too many", stats.Tests)
 	}
 	if stats.Reductions == 0 {
 		t.Error("no reductions recorded")
+	}
+}
+
+func BenchmarkMinimizeSequential(b *testing.B) {
+	items := seq(150)
+	needed := []int{10, 70, 71, 140}
+	for i := 0; i < b.N; i++ {
+		Minimize(items, subsetOracle(needed), Options{})
 	}
 }

@@ -8,16 +8,9 @@ import (
 
 // Options configures a minimization run beyond the algorithm's inputs.
 type Options struct {
-	// Workers > 1 evaluates candidate subsets concurrently (see
-	// MinimizeParallel); 0 or 1 runs the sequential algorithm.
-	Workers int
 	// Tracer, when non-nil, records the minimization as a span tree:
-	// one root per run, one span per DD round, and — sequentially —
-	// one span per executed oracle call. Parallel runs record wave
-	// spans instead of per-oracle spans: only wave boundaries are
-	// deterministic synchronization points (virtual time accumulated
-	// inside a wave is a sum, so its value after the wave join is
-	// schedule-independent, but mid-wave reads would not be).
+	// one root per run, one span per DD round, and one span per executed
+	// oracle call.
 	Tracer *obs.Tracer
 	// Now supplies the simulated timestamp for spans (e.g. the debloat
 	// pipeline's virtual clock). Nil pins all spans to 0 but keeps the
@@ -31,7 +24,7 @@ type trace struct {
 	tr   *obs.Tracer
 	now  func() time.Duration
 	root *obs.Span
-	cur  *obs.Span // parent for oracle/wave spans (current round, else root)
+	cur  *obs.Span // parent for oracle spans (current round, else root)
 }
 
 func newTrace(opts Options, items int) *trace {
@@ -95,7 +88,7 @@ func (t *trace) endRound(sp *obs.Span, reduced bool, current int) {
 	t.cur = t.root
 }
 
-// oracleCall records one executed (non-memoized) sequential oracle call.
+// oracleCall records one executed (non-memoized) oracle call.
 // It must bracket the call so the span extent covers the virtual time the
 // oracle itself consumed.
 func (t *trace) oracleCall(keep int, run func() bool) bool {
@@ -117,30 +110,4 @@ func (t *trace) cacheHit() {
 		return
 	}
 	t.tr.Emit("dd.cache-hit", t.clock())
-}
-
-// wave brackets one index-ordered parallel wave. Both timestamps are read
-// at the wave's synchronization points (launch and join), the only places
-// where the shared virtual clock has a schedule-independent value.
-func (t *trace) wave(start, size int, run func()) {
-	if t == nil {
-		run()
-		return
-	}
-	begin := t.clock()
-	run()
-	t.tr.StartChild(t.cur, "wave", "dd", begin).
-		Add(obs.Int("first", int64(start)), obs.Int("size", int64(size))).
-		Finish(t.clock())
-	t.tr.Metrics().Inc("dd.waves", 1)
-}
-
-// waveCancel records that a passing candidate in an earlier wave made the
-// remaining candidates' oracle runs unnecessary.
-func (t *trace) waveCancel(skipped int) {
-	if t == nil || skipped <= 0 {
-		return
-	}
-	t.tr.Emit("dd.wave-cancel", t.clock(), obs.Int("skipped", int64(skipped)))
-	t.tr.Metrics().Inc("dd.wave_cancelled_candidates", int64(skipped))
 }

@@ -109,31 +109,3 @@ func TestRerunFastPathReusesPriorReductions(t *testing.T) {
 		t.Errorf("rerun lost reductions: %d vs %d", second.TotalRemoved(), first.TotalRemoved())
 	}
 }
-
-// TestParallelDebloatMatchesSequential: intra-module parallel DD (the §9
-// future-work feature) produces byte-identical optimized images.
-func TestParallelDebloatMatchesSequential(t *testing.T) {
-	seqRes, err := Run(appcorpus.MustBuild("lightgbm"), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCfg := DefaultConfig()
-	parCfg.Workers = 4
-	parRes, err := Run(appcorpus.MustBuild("lightgbm"), parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRes.TotalRemoved() != parRes.TotalRemoved() {
-		t.Errorf("removed attrs differ: seq=%d par=%d", seqRes.TotalRemoved(), parRes.TotalRemoved())
-	}
-	for _, path := range seqRes.App.Image.List() {
-		seqSrc, _ := seqRes.App.Image.Read(path)
-		parSrc, err := parRes.App.Image.Read(path)
-		if err != nil {
-			t.Fatalf("parallel image missing %s", path)
-		}
-		if seqSrc != parSrc {
-			t.Errorf("image diverges at %s", path)
-		}
-	}
-}

@@ -29,12 +29,6 @@ type Config struct {
 	// DisableCallGraph skips PyCG protection (ablation): every non-magic
 	// attribute becomes a DD candidate.
 	DisableCallGraph bool
-	// Workers enables intra-module parallel DD (the paper's §9 future
-	// work): each DD round evaluates its candidate subsets with up to
-	// Workers concurrent oracle runs. 0 or 1 is sequential. Results are
-	// identical to sequential DD (the round accepts the lowest-indexed
-	// passing subset).
-	Workers int
 	// Tracer, when non-nil, records the pipeline as a span tree on the
 	// debloating virtual timeline (profiling first, then accumulated
 	// oracle time): analyze → profile → golden → per-module DD →
@@ -224,9 +218,9 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 		tr.End(root, matAt+final.virtual)
 		tr.Metrics().Inc("debloat.runs", 1)
 		if snap != nil {
-			// Real-clock observability only. With a suite-shared cache and
-			// parallel scheduling these deltas are schedule-dependent; they
-			// are excluded from the byte-identity invariant (DESIGN.md §9).
+			// Real-clock observability only. With a suite-shared cache the
+			// corpus pool makes these deltas schedule-dependent; they are
+			// excluded from the byte-identity invariant (DESIGN.md §9).
 			memoAfter := snap.Stats()
 			tr.Metrics().Inc("memo.snapshot.hits", memoAfter.Hits-memoBefore.Hits)
 			tr.Metrics().Inc("memo.snapshot.misses", memoAfter.Misses-memoBefore.Misses)
@@ -317,16 +311,16 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 	}
 
 	if cfg.Granularity == StmtGranularity {
-		return debloatModuleStmts(run, name, ast, mr, cfg)
+		return debloatModuleStmts(run, name, ast, mr)
 	}
 
 	// Step 4: DD over the candidates' indices. Every probe body is built
 	// from a kept bitmap through an index computed once per module.
 	idx := newProbeIndex(ast.Body, candidates)
-	keep, stats := minimize(run, indices(len(candidates)), func(keep []int) bool {
+	keep, stats := minimize(run, len(candidates), func(keep []int) bool {
 		body := idx.build(keptBitmap(len(candidates), keep))
 		return run.test(name, &pylang.Module{Name: name, Body: body})
-	}, cfg)
+	})
 	mr.DD = stats
 
 	kept := keptBitmap(len(candidates), keep)
@@ -344,32 +338,23 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 	return mr
 }
 
-// minimize dispatches DD with the run's worker count, tracer, and virtual
-// clock.
-func minimize[T any](run *runner, items []T, oracle dd.Oracle[T], cfg Config) ([]T, dd.Stats) {
-	return dd.MinimizeWith(items, oracle, dd.Options{
-		Workers: cfg.Workers,
-		Tracer:  run.tr,
-		Now:     run.nowVirtual,
-	})
-}
-
-// indices returns 0..n-1, the DD components of n candidates.
-func indices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// minimize runs DD over the indices 0..n-1 of n candidates, traced on the
+// run's tracer and virtual clock.
+func minimize(run *runner, n int, oracle dd.Oracle[int]) ([]int, dd.Stats) {
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
 	}
-	return out
+	return dd.Minimize(items, oracle, dd.Options{Tracer: run.tr, Now: run.nowVirtual})
 }
 
 // debloatModuleStmts is the statement-granularity ablation arm.
-func debloatModuleStmts(run *runner, name string, ast *pylang.Module, mr ModuleResult, cfg Config) ModuleResult {
+func debloatModuleStmts(run *runner, name string, ast *pylang.Module, mr ModuleResult) ModuleResult {
 	comp, stmts := stmtComponents(ast.Body)
-	keep, stats := minimize(run, indices(len(stmts)), func(keep []int) bool {
+	keep, stats := minimize(run, len(stmts), func(keep []int) bool {
 		body := keepStmts(ast.Body, comp, keptBitmap(len(stmts), keep))
 		return run.test(name, &pylang.Module{Name: name, Body: body})
-	}, cfg)
+	})
 	mr.DD = stats
 
 	kept := keptBitmap(len(stmts), keep)

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/appcorpus"
 	"repro/internal/appspec"
+	"repro/internal/pyruntime"
 )
 
 // runSummary flattens every simulated observable of one debloat run:
@@ -39,7 +41,7 @@ func runSummary(t *testing.T, r *Result) string {
 // TestMemoByteIdentity is the import memo's contract at pipeline scale: a
 // full debloat run — profiler ranking, every oracle run, DD decisions, and
 // the materialized optimized image — must be byte-identical with the
-// snapshot memo on and off, with and without parallel DD.
+// snapshot memo on and off.
 func TestMemoByteIdentity(t *testing.T) {
 	apps := []func() *appspec.App{
 		torchExampleApp,
@@ -48,8 +50,7 @@ func TestMemoByteIdentity(t *testing.T) {
 	}
 	if !testing.Short() {
 		// resnet and huggingface are where replay dominates: a pass reads
-		// only a few percent of the slots their replays install, and at 4
-		// workers the DD goroutines read shared snapshot nodes at once.
+		// only a few percent of the slots their replays install.
 		apps = append(apps,
 			func() *appspec.App { return appcorpus.MustBuild("lightgbm") },
 			func() *appspec.App { return appcorpus.MustBuild("igraph") },
@@ -58,40 +59,76 @@ func TestMemoByteIdentity(t *testing.T) {
 		)
 	}
 	for _, build := range apps {
+		golden := memoRunSummary(t, build(), true)
 		app := build()
-		// Oracle-run accounting is deterministic per worker count but not
-		// across worker counts (parallel DD evaluates whole waves; see
-		// Config.Workers), so memo identity is asserted within each
-		// workers setting.
-		for _, workers := range []int{1, 4} {
-			var golden string
-			for _, disableMemo := range []bool{true, false} {
-				cfg := DefaultConfig()
-				cfg.DisableMemo = disableMemo
-				cfg.Workers = workers
-				res, err := Run(build(), cfg)
-				if err != nil {
-					t.Fatalf("%s/nomemo=%v/w%d: %v", app.Name, disableMemo, workers, err)
-				}
-				sum := runSummary(t, res)
-				if golden == "" {
-					golden = sum
-					continue
-				}
-				if sum != golden {
-					gl, sl := strings.Split(golden, "\n"), strings.Split(sum, "\n")
-					for i := 0; i < len(gl) && i < len(sl); i++ {
-						if gl[i] != sl[i] {
-							t.Fatalf("%s w%d: memo diverges from no-memo at line %d:\n  no-memo: %s\n  memo:    %s",
-								app.Name, workers, i+1, gl[i], sl[i])
-						}
-					}
-					t.Fatalf("%s w%d: memo diverges from no-memo (lengths %d vs %d)",
-						app.Name, workers, len(gl), len(sl))
-				}
+		assertSameSummary(t, app.Name, golden, memoRunSummary(t, app, false))
+	}
+}
+
+// TestSharedSnapshotCacheConcurrentRuns: runs on the corpus pool share one
+// SnapshotCache, so their oracle runs read the same snapshot nodes at once
+// (lazy replay materializes slots from them). Four concurrent resnet
+// debloats against one cache must each match the sequential no-memo run;
+// under -race this is the check that shared nodes are only ever read.
+func TestSharedSnapshotCacheConcurrentRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four resnet debloats")
+	}
+	build := func() *appspec.App { return appcorpus.MustBuild("resnet") }
+	golden := memoRunSummary(t, build(), true)
+	snap := pyruntime.NewSnapshotCache()
+	results := make([]*Result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := DefaultConfig()
+			cfg.Snapshots = snap
+			res, err := Run(build(), cfg)
+			if err != nil {
+				t.Errorf("run %d: %v", i, err)
+				return
 			}
+			results[i] = res
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if res != nil {
+			assertSameSummary(t, fmt.Sprintf("resnet run %d", i), golden, runSummary(t, res))
 		}
 	}
+}
+
+// memoRunSummary debloats app under the default configuration, with the
+// memo on (a private cache) or off, and summarizes the run.
+func memoRunSummary(t *testing.T, app *appspec.App, disableMemo bool) string {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.DisableMemo = disableMemo
+	res, err := Run(app, cfg)
+	if err != nil {
+		t.Fatalf("%s/nomemo=%v: %v", app.Name, disableMemo, err)
+	}
+	return runSummary(t, res)
+}
+
+// assertSameSummary fails at the first line where a memoized run's summary
+// diverges from the no-memo golden.
+func assertSameSummary(t *testing.T, what, golden, sum string) {
+	t.Helper()
+	if sum == golden {
+		return
+	}
+	gl, sl := strings.Split(golden, "\n"), strings.Split(sum, "\n")
+	for i := 0; i < len(gl) && i < len(sl); i++ {
+		if gl[i] != sl[i] {
+			t.Fatalf("%s: memo diverges from no-memo at line %d:\n  no-memo: %s\n  memo:    %s",
+				what, i+1, gl[i], sl[i])
+		}
+	}
+	t.Fatalf("%s: memo diverges from no-memo (lengths %d vs %d)", what, len(gl), len(sl))
 }
 
 // TestRunRetainsNoHeap: a debloat run with its own caches must leave nothing

@@ -36,9 +36,9 @@ type runner struct {
 	overrides map[string]*pylang.Module
 	golden    []goldenRecord
 
-	// mu guards the accounting fields; the oracle itself is safe for
-	// concurrent execution (fresh interpreter per run, shared state
-	// read-only), which parallel DD relies on.
+	// mu guards the accounting fields. The oracle itself shares only the
+	// caches with other runs (fresh interpreter per run), and those are
+	// safe for the corpus pool's concurrent runs.
 	mu      sync.Mutex
 	virtual time.Duration
 	runs    int
@@ -65,9 +65,7 @@ func (r *runner) account(d time.Duration) {
 }
 
 // nowVirtual is the runner's position on the pipeline timeline; it is the
-// span clock for everything downstream of profiling. Reads are only
-// deterministic at sequential points (between oracle runs, or at parallel
-// DD's wave boundaries, where the accumulated sum is schedule-independent).
+// span clock for everything downstream of profiling.
 func (r *runner) nowVirtual() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -244,12 +244,6 @@ type Invocation struct {
 	FallbackUsed bool
 	// FallbackKind is the start kind of the fallback invocation when used.
 	FallbackKind StartKind
-
-	// SnapStartRestore marks cold starts served from a checkpoint; Init
-	// then holds the restore latency and RestoreFeeUSD the per-restore
-	// charge (included in CostUSD).
-	SnapStartRestore bool
-	RestoreFeeUSD    float64
 }
 
 // instance is one warm-capable execution environment.
@@ -263,27 +257,10 @@ type instance struct {
 	expired   bool
 }
 
-// SnapStartConfig enables checkpoint/restore-backed cold starts for a
-// deployment: instead of re-running Function Initialization, a cold start
-// restores the post-init snapshot. Restores are not billed as duration —
-// they are charged per GB restored, and the checkpoint accrues cache
-// storage cost for as long as the function stays deployed (AWS SnapStart
-// pricing, §8.6).
-type SnapStartConfig struct {
-	// RestoreTime replaces Function Initialization latency on cold starts.
-	RestoreTime time.Duration
-	// RestoreFeeUSD is charged per cold start.
-	RestoreFeeUSD float64
-	// CacheUSDPerSecond accrues while deployed (surfaced via
-	// FunctionStats; per-invocation records carry only the restore fee).
-	CacheUSDPerSecond float64
-}
-
 // deployment is a registered function.
 type deployment struct {
 	app       *appspec.App
 	fallback  string // name of the fallback function, if any
-	snapstart *SnapStartConfig
 	instances []*instance
 	// configuredMB is fixed at Deploy time — from the appspec's explicit
 	// MemoryMB or from a profiling invocation, as operators do with AWS
@@ -405,13 +382,6 @@ func (p *Platform) DeployWithFallback(debloated, original *appspec.App) {
 	p.fns[debloated.Name].fallback = fallbackName
 }
 
-// DeployWithSnapStart registers an app whose cold starts restore from a
-// checkpoint instead of re-initializing.
-func (p *Platform) DeployWithSnapStart(app *appspec.App, cfg SnapStartConfig) {
-	p.Deploy(app)
-	p.fns[app.Name].snapstart = &cfg
-}
-
 // InvalidateWarm discards all warm instances of a function (the paper
 // triggers this by updating the function description between invocations).
 func (p *Platform) InvalidateWarm(name string) {
@@ -430,11 +400,6 @@ type Stats struct {
 	Timeouts    int
 	Throttles   int
 	InitCrashes int
-}
-
-// Failures is the total of all platform-level failure counters.
-func (s Stats) Failures() int {
-	return s.OOMKills + s.Timeouts + s.Throttles + s.InitCrashes
 }
 
 // FunctionStats returns counters for a deployed function.
@@ -582,15 +547,6 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 		inst.initTime = interp.Clock.Now() - t0
 		inst.initMemMB = simtime.MBf(interp.Alloc.Used() - m0)
 		inv.Init = inst.initTime
-		if d.snapstart != nil {
-			// Restoring the snapshot replaces re-initialization: the
-			// interpreter state is built the same way (semantics), but
-			// the observable latency is the restore time and the charge
-			// is the per-GB restore fee instead of billed duration.
-			inv.Init = d.snapstart.RestoreTime
-			inv.SnapStartRestore = true
-			inv.RestoreFeeUSD = d.snapstart.RestoreFeeUSD
-		}
 		// Fault draw 2 (cold): a transient init crash kills the fresh
 		// environment at the end of initialization. The init duration is
 		// billed (Lambda bills a failed INIT phase) and the instance never
@@ -602,10 +558,8 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 			inv.Err = &FailureError{Class: FailureInitCrash, Function: d.app.Name,
 				Detail: "transient crash during function initialization"}
 			inv.PeakMB = simtime.MBf(interp.Alloc.Peak()) + p.cfg.BaseRuntimeMB
-			if !inv.SnapStartRestore {
-				inv.BilledDuration = p.cfg.Pricing.BillDuration(inv.Init)
-			}
-			inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB) + inv.RestoreFeeUSD
+			inv.BilledDuration = p.cfg.Pricing.BillDuration(inv.Init)
+			inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB)
 			inv.E2E = p.cfg.RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init
 			if advanceClock {
 				p.now += inv.E2E
@@ -650,7 +604,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 	// to grow linearly across the window) and timeout strikes first kills
 	// the invocation; the partial duration up to the kill is billed.
 	window := inv.Exec
-	if inv.Kind == ColdStart && !inv.SnapStartRestore {
+	if inv.Kind == ColdStart {
 		window += inv.Init
 	}
 	killAt := window
@@ -696,11 +650,11 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 
 	// Billing: partial duration up to the kill, full window otherwise.
 	billed := inv.Exec
-	if inv.Kind == ColdStart && !inv.SnapStartRestore {
+	if inv.Kind == ColdStart {
 		billed += inv.Init
 	}
 	inv.BilledDuration = p.cfg.Pricing.BillDuration(billed)
-	inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB) + inv.RestoreFeeUSD
+	inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB)
 
 	inv.E2E = p.cfg.RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init + inv.Exec
 
@@ -785,32 +739,6 @@ func (p *Platform) warmInstance(d *deployment) *instance {
 	}
 	d.instances = live
 	return found
-}
-
-// InvokeBurst delivers n copies of event concurrently at the current
-// platform time — the scale-out burst the paper's introduction motivates
-// ("scale-out architectures that lead to very bursty workloads"). Idle
-// warm instances serve what they can; every request beyond that pays a
-// full cold start. The platform clock advances by the slowest E2E.
-func (p *Platform) InvokeBurst(name string, event map[string]any, n int) ([]*Invocation, error) {
-	d, ok := p.fns[name]
-	if !ok {
-		return nil, fmt.Errorf("faas: no function named %q", name)
-	}
-	out := make([]*Invocation, 0, n)
-	var maxE2E time.Duration
-	for i := 0; i < n; i++ {
-		inv, err := p.invoke(d, event, false, nil)
-		if err != nil {
-			return nil, err
-		}
-		if inv.E2E > maxE2E {
-			maxE2E = inv.E2E
-		}
-		out = append(out, inv)
-	}
-	p.now += maxE2E
-	return out, nil
 }
 
 func contextValue(app *appspec.App) pyruntime.Value {

@@ -508,54 +508,19 @@ func TestQuickCostMonotone(t *testing.T) {
 	}
 }
 
-func TestSnapStartDeployment(t *testing.T) {
-	app := testApp("snap")
-	// Plain deployment for comparison.
-	plainInv, err := MeasureColdStart(app, DefaultConfig())
+// burst delivers n copies of event at once with no retries: a plain
+// scale-out burst.
+func burst(t *testing.T, p *Platform, name string, event map[string]any, n int) []*Invocation {
+	t.Helper()
+	events := make([]map[string]any, n)
+	for i := range events {
+		events[i] = event
+	}
+	invs, err := p.InvokeGroupWithRetry(name, events, RetryPolicy{MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	p := New(DefaultConfig())
-	p.DeployWithSnapStart(app, SnapStartConfig{
-		RestoreTime:   120 * time.Millisecond,
-		RestoreFeeUSD: 0.00002,
-	})
-	inv, err := p.Invoke("snap", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inv.SnapStartRestore || inv.Kind != ColdStart {
-		t.Fatalf("expected a snapstart cold start: %+v", inv)
-	}
-	// Restore latency replaces the 200ms+ initialization.
-	if inv.Init != 120*time.Millisecond {
-		t.Errorf("init = %v, want the restore time", inv.Init)
-	}
-	if inv.E2E >= plainInv.E2E {
-		t.Errorf("snapstart cold E2E %v should beat plain %v", inv.E2E, plainInv.E2E)
-	}
-	// Restore is not billed as duration; it is a separate fee.
-	if inv.BilledDuration >= plainInv.BilledDuration {
-		t.Errorf("snapstart billed %v should exclude init (plain %v)",
-			inv.BilledDuration, plainInv.BilledDuration)
-	}
-	if inv.RestoreFeeUSD != 0.00002 {
-		t.Errorf("restore fee = %v", inv.RestoreFeeUSD)
-	}
-	durationCost := DefaultConfig().Pricing.Cost(inv.BilledDuration, inv.MemoryMB)
-	if diff := inv.CostUSD - (durationCost + inv.RestoreFeeUSD); diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("cost %v != duration %v + fee %v", inv.CostUSD, durationCost, inv.RestoreFeeUSD)
-	}
-
-	// Warm starts behave normally (no restore, no fee).
-	warm, err := p.Invoke("snap", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Kind != WarmStart || warm.SnapStartRestore || warm.RestoreFeeUSD != 0 {
-		t.Errorf("warm invocation wrong: %+v", warm)
-	}
+	return invs
 }
 
 func TestInvokeBurstColdStorm(t *testing.T) {
@@ -563,11 +528,7 @@ func TestInvokeBurstColdStorm(t *testing.T) {
 	p.Deploy(testApp("burst"))
 
 	// Prime two warm instances with an initial burst of 2.
-	first, err := p.InvokeBurst("burst", nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inv := range first {
+	for _, inv := range burst(t, p, "burst", nil, 2) {
 		if inv.Kind != ColdStart {
 			t.Error("initial burst should be all cold")
 		}
@@ -579,12 +540,8 @@ func TestInvokeBurstColdStorm(t *testing.T) {
 
 	// Wait for both to go idle, then burst 5: two warm, three cold.
 	p.Advance(10 * time.Second)
-	second, err := p.InvokeBurst("burst", nil, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cold, warm := 0, 0
-	for _, inv := range second {
+	for _, inv := range burst(t, p, "burst", nil, 5) {
 		if inv.Kind == ColdStart {
 			cold++
 		} else {
@@ -600,12 +557,8 @@ func TestBurstAdvancesClockBySlowest(t *testing.T) {
 	p := New(DefaultConfig())
 	p.Deploy(testApp("b2"))
 	t0 := p.Now()
-	invs, err := p.InvokeBurst("b2", nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var maxE2E time.Duration
-	for _, inv := range invs {
+	for _, inv := range burst(t, p, "b2", nil, 3) {
 		if inv.E2E > maxE2E {
 			maxE2E = inv.E2E
 		}
@@ -620,11 +573,7 @@ func TestBusyInstancesNotReused(t *testing.T) {
 	p.Deploy(testApp("b3"))
 	// A burst of 4 simultaneous requests needs 4 instances: none can be
 	// shared while busy.
-	invs, err := p.InvokeBurst("b3", nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inv := range invs {
+	for _, inv := range burst(t, p, "b3", nil, 4) {
 		if inv.Kind != ColdStart {
 			t.Error("simultaneous requests cannot share an instance")
 		}

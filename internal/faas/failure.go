@@ -278,16 +278,44 @@ type retryState struct {
 	billed  time.Duration
 	e2e     time.Duration
 	backoff time.Duration
+	end     time.Duration // completion of the last attempt on the platform clock
 	done    bool
 	span    *obs.Span // "request" span grouping the attempts (nil untraced)
 }
 
-func (st *retryState) absorb(inv *Invocation, attempt int) {
-	inv.Attempt = attempt
+// absorb adds one attempt to the request and counts it. The request is
+// done once an attempt succeeds, fails for good, or is the last one the
+// policy allows (MaxAttempts below 1 allows one).
+func (st *retryState) absorb(p *Platform, inv *Invocation, pol RetryPolicy) {
+	inv.Attempt = len(st.costs) + 1
 	st.last = inv
 	st.costs = append(st.costs, inv.CostUSD)
 	st.billed += inv.BilledDuration
 	st.e2e += inv.E2E
+	p.cfg.Tracer.Metrics().Inc("faas.retry.attempts", 1)
+	st.done = inv.Err == nil || !retryable(inv.Class) || len(st.costs) >= pol.MaxAttempts
+}
+
+// retry makes the next attempt of an unfinished request: it charges the
+// budget (a denied retry ends the request), waits out the backoff on the
+// platform clock, re-invokes and absorbs the attempt.
+func (p *Platform) retry(st *retryState, name string, event map[string]any, pol RetryPolicy) error {
+	if !pol.allowRetry(p.now) {
+		p.noteBudgetExhausted(name)
+		st.done = true
+		return nil
+	}
+	wait := pol.backoff(len(st.costs), p.rng)
+	st.backoff += wait
+	p.recordBackoff(st.span, len(st.costs), wait)
+	p.Advance(wait)
+	inv, err := p.invokeNamed(name, event, true, st.span)
+	if err != nil {
+		return err
+	}
+	st.absorb(p, inv, pol)
+	st.end = p.now
+	return nil
 }
 
 // finalize builds the aggregate client-visible record: the last attempt's
@@ -313,36 +341,23 @@ func (st *retryState) finalize() *Invocation {
 // returned record carries the final outcome with aggregate cost, billed
 // duration, E2E (attempts + waits) and the per-attempt bills.
 func (p *Platform) InvokeWithRetry(name string, event map[string]any, pol RetryPolicy) (*Invocation, error) {
-	maxA := pol.MaxAttempts
-	if maxA < 1 {
-		maxA = 1
-	}
-	tr := p.cfg.Tracer
 	var st retryState
-	if tr != nil {
+	if tr := p.cfg.Tracer; tr != nil {
 		st.span = tr.StartChild(nil, "request "+name, "faas", p.now)
 	}
-	for attempt := 1; attempt <= maxA; attempt++ {
-		inv, err := p.invokeNamed(name, event, true, st.span)
-		if err != nil {
+	inv, err := p.invokeNamed(name, event, true, st.span)
+	if err != nil {
+		return nil, err
+	}
+	st.absorb(p, inv, pol)
+	st.end = p.now
+	for !st.done {
+		if err := p.retry(&st, name, event, pol); err != nil {
 			return nil, err
 		}
-		st.absorb(inv, attempt)
-		tr.Metrics().Inc("faas.retry.attempts", 1)
-		if inv.Err == nil || !retryable(inv.Class) || attempt == maxA {
-			break
-		}
-		if !pol.allowRetry(p.now) {
-			p.noteBudgetExhausted(name)
-			break
-		}
-		wait := pol.backoff(attempt, p.rng)
-		st.backoff += wait
-		p.recordBackoff(st.span, attempt, wait)
-		p.Advance(wait)
 	}
 	out := st.finalize()
-	st.close(p, out, p.now)
+	st.close(p, out)
 	return out, nil
 }
 
@@ -368,7 +383,7 @@ func (p *Platform) recordBackoff(req *obs.Span, attempt int, wait time.Duration)
 
 // close finishes the request span at the request's completion time with the
 // aggregate outcome, and counts requests that needed more than one attempt.
-func (st *retryState) close(p *Platform, out *Invocation, end time.Duration) {
+func (st *retryState) close(p *Platform, out *Invocation) {
 	tr := p.cfg.Tracer
 	if tr == nil {
 		return
@@ -382,22 +397,20 @@ func (st *retryState) close(p *Platform, out *Invocation, end time.Duration) {
 		obs.Int("attempts", int64(out.Attempts)),
 		obs.String("class", out.Class.String()),
 		obs.DurationUS("backoff_us", out.BackoffWait),
-	).Finish(end)
+	).Finish(st.end)
 }
 
 // InvokeGroupWithRetry delivers all events concurrently at the current
-// platform time (like InvokeBurst — this is what builds up the
-// concurrency that trips a throttle limit), then drives each failed
-// retryable request through the policy's sequential backoff-and-retry
-// loop. Records are returned in event order with the same per-attempt
-// accounting as InvokeWithRetry.
+// platform time — a burst: idle warm instances serve what they can, every
+// request beyond that pays a cold start, and the concurrency it builds up
+// is what trips a throttle limit. The clock advances by the slowest first
+// attempt; then each failed retryable request goes through the policy's
+// sequential backoff-and-retry loop, in event order. Records are returned
+// in event order with the same per-attempt accounting as InvokeWithRetry.
+// RetryPolicy{MaxAttempts: 1} delivers a plain burst.
 func (p *Platform) InvokeGroupWithRetry(name string, events []map[string]any, pol RetryPolicy) ([]*Invocation, error) {
 	if len(events) == 0 {
 		return nil, nil
-	}
-	maxA := pol.MaxAttempts
-	if maxA < 1 {
-		maxA = 1
 	}
 	tr := p.cfg.Tracer
 	groupStart := p.now
@@ -413,44 +426,27 @@ func (p *Platform) InvokeGroupWithRetry(name string, events []map[string]any, po
 		if err != nil {
 			return nil, err
 		}
-		st.absorb(inv, 1)
-		tr.Metrics().Inc("faas.retry.attempts", 1)
-		st.done = inv.Err == nil || !retryable(inv.Class) || maxA == 1
+		st.absorb(p, inv, pol)
+		st.end = groupStart + st.e2e
 		if inv.E2E > maxE2E {
 			maxE2E = inv.E2E
 		}
 	}
 	p.now += maxE2E
 
-	// Stragglers retry sequentially, in event order.
-	ends := make([]time.Duration, len(events))
 	for i := range states {
 		st := &states[i]
-		ends[i] = groupStart + st.e2e
 		for !st.done {
-			if !pol.allowRetry(p.now) {
-				p.noteBudgetExhausted(name)
-				break
-			}
-			wait := pol.backoff(len(st.costs), p.rng)
-			st.backoff += wait
-			p.recordBackoff(st.span, len(st.costs), wait)
-			p.Advance(wait)
-			inv, err := p.invokeNamed(name, events[i], true, st.span)
-			if err != nil {
+			if err := p.retry(st, name, events[i], pol); err != nil {
 				return nil, err
 			}
-			st.absorb(inv, len(st.costs)+1)
-			tr.Metrics().Inc("faas.retry.attempts", 1)
-			st.done = inv.Err == nil || !retryable(inv.Class) || len(st.costs) >= maxA
-			ends[i] = p.now
 		}
 	}
 
 	out := make([]*Invocation, len(events))
 	for i := range states {
 		out[i] = states[i].finalize()
-		states[i].close(p, out[i], ends[i])
+		states[i].close(p, out[i])
 	}
 	return out, nil
 }

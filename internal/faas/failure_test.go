@@ -238,12 +238,8 @@ func TestThrottleUnderConcurrencyLimit(t *testing.T) {
 	p := New(cfg)
 	p.Deploy(memApp("fn"))
 
-	invs, err := p.InvokeBurst("fn", lightEvent, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	throttled := 0
-	for _, inv := range invs {
+	for _, inv := range burst(t, p, "fn", lightEvent, 4) {
 		if inv.Class == FailureThrottle {
 			throttled++
 			if inv.CostUSD != 0 || inv.BilledDuration != 0 {

@@ -18,7 +18,7 @@ import (
 func SampleOf(inv *Invocation) monitor.Sample {
 	cold := inv.Kind == ColdStart && inv.Class != FailureThrottle
 	var billedInit time.Duration
-	if cold && !inv.SnapStartRestore {
+	if cold {
 		billedInit = inv.Init
 	}
 	billedExec := inv.Exec
@@ -26,18 +26,17 @@ func SampleOf(inv *Invocation) monitor.Sample {
 		billedExec = 0
 	}
 	return monitor.Sample{
-		Function:      inv.Function,
-		Cold:          cold,
-		Class:         inv.Class.String(),
-		Init:          inv.Init,
-		Exec:          inv.Exec,
-		E2E:           inv.E2E,
-		BilledInit:    billedInit,
-		BilledExec:    billedExec,
-		Billed:        inv.BilledDuration,
-		MemoryMB:      inv.MemoryMB,
-		CostUSD:       inv.CostUSD,
-		RestoreFeeUSD: inv.RestoreFeeUSD,
+		Function:   inv.Function,
+		Cold:       cold,
+		Class:      inv.Class.String(),
+		Init:       inv.Init,
+		Exec:       inv.Exec,
+		E2E:        inv.E2E,
+		BilledInit: billedInit,
+		BilledExec: billedExec,
+		Billed:     inv.BilledDuration,
+		MemoryMB:   inv.MemoryMB,
+		CostUSD:    inv.CostUSD,
 	}
 }
 

@@ -24,10 +24,10 @@ func (p *Platform) emitFault(kind, fn string) {
 
 // recordInvocation reconstructs one completed platform invocation as a span
 // subtree — queue/routing wait, the cold-path phases (instance init, image
-// transfer, function init or snapshot restore), and handler execution —
-// from the final Invocation record, whose phase durations already reflect
-// any OOM/timeout truncation. It also feeds the metrics registry and
-// appends the invocation's canonical record to the event log.
+// transfer, function init), and handler execution — from the final
+// Invocation record, whose phase durations already reflect any OOM/timeout
+// truncation. It also feeds the metrics registry and appends the
+// invocation's canonical record to the event log.
 func (p *Platform) recordInvocation(parent *obs.Span, start time.Duration, inv *Invocation) {
 	p.observeMonitor(start, inv)
 	tr := p.cfg.Tracer
@@ -45,9 +45,6 @@ func (p *Platform) recordInvocation(parent *obs.Span, start time.Duration, inv *
 		obs.DurationUS("billed_us", inv.BilledDuration),
 		obs.Attr{Key: "cost_usd", Val: fmt.Sprintf("%.12f", inv.CostUSD)},
 	)
-	if inv.SnapStartRestore {
-		sp.Add(obs.Bool("snapstart", true))
-	}
 
 	reg.Inc("faas.invocations", 1)
 	if inv.Class != FailureNone {
@@ -82,10 +79,6 @@ func (p *Platform) recordInvocation(parent *obs.Span, start time.Duration, inv *
 		reg.Inc("faas.cold_starts", 1)
 		phase("instance-init", inv.InstanceInit)
 		phase("image-transfer", inv.ImageTransfer)
-		initName := "init"
-		if inv.SnapStartRestore {
-			initName = "restore"
-		}
 		initDur := inv.Init
 		if initDur == 0 && inv.Exec == 0 && inv.Class == FailureHandler {
 			// The entry import itself raised: the record keeps no Init,
@@ -93,7 +86,7 @@ func (p *Platform) recordInvocation(parent *obs.Span, start time.Duration, inv *
 			initDur = inv.E2E - p.cfg.RoutingOverhead - inv.InstanceInit - inv.ImageTransfer
 			importCrash = true
 		}
-		phase(initName, initDur)
+		phase("init", initDur)
 		reg.Observe("faas.init.seconds", initDur.Seconds())
 	}
 	if inv.Class != FailureInitCrash && !importCrash {

@@ -11,8 +11,8 @@ import (
 // Registry is the metrics side of the observability layer: named counters,
 // gauges, and fixed-bucket latency histograms (stats.Histogram). All
 // methods are nil-safe and safe for concurrent use; every accumulation is
-// order-independent (sums and bucket counts), so concurrent writers — the
-// one concurrent producer is parallel DD — cannot perturb determinism.
+// order-independent (sums and bucket counts), so concurrent writers cannot
+// perturb determinism.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]int64

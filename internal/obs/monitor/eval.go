@@ -2,43 +2,20 @@ package monitor
 
 import "time"
 
-// FoldSample records one invocation sample into a bare Store exactly the way
-// Monitor.Observe does: the shared req.total/req.error/req.cold/cost.usd
+// SampleSeries is the one fold path: the live Monitor and every replay
+// shard fold each sample through it. It is a handle set over the series
+// one sample folds into — the shared req.total/req.error/req.cold/cost.usd
 // series plus one bad-event series per objective that carries its own
-// threshold. It is the streaming half of the monitor split out for sharded
-// replay: per-worker stores fed through FoldSample and merged in a fixed
-// order hold byte-for-byte the same rollups a single Monitor observing the
-// global sample sequence would hold, because every series value is a
-// per-sample add and windows partition samples by time.
+// threshold, or the built-ins under a label set — resolved once, so each
+// sample folds with no lock, no map lookup, and no name construction.
+// Like every Handle it creates a series only on its first write. It is
+// owned by one goroutine together with its store (see Store); the live
+// Monitor writes and reads both under its mutex.
 //
-// slos should already carry their final parameters (withDefaults does not
-// affect which series a sample lands in, so applying it is optional here).
-func FoldSample(st *Store, at time.Duration, s Sample, slos []SLO) {
-	if st == nil {
-		return
-	}
-	st.Record(seriesTotal, at, s.E2E.Seconds())
-	if s.Class != "ok" {
-		st.Record(seriesErrors, at, 1)
-	}
-	if s.Cold {
-		st.Record(seriesCold, at, 1)
-	}
-	st.Record(seriesCost, at, s.CostUSD)
-	for _, def := range slos {
-		if def.ownsBadSeries() && def.bad(&s) {
-			st.Record(def.badSeries(), at, 1)
-		}
-	}
-}
-
-// SampleSeries is a single-owner handle set over the series one sample
-// folds into — FoldSample's built-in and per-objective bad series, or the
-// built-ins under a label set — resolved once so a high-rate producer
-// folds each sample with no lock, no map lookup, and no name
-// construction. Like every Handle it creates a series only on the first
-// write, so Names and the exposition match the FoldSample path exactly.
-// It is owned by one goroutine together with its store (see Store).
+// Per-worker stores merged in a fixed order hold byte-for-byte the same
+// rollups a single Monitor observing the global sample sequence would
+// hold, because every series value is a per-sample add and windows
+// partition samples by time.
 type SampleSeries struct {
 	total, errors, cold, cost Handle
 	bad                       []sloSeries
@@ -50,10 +27,12 @@ type sloSeries struct {
 	h   Handle
 }
 
-// SampleSeries prepares the handle set for a label set. With no labels
-// and the replay's objectives it mirrors FoldSample; with labels (and no
-// objectives — they are fleet-wide, so their bad series stay unlabeled) it
-// records the built-in series under their LabeledSeries names.
+// SampleSeries prepares the handle set for a label set. With no labels it
+// records the built-in series and the objectives' bad series; with labels
+// (and no objectives — they are fleet-wide, so their bad series stay
+// unlabeled) it records the built-in series under their LabeledSeries
+// names. withDefaults does not change which series a sample lands in, so
+// slos need not carry their final parameters.
 func (st *Store) SampleSeries(slos []SLO, labels ...Label) *SampleSeries {
 	f := &SampleSeries{
 		total:  st.Handle(LabeledSeries(seriesTotal, labels...)),
@@ -69,8 +48,7 @@ func (st *Store) SampleSeries(slos []SLO, labels ...Label) *SampleSeries {
 	return f
 }
 
-// Fold records one sample at `at`, exactly as FoldSample would for the
-// same store and no labels. A nil set records nothing.
+// Fold records one sample at `at`. A nil set records nothing.
 func (f *SampleSeries) Fold(at time.Duration, s *Sample) {
 	if f == nil {
 		return
@@ -130,9 +108,10 @@ func burnOver(st *Store, def SLO, T, window time.Duration) float64 {
 // the store so nothing slides out).
 //
 // This is what makes sharded replay's telemetry exact rather than
-// approximate: workers fold samples into private stores with FoldSample,
-// the stores merge window-wise in a fixed order, and the alert log is
-// recovered from the merged result byte-identically to a sequential run.
+// approximate: workers fold samples into private stores through
+// SampleSeries, the stores merge window-wise in a fixed order, and the
+// alert log is recovered from the merged result byte-identically to a
+// sequential run.
 func EvaluateSLOs(st *Store, slos []SLO, latest time.Duration) ([]AlertEvent, []SLOFireCount) {
 	res := st.Resolution()
 	if res <= 0 || len(slos) == 0 {

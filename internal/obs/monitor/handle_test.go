@@ -79,11 +79,30 @@ func TestHandleMatchesRecord(t *testing.T) {
 	zero.Record(time.Second, 1)
 }
 
+// foldSample is the per-sample fold SampleSeries replaced, kept as the
+// reference it must match: one Store.Record per built-in series, plus one
+// per objective that owns a bad series and finds the sample bad.
+func foldSample(st *Store, at time.Duration, s Sample, slos []SLO) {
+	st.Record(seriesTotal, at, s.E2E.Seconds())
+	if s.Class != "ok" {
+		st.Record(seriesErrors, at, 1)
+	}
+	if s.Cold {
+		st.Record(seriesCold, at, 1)
+	}
+	st.Record(seriesCost, at, s.CostUSD)
+	for _, def := range slos {
+		if def.ownsBadSeries() && def.bad(&s) {
+			st.Record(def.badSeries(), at, 1)
+		}
+	}
+}
+
 // TestSampleSeriesMatchesFoldSample checks the precomputed handle set
-// against the per-sample path it replaces — FoldSample for the unlabeled
-// set, one Store.Record per built-in series name for the labeled set: same
-// series, same rollups, same exposition — including per-SLO bad series
-// created only when a sample is actually bad.
+// against the per-sample reference — foldSample for the unlabeled set, one
+// Store.Record per built-in series name for the labeled set: same series,
+// same rollups, same exposition — including per-SLO bad series created
+// only when a sample is actually bad.
 func TestSampleSeriesMatchesFoldSample(t *testing.T) {
 	slos := []SLO{
 		{Name: "lat", Kind: KindLatency, Threshold: 800 * time.Millisecond},
@@ -111,7 +130,7 @@ func TestSampleSeriesMatchesFoldSample(t *testing.T) {
 			E2E:     time.Duration(rng.Int63n(int64(2 * time.Second))),
 			CostUSD: rng.Float64() * 1e-6,
 		}
-		FoldSample(viaFold, at, s, slos)
+		foldSample(viaFold, at, s, slos)
 		viaFold.Record(total, at, s.E2E.Seconds())
 		if s.Class != "ok" {
 			viaFold.Record(errs, at, 1)
@@ -124,7 +143,7 @@ func TestSampleSeriesMatchesFoldSample(t *testing.T) {
 		labeled.Fold(at, &s)
 	}
 	if want, got := dumpStore(viaFold), dumpStore(viaHandle); got != want {
-		t.Fatalf("SampleSeries differs from FoldSample:\n--- FoldSample\n%s\n--- SampleSeries\n%s", want, got)
+		t.Fatalf("SampleSeries differs from foldSample:\n--- foldSample\n%s\n--- SampleSeries\n%s", want, got)
 	}
 	var want, got strings.Builder
 	StoreFamilies(&want, viaFold, nil)

@@ -39,7 +39,8 @@ type Sample struct {
 	// MemoryMB is the configured memory size.
 	MemoryMB int
 	// CostUSD is the invocation's Eq.-1 bill; RestoreFeeUSD the SnapStart
-	// per-restore component inside it.
+	// per-restore component inside it. No producer sets RestoreFeeUSD: the
+	// platform simulator has no restore path.
 	CostUSD, RestoreFeeUSD float64
 }
 
@@ -66,9 +67,9 @@ type Monitor struct {
 	mu     sync.Mutex
 	cfg    Config
 	store  *Store
+	series *SampleSeries // store's fold handles, written under mu
 	ledger *Ledger
 	states []sloState
-	defs   []SLO // states[i].def, for FoldSample
 	alerts []AlertEvent
 	frames []string
 	hist   *stats.Histogram // cumulative E2E seconds
@@ -99,10 +100,9 @@ func New(cfg Config) *Monitor {
 		m.nextFrame = cfg.DashboardEvery
 	}
 	for _, def := range cfg.SLOs {
-		full := def.withDefaults(cfg.Resolution)
-		m.states = append(m.states, sloState{def: full})
-		m.defs = append(m.defs, full)
+		m.states = append(m.states, sloState{def: def.withDefaults(cfg.Resolution)})
 	}
+	m.series = m.store.SampleSeries(cfg.SLOs)
 	return m
 }
 
@@ -120,7 +120,7 @@ func (m *Monitor) Observe(at time.Duration, s Sample) {
 	if at > m.latest {
 		m.latest = at
 	}
-	FoldSample(m.store, at, s, m.defs)
+	m.series.Fold(at, &s)
 	m.ledger.Record(s)
 	m.hist.Observe(s.E2E.Seconds())
 }
@@ -239,6 +239,8 @@ func (m *Monitor) FireCounts() []SLOFireCount {
 }
 
 // Store exposes the underlying TSDB (nil when monitoring is disabled).
+// Observe writes it through lock-free handles, so read it only while no
+// Observe runs, e.g. after Finish.
 func (m *Monitor) Store() *Store {
 	if m == nil {
 		return nil

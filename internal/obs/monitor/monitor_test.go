@@ -227,7 +227,7 @@ func TestSLOAlertFiresAndResolves(t *testing.T) {
 }
 
 // The sharded-replay contract: folding the same sample stream into a bare
-// store with FoldSample and sweeping it post-hoc with EvaluateSLOs must
+// store through SampleSeries and sweeping it post-hoc with EvaluateSLOs must
 // reproduce the live Monitor's alert transitions and fire counts exactly —
 // boundary evaluation at T only reads windows strictly before T, so online
 // and after-the-fact evaluation see identical rollups.
@@ -242,11 +242,12 @@ func TestEvaluateSLOsMatchesLiveMonitor(t *testing.T) {
 	}
 	m := New(Config{Resolution: time.Second, SLOs: slos})
 	st := NewStore(time.Second, DefaultWindows)
+	fold := st.SampleSeries(slos)
 	at := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 	var latest time.Duration
 	feed := func(ts time.Duration, smp Sample) {
 		m.Observe(ts, smp)
-		FoldSample(st, ts, smp, slos)
+		fold.Fold(ts, &smp)
 		if ts > latest {
 			latest = ts
 		}

@@ -156,7 +156,9 @@ func SummaryFamilies(b *strings.Builder, counts []SLOFireCount, latency *stats.H
 func (m *Monitor) OpenMetrics() []byte {
 	var b strings.Builder
 	if m != nil {
+		m.mu.Lock()
 		StoreFamilies(&b, m.store, nil)
+		m.mu.Unlock()
 		SummaryFamilies(&b, m.FireCounts(), m.Latency(), m.ledger.Total())
 	}
 	b.WriteString("# EOF\n")

@@ -84,8 +84,8 @@ type SLO struct {
 
 // WithDefaults fills zero fields from the store resolution — the exact
 // parameter set a Monitor at that resolution would evaluate. Idempotent,
-// so callers may pre-apply it before FoldSample/EvaluateSLOs (which
-// applies it again internally).
+// so callers may pre-apply it before EvaluateSLOs (which applies it again
+// internally).
 func (s SLO) WithDefaults(res time.Duration) SLO { return s.withDefaults(res) }
 
 // withDefaults fills zero fields from the store resolution.

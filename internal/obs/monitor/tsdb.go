@@ -83,7 +83,8 @@ type series struct {
 // handle of a store writes, nothing else may touch that store — no reads,
 // no Record, no other goroutine's handle. A replay shard owns its store
 // exclusively until it hands it to the merger, which is exactly that
-// contract; anything shared (a live Monitor, a served result) uses Record.
+// contract. A live Monitor writes through handles only under its own
+// mutex, and its methods read the store under that mutex too.
 type Store struct {
 	mu     sync.Mutex
 	res    time.Duration

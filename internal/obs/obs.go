@@ -155,8 +155,7 @@ func (t *Tracer) End(s *Span, at time.Duration) {
 
 // StartChild opens a span under an explicit parent without touching the
 // span stack — for layers that interleave several logical flows (retry
-// groups) or record subtrees at synchronization points (parallel DD
-// waves). A nil parent attaches to the innermost open span, or as a root.
+// groups). A nil parent attaches to the innermost open span, or as a root.
 // Close with (*Span).Finish.
 func (t *Tracer) StartChild(parent *Span, name, cat string, at time.Duration) *Span {
 	if t == nil {

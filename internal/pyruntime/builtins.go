@@ -714,8 +714,8 @@ func biID(in *Interp, args []Value, kwargs map[string]Value) (Value, *PyErr) {
 	// Deterministic stand-in: a monotonically increasing per-interpreter
 	// token. Real id() values are address-dependent; corpus code only uses
 	// id() for uniqueness, which this preserves within a run. Keeping the
-	// counter on the interpreter also keeps parallel oracle runs
-	// deterministic and race-free.
+	// counter on the interpreter also keeps concurrent runs (the corpus
+	// pool's) deterministic and race-free.
 	in.idCounter++
 	return IntV(in.idCounter), nil
 }

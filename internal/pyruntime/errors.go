@@ -160,10 +160,3 @@ func (in *Interp) NewExc(class string, format string, args ...any) *PyErr {
 	inst.Dict.Set("args", &TupleV{Elems: []Value{StrV(msg)}})
 	return &PyErr{Value: inst}
 }
-
-// ExcClass exposes a builtin exception class (for harnesses that need to
-// test isinstance relationships, e.g. the fallback wrapper).
-func (in *Interp) ExcClass(name string) (*ClassV, bool) {
-	c, ok := in.excClasses[name]
-	return c, ok
-}

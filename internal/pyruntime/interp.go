@@ -131,8 +131,8 @@ func New(fs *vfs.FS) *Interp {
 // ASTCache is a concurrency-safe parse cache keyed by path+content. It is
 // shared across interpreter instances: the debloater creates a fresh Interp
 // per oracle run (module isolation) but source text is immutable during a
-// run, so parses can be reused — including across the goroutines of a
-// parallel Delta Debugging session.
+// run, so parses can be reused — including across the corpus pool's
+// concurrent runs.
 type ASTCache struct {
 	mu sync.RWMutex
 	m  map[string]*pylang.Module

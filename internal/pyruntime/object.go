@@ -189,9 +189,6 @@ func (d *DictV) Items() [][2]Value {
 // SetStr is a convenience for string keys.
 func (d *DictV) SetStr(key string, val Value) { d.Set(StrV(key), val) }
 
-// GetStr is a convenience for string keys.
-func (d *DictV) GetStr(key string) (Value, bool) { return d.Get(StrV(key)) }
-
 // ---------------------------------------------------------------------------
 // Callables, classes, modules
 // ---------------------------------------------------------------------------

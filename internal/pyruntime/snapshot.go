@@ -69,8 +69,7 @@ type SnapshotStats struct {
 // SnapshotCache memoizes module import windows across interpreter instances.
 // It is safe for concurrent use: entries are immutable after insertion and
 // replay builds fresh runtime objects per interpreter, so a cache may be
-// shared across the goroutines of a parallel DD session and across the apps
-// of a corpus-parallel debloat.
+// shared across the apps of a corpus-parallel debloat.
 type SnapshotCache struct {
 	mu           sync.RWMutex
 	m            map[string][]*snapEntry

@@ -30,6 +30,3 @@ func (br *Breaker) TryHalfOpen(now time.Duration) bool {
 
 // State reports the current state: "CLOSED", "OPEN", or "HALF_OPEN".
 func (br *Breaker) State() string { return br.b.state.String() }
-
-// Opens counts trips (open + reopen) so far.
-func (br *Breaker) Opens() int { return br.b.opens }

@@ -70,34 +70,9 @@ func fakeResult(orig, deb *appspec.App) *debloat.Result {
 var basicEvent = map[string]any{"id": 1}
 var advEvent = map[string]any{"mode": "advanced"}
 
-func TestParseStages(t *testing.T) {
-	got, err := ParseStages("1%:2m, 10%:2m ,50%:5m,100%:5m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultStages()
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("stage %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if spec := FormatStages(got); spec != "1%:2m0s,10%:2m0s,50%:5m0s,100%:5m0s" {
-		t.Errorf("FormatStages = %q", spec)
-	}
-	if back, err := ParseStages(FormatStages(got)); err != nil || len(back) != len(got) {
-		t.Errorf("round trip failed: %v %v", back, err)
-	}
-
-	for _, bad := range []string{
-		"", "50%:2m", "10%:2m,5%:2m,100%:1m", "0%:1m,100%:1m", "101%:1m",
-		"100%:-1m", "100%:0s", "100%", "abc%:1m,100%:1m", "100%:xyz", "100:1m",
-	} {
-		if _, err := ParseStages(bad); err == nil {
-			t.Errorf("ParseStages(%q) accepted", bad)
-		}
+func TestFormatStages(t *testing.T) {
+	if spec := FormatStages(DefaultStages()); spec != "1%:2m0s,10%:2m0s,50%:5m0s,100%:5m0s" {
+		t.Errorf("FormatStages(DefaultStages()) = %q", spec)
 	}
 }
 

@@ -12,7 +12,6 @@ package rollout
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -36,55 +35,8 @@ func DefaultStages() []Stage {
 	}
 }
 
-// ParseStages parses a canary ramp spec of the form
-// "1%:2m,10%:2m,50%:5m,100%:5m" — comma-separated percent:bake pairs.
-// Weights must be strictly ascending, in (0, 100], and end at 100%.
-func ParseStages(spec string) ([]Stage, error) {
-	var out []Stage
-	prev := 0.0
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		pctStr, bakeStr, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("rollout: bad stage %q (want percent:bake)", part)
-		}
-		pctStr = strings.TrimSpace(pctStr)
-		if !strings.HasSuffix(pctStr, "%") {
-			return nil, fmt.Errorf("rollout: bad weight %q (want e.g. 10%%)", pctStr)
-		}
-		pct, err := strconv.ParseFloat(strings.TrimSuffix(pctStr, "%"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("rollout: bad weight %q: %v", pctStr, err)
-		}
-		if pct <= 0 || pct > 100 {
-			return nil, fmt.Errorf("rollout: weight %v%% outside (0, 100]", pct)
-		}
-		if pct <= prev {
-			return nil, fmt.Errorf("rollout: weights must ascend, %v%% after %v%%", pct, prev)
-		}
-		prev = pct
-		bake, err := time.ParseDuration(strings.TrimSpace(bakeStr))
-		if err != nil {
-			return nil, fmt.Errorf("rollout: bad bake %q: %v", bakeStr, err)
-		}
-		if bake <= 0 {
-			return nil, fmt.Errorf("rollout: bake %v must be positive", bake)
-		}
-		out = append(out, Stage{Weight: pct / 100, Bake: bake})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("rollout: empty stage spec")
-	}
-	if out[len(out)-1].Weight != 1 {
-		return nil, fmt.Errorf("rollout: final stage must be 100%%, got %v%%", out[len(out)-1].Weight*100)
-	}
-	return out, nil
-}
-
-// FormatStages renders stages back into the ParseStages spec form.
+// FormatStages renders stages as comma-separated percent:bake pairs,
+// e.g. "1%:2m0s,10%:2m0s,50%:5m0s,100%:5m0s" for DefaultStages.
 func FormatStages(stages []Stage) string {
 	parts := make([]string, len(stages))
 	for i, s := range stages {

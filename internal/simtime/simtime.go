@@ -76,15 +76,8 @@ func (a *Allocator) Used() int64 { return a.used }
 // Peak returns the high-water mark.
 func (a *Allocator) Peak() int64 { return a.peak }
 
-// Reset empties the allocator and clears the peak.
-func (a *Allocator) Reset() { a.used, a.peak = 0, 0 }
-
-// Common sizes for converting between units in cost models.
-const (
-	KB int64 = 1 << 10
-	MB int64 = 1 << 20
-	GB int64 = 1 << 30
-)
+// MB is one megabyte in bytes.
+const MB int64 = 1 << 20
 
 // MBf converts a byte count to megabytes as a float.
 func MBf(bytes int64) float64 { return float64(bytes) / float64(MB) }

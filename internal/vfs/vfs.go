@@ -22,8 +22,7 @@ type FS struct {
 	files map[string]string
 
 	// hashes memoizes ContentHash per path, invalidated by Write/Remove.
-	// A sync.Map so concurrent readers (parallel Delta Debugging shares
-	// one image across oracle goroutines) stay lock-free on the hit path.
+	// A sync.Map so concurrent readers stay lock-free on the hit path.
 	hashes sync.Map // path -> hex digest
 
 	// derived memoizes values computed from the whole tree (the runtime's
