@@ -26,9 +26,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -44,56 +46,84 @@ func targetNames() []string {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	list := flag.Bool("list", false, "list experiment targets and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the up-front corpus debloat (full runs only)")
-	memo := flag.Bool("memo", true, "memoize module imports across oracle runs (off: re-interpret everything; output is identical either way)")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	events := flag.String("events", "", "write the JSONL event log of the run")
-	metrics := flag.String("metrics", "", "write a JSON metrics snapshot of the run")
-	flame := flag.String("flame", "", "write a folded-stack flamegraph of the run (speedscope/flamegraph.pl)")
-	openmetrics := flag.String("openmetrics", "", "write an OpenMetrics text exposition of the run's metrics")
-	fleetFunctions := flag.Int("fleet-functions", 0, "population size for the fleet/query/chaos targets (0: each target's default)")
-	fleetWorkers := flag.Int("fleet-workers", 0, "worker shards for the fleet/query/chaos targets, 0 = GOMAXPROCS (wall-clock only; output — including the chaos scorecard — is byte-identical at any count)")
-	cpuprofile := flag.String("cpuprofile", "", "write a real-clock CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (post-GC) at exit to this file")
-	flag.Parse()
+// run is the command: it parses args, resolves every target before any
+// work starts, and renders each target to stdout, diagnostics to stderr.
+// It returns the exit code: 0 on success, 1 when a run fails, 2 for a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiment targets and exit")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the up-front corpus debloat (full runs only)")
+	memo := fs.Bool("memo", true, "memoize module imports across oracle runs (off: re-interpret everything; output is identical either way)")
+	trace := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
+	events := fs.String("events", "", "write the JSONL event log of the run")
+	metrics := fs.String("metrics", "", "write a JSON metrics snapshot of the run")
+	flame := fs.String("flame", "", "write a folded-stack flamegraph of the run (speedscope/flamegraph.pl)")
+	openmetrics := fs.String("openmetrics", "", "write an OpenMetrics text exposition of the run's metrics")
+	fleetFunctions := fs.Int("fleet-functions", 0, "population size for the fleet/query/chaos targets (0: each target's default)")
+	fleetWorkers := fs.Int("fleet-workers", 0, "worker shards for the fleet/query/chaos targets, 0 = GOMAXPROCS (wall-clock only; output — including the chaos scorecard — is byte-identical at any count)")
+	cpuprofile := fs.String("cpuprofile", "", "write a real-clock CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC) at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	// Reject non-positive worker counts up front: they would reach the
 	// corpus pool, which quietly degrades to sequential; a misconfigured
 	// harness should fail loudly and deterministically.
 	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "-workers must be >= 1 (got %d)\n", *workers)
+		fmt.Fprintf(stderr, "-workers must be >= 1 (got %d)\n", *workers)
 		return 2
 	}
 	if *fleetFunctions < 0 {
-		fmt.Fprintf(os.Stderr, "-fleet-functions must be >= 0, 0 meaning the target's default (got %d)\n", *fleetFunctions)
+		fmt.Fprintf(stderr, "-fleet-functions must be >= 0, 0 meaning the target's default (got %d)\n", *fleetFunctions)
 		return 2
 	}
 	if *fleetWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "-fleet-workers must be >= 0, 0 meaning GOMAXPROCS (got %d)\n", *fleetWorkers)
+		fmt.Fprintf(stderr, "-fleet-workers must be >= 0, 0 meaning GOMAXPROCS (got %d)\n", *fleetWorkers)
 		return 2
 	}
 
 	if *list {
-		fmt.Println("experiment targets:")
+		fmt.Fprintln(stdout, "experiment targets:")
 		for _, d := range experiments.Targets {
-			fmt.Printf("  %-12s %s\n", d.Name, d.Desc)
+			fmt.Fprintf(stdout, "  %-12s %s\n", d.Name, d.Desc)
 		}
 		return 0
+	}
+
+	targets := fs.Args()
+	full := len(targets) == 0 || (len(targets) == 1 && targets[0] == "all")
+	drivers := experiments.Targets
+	if !full {
+		drivers = nil
+		for _, target := range targets {
+			name := strings.ToLower(target)
+			i := slices.IndexFunc(experiments.Targets, func(d experiments.Target) bool { return d.Name == name })
+			if i < 0 {
+				fmt.Fprintf(stderr, "unknown target %q; known: %s\n",
+					target, strings.Join(append(targetNames(), "all"), " "))
+				return 2
+			}
+			drivers = append(drivers, experiments.Targets[i])
+		}
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer func() {
@@ -105,21 +135,15 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
-	}
-
-	targets := flag.Args()
-	full := len(targets) == 0 || (len(targets) == 1 && targets[0] == "all")
-	if full {
-		targets = targetNames()
 	}
 
 	var tr *obs.Tracer
@@ -136,33 +160,23 @@ func run() int {
 	// cache on the worker pool before the (sequential) drivers render.
 	if full {
 		if err := suite.DebloatAll(*workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
 
-	byName := make(map[string]func(*experiments.Suite) (experiments.Renderer, error), len(experiments.Targets))
-	for _, d := range experiments.Targets {
-		byName[d.Name] = d.Run
-	}
-	for _, target := range targets {
-		driver, ok := byName[strings.ToLower(target)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown target %q; known: %s\n",
-				target, strings.Join(append(targetNames(), "all"), " "))
-			return 2
-		}
-		res, err := driver(suite)
+	for _, d := range drivers {
+		res, err := d.Run(suite)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", target, err)
+			fmt.Fprintf(stderr, "%s: %v\n", d.Name, err)
 			return 1
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(stdout, res.Render())
 	}
 
 	if tr != nil {
 		if err := tr.WriteFiles(*trace, *events, *metrics, *flame, *openmetrics); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
