@@ -10,8 +10,9 @@ check: fmt vet build test bench-smoke fuzz-smoke
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
 # take operator-written specs (SLOs, queries, incidents), on the import memo
 # (an imported library must observe byte-for-byte the same without the memo,
-# while it records, and when it replays), and on the two fast paths that must
-# equal their definitions (trace.Source against math/rand's generator, the
+# while it records, and when it replays), and on the three fast paths that
+# must equal their definitions (trace.Source against math/rand's generator,
+# the arrival thinning's squeeze test against its math.Sin comparison, the
 # histogram's bucket table against its log form). Seeds alone run in the
 # normal test pass; this also explores.
 FUZZTIME ?= 5s
@@ -21,6 +22,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
 	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -run xxx ./internal/trace
+	$(GO) test -fuzz FuzzThinningSqueeze -fuzztime $(FUZZTIME) -run xxx ./internal/trace
 	$(GO) test -fuzz FuzzHistBucket -fuzztime $(FUZZTIME) -run xxx ./internal/stats
 
 fmt:

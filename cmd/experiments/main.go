@@ -5,7 +5,7 @@
 //	experiments [flags] [target ...]
 //	experiments -list
 //
-// Targets are listed by -list; with no target (or "all") every driver runs
+// Targets are listed by -list; with no target (or "all" alone) every driver runs
 // in presentation order (a few seconds: the corpus is debloated once and
 // reused across figures). Flags must precede targets.
 //
@@ -100,12 +100,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	targets := fs.Args()
-	full := len(targets) == 0 || (len(targets) == 1 && targets[0] == "all")
+	full := len(targets) == 0 || (len(targets) == 1 && strings.ToLower(targets[0]) == "all")
 	drivers := experiments.Targets
 	if !full {
 		drivers = nil
 		for _, target := range targets {
 			name := strings.ToLower(target)
+			if name == "all" {
+				fmt.Fprintf(stderr, "target %q runs every target, so it must be the only one (got %s)\n",
+					target, strings.Join(targets, " "))
+				return 2
+			}
 			i := slices.IndexFunc(experiments.Targets, func(d experiments.Target) bool { return d.Name == name })
 			if i < 0 {
 				fmt.Fprintf(stderr, "unknown target %q; known: %s\n",

@@ -36,6 +36,8 @@ func TestRunRejects(t *testing.T) {
 	for _, tc := range []struct{ argv, stderr string }{
 		{"fig1 bogus", `unknown target "bogus"; known: fig1 table1`},
 		{"fig1 -workers 0", `unknown target "-workers"`},
+		{"fig1 all", `target "all" runs every target, so it must be the only one (got fig1 all)`},
+		{"ALL table1", `target "ALL" runs every target`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(tc.argv), &stdout, &stderr); code != 2 || stdout.Len() > 0 ||

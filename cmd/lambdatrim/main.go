@@ -153,6 +153,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(o.queries) > 0 || o.rules != "" || o.span != "" || o.serve != "" || o.chaos != "" {
 		o.fleet = true // the query and chaos surfaces read a fleet replay
 	}
+	if msg := o.conflict(fs); msg != "" {
+		return usageError(stderr, "%s", msg)
+	}
 	switch {
 	case o.fleet:
 		return runFleet(&o, stdout, stderr)
@@ -169,6 +172,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	return runApp(&o, stdout, stderr)
+}
+
+// conflict names the first flag set on the command line that does nothing
+// in the chosen mode, or returns "" when there is none. Only flags given
+// explicitly count (fs.Visit), so a default never conflicts.
+func (o *options) conflict(fs *flag.FlagSet) string {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["chaos-mitigations"] && o.chaos == "":
+		return "-chaos-mitigations needs -chaos"
+	case set["scorecard"] && o.chaos == "":
+		return "-scorecard needs -chaos"
+	case set["query-step"] && len(o.queries) == 0:
+		return "-query-step needs -query"
+	}
+	mode := ""
+	switch {
+	case o.fleet:
+		mode = "in fleet mode"
+	case o.all:
+		mode = "with -all"
+	default:
+		return ""
+	}
+	// -k and -out shape one application's debloat; an app name picks it.
+	for _, name := range []string{"k", "out"} {
+		if set[name] {
+			return fmt.Sprintf("-%s does nothing %s", name, mode)
+		}
+	}
+	if o.app != "" {
+		return fmt.Sprintf("the app name %q does nothing %s", o.app, mode)
+	}
+	return ""
 }
 
 // runApp is the default mode: debloat one application (a corpus app, or
@@ -430,9 +468,6 @@ func runFleet(o *options, stdout, stderr io.Writer) int {
 	}
 	if o.fleetWorkers < 0 {
 		return usageError(stderr, "-fleet-workers must be >= 0, 0 meaning GOMAXPROCS (got %d)", o.fleetWorkers)
-	}
-	if o.scorecard != "" && o.chaos == "" {
-		return usageError(stderr, "-scorecard needs -chaos")
 	}
 	if o.queryStep < 0 {
 		return usageError(stderr, "-query-step must be >= 0, 0 meaning an instant query (got %v)", o.queryStep)

@@ -119,6 +119,19 @@ func TestRunRejects(t *testing.T) {
 		{"-workers 0", "-workers must be >= 1 (got 0)"},
 		{"-fleet -fleet-functions 0", "-fleet-functions must be >= 1 (got 0)"},
 		{"-nosuchflag", "flag provided but not defined: -nosuchflag"},
+		// A flag that does nothing in the chosen mode.
+		{"markdown -k 3 -scorecard s.txt -chaos-mitigations none", "-chaos-mitigations needs -chaos"},
+		{"-fleet -chaos-mitigations all", "-chaos-mitigations needs -chaos"},
+		{"markdown -scorecard s.txt", "-scorecard needs -chaos"},
+		{"markdown -query-step 4h", "-query-step needs -query"},
+		{"-fleet -query-step 4h", "-query-step needs -query"},
+		{"-fleet -k 3", "-k does nothing in fleet mode"},
+		{"-chaos default -k 20", "-k does nothing in fleet mode"},
+		{"-all -k 3", "-k does nothing with -all"},
+		{"-all -out trimmed", "-out does nothing with -all"},
+		{"-fleet -out trimmed", "-out does nothing in fleet mode"},
+		{"markdown -fleet", `the app name "markdown" does nothing in fleet mode`},
+		{"markdown -all", `the app name "markdown" does nothing with -all`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(tc.argv), &stdout, &stderr); code != 2 || stdout.Len() > 0 ||

@@ -510,8 +510,9 @@ func (st *FnState) notePressure(load float64) {
 // Drop returns the last Admit failure's description.
 func (st *FnState) Drop() Drop { return st.drop }
 
-// Outcome returns the last Serve's full record.
-func (st *FnState) Outcome() Outcome { return st.out }
+// Outcome returns the last Serve's full record. It points into the
+// state, so it holds until the next Admit.
+func (st *FnState) Outcome() *Outcome { return &st.out }
 
 // Serve runs the admitted request: applies brownout/latency stretches,
 // the fallback wrapper (and its breaker), and hedging; bills every
@@ -519,7 +520,7 @@ func (st *FnState) Outcome() Outcome { return st.out }
 func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	seq := st.seq
 	cfg := &st.eng.cfg
-	out := st.out // admit bookkeeping (retries, wait in E2E)
+	out := &st.out // Admit's bookkeeping: retries, and the wait in E2E
 	retryWait := out.E2E
 	out.Cold = cold
 
@@ -641,6 +642,5 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	}
 	out.E2E = retryWait + time.Duration(out.Retries)*attemptOverhead + serveE2E
 	out.Busy = busy
-	st.out = out
 	return busy
 }

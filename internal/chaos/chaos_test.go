@@ -152,7 +152,7 @@ func TestEngineDrawsScheduleIndependent(t *testing.T) {
 		for at := time.Duration(0); at < 24*time.Hour; at += 7 * time.Minute {
 			if st.Admit(at) {
 				st.Serve(at, at%(20*time.Minute) == 0)
-				out = append(out, st.Outcome())
+				out = append(out, *st.Outcome())
 			}
 		}
 		return out

@@ -200,8 +200,9 @@ func TestArmMixMatchesDebloatedFraction(t *testing.T) {
 // TestChaosOffLeavesReplayUntouched: a nil Chaos config must take the
 // exact pre-chaos replay path — same artifacts as the seed contract test
 // expects — and a non-nil config must be the only thing that changes
-// outputs. (The byte-level seed goldens live in make chaos-smoke; here we
-// assert the cheap invariant that Chaos=nil produces no scorecard.)
+// outputs. (The byte-level chaos comparison is cmd/lambdatrim's
+// TestDeterminism/chaos; here we assert the cheap invariant that
+// Chaos=nil produces no scorecard.)
 func TestChaosOffLeavesReplayUntouched(t *testing.T) {
 	pop := chaosTestPopulation()
 	res, err := Replay(testConfig(2), pop)

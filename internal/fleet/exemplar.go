@@ -186,6 +186,19 @@ func newExemplars(k int, seed int64) *exemplars {
 	}
 }
 
+// admits reports whether an exemplar with these primary keys could enter
+// any of the three sets, so that one that could not is never built. It is
+// false only when every set is full and the candidate ranks strictly
+// behind each set's worst on that set's primary key (E2E, cost, sampling
+// key); a tie goes to offer, whose tiebreak decides it.
+func (x *exemplars) admits(e2e time.Duration, cost float64, key uint64) bool {
+	k := x.slowest.k
+	if len(x.slowest.items) < k || len(x.priciest.items) < k || len(x.sampled.items) < k {
+		return true
+	}
+	return e2e >= x.slowest.items[k-1].E2E || cost >= x.priciest.items[k-1].CostUSD || key <= x.sampled.items[k-1].key
+}
+
 func (x *exemplars) offer(e *Exemplar) {
 	x.slowest.offer(e)
 	x.priciest.offer(e)

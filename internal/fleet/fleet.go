@@ -420,47 +420,33 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 
 // serve folds one served invocation into the shard: counters always, and
 // with telemetry on the store series, ledger rows, latency histogram, and
-// exemplar sets. Samples land at completion time.
+// exemplar sets. Samples land at completion time. The sample is filled in
+// place, its ledger contribution is computed once for the three rows and
+// the phase series, and an exemplar is built only when it could enter a
+// set.
 func (p *partial) serve(cfg *Config, r *fnReplay, ev trace.PoolEvent) {
 	fn := r.fn
 	var s monitor.Sample
-	var out chaos.Outcome
+	s.Function = fn.Name
+	s.Cold = ev.Cold
+	s.Class = "ok"
+	s.MemoryMB = fn.MemoryMB
+	var out *chaos.Outcome
 	if r.st != nil {
 		out = r.st.Outcome()
-		r.as.AddServed(&out)
-		s = monitor.Sample{
-			Function:   fn.Name,
-			Cold:       ev.Cold,
-			Class:      "ok",
-			Init:       out.Init,
-			Exec:       out.Exec,
-			E2E:        out.E2E,
-			BilledInit: out.BilledInit,
-			BilledExec: out.BilledExec,
-			Billed:     out.Billed,
-			MemoryMB:   fn.MemoryMB,
-			CostUSD:    out.CostUSD,
-		}
+		r.as.AddServed(out)
+		s.Init, s.Exec, s.E2E = out.Init, out.Exec, out.E2E
+		s.BilledInit, s.BilledExec, s.Billed = out.BilledInit, out.BilledExec, out.Billed
+		s.CostUSD = out.CostUSD
 	} else {
-		var init time.Duration
 		if ev.Cold {
-			init = fn.ColdInit
+			s.Init = fn.ColdInit
 		}
-		e2e := init + fn.Exec
-		billed := cfg.Pricing.BillDuration(e2e)
-		s = monitor.Sample{
-			Function:   fn.Name,
-			Cold:       ev.Cold,
-			Class:      "ok",
-			Init:       init,
-			Exec:       fn.Exec,
-			E2E:        e2e,
-			BilledInit: init,
-			BilledExec: fn.Exec,
-			Billed:     billed,
-			MemoryMB:   fn.MemoryMB,
-			CostUSD:    cfg.Pricing.Cost(billed, fn.MemoryMB),
-		}
+		s.Exec = fn.Exec
+		s.E2E = s.Init + fn.Exec
+		s.BilledInit, s.BilledExec = s.Init, fn.Exec
+		s.Billed = cfg.Pricing.BillDuration(s.E2E)
+		s.CostUSD = cfg.Pricing.Cost(s.Billed, fn.MemoryMB)
 	}
 	at := ev.At + s.E2E
 	p.invocations++
@@ -476,39 +462,41 @@ func (p *partial) serve(cfg *Config, r *fnReplay, ev trace.PoolEvent) {
 	}
 	p.series.Fold(at, &s)
 	r.arm.Fold(at, &s)
-	// Pro-rata duration-bill split, mirroring the ledger's Phase.add: the
-	// same dollars the ledger attributes to init/handler, as series mql
-	// can window and ratio (LabelSeries; the handles are zero otherwise).
+	c := monitor.PhaseOf(&s)
+	// The ledger's init/handler dollars as series mql can window and ratio
+	// (LabelSeries; the handles are zero otherwise).
 	if cfg.LabelSeries && s.Billed > 0 && s.CostUSD > 0 {
 		if s.BilledInit > 0 {
-			p.costInit.Record(at, s.CostUSD*float64(s.BilledInit)/float64(s.Billed))
+			p.costInit.Record(at, c.InitUSD)
 		}
 		if s.BilledExec > 0 {
-			p.costExec.Record(at, s.CostUSD*float64(s.BilledExec)/float64(s.Billed))
+			p.costExec.Record(at, c.ExecUSD)
 		}
 	}
-	if r.st != nil {
-		p.chaos.Served(at, &out)
+	if out != nil {
+		p.chaos.Served(at, out)
 	}
-	r.row.Record(&s)
-	r.armRow.Record(&s)
-	r.archRow.Record(&s)
+	r.row.Add(&c)
+	r.armRow.Add(&c)
+	r.archRow.Add(&c)
 	p.hist.Observe(s.E2E.Seconds())
 	key := exemplarSampleKey(r.fnKey, r.seq)
-	e := Exemplar{
-		Function:  fn.Name,
-		Archetype: fn.Archetype,
-		Arm:       fn.Arm,
-		At:        at,
-		Init:      s.Init,
-		E2E:       s.E2E,
-		CostUSD:   s.CostUSD,
-		Cold:      ev.Cold,
-		seq:       r.seq,
-		key:       key,
-		span:      exemplarSpanKey(key),
+	if p.ex.admits(s.E2E, s.CostUSD, key) {
+		e := Exemplar{
+			Function:  fn.Name,
+			Archetype: fn.Archetype,
+			Arm:       fn.Arm,
+			At:        at,
+			Init:      s.Init,
+			E2E:       s.E2E,
+			CostUSD:   s.CostUSD,
+			Cold:      ev.Cold,
+			seq:       r.seq,
+			key:       key,
+			span:      exemplarSpanKey(key),
+		}
+		p.ex.offer(&e)
 	}
-	p.ex.offer(&e)
 	r.seq++
 }
 
@@ -670,12 +658,14 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 	// Fold shards in block-index order as they complete, releasing each
 	// one immediately — live telemetry is bounded by the merged result
 	// plus the shards still in flight, regardless of invocation volume.
+	// A folded shard's store rings go to the shards still to start.
 	final := newPartial(&cfg)
 	for b := 0; b < blocks; b++ {
 		<-done[b]
 		if err := final.merge(parts[b]); err != nil {
 			return nil, err
 		}
+		parts[b].store.Release()
 		parts[b] = nil
 		if cfg.blockDone != nil {
 			cfg.blockDone(b + 1)

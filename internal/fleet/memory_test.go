@@ -4,6 +4,10 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/chaos"
+	"repro/internal/obs/monitor"
 )
 
 // replayPeakGrowth replays pop and returns (peak GC'd heap growth over
@@ -81,5 +85,40 @@ func TestReplayMemoryFlat(t *testing.T) {
 	if largeGrowth > limit {
 		t.Errorf("peak heap grew with invocation volume: %d -> %d bytes (limit %d)",
 			smallGrowth, largeGrowth, limit)
+	}
+}
+
+// TestReplayReusesShardRings pins the ring free list: a 700-function,
+// 64-block chaos replay with labeled series allocates, in all, less than
+// half the ring bytes 64 fresh shard stores would take. Each shard's
+// store is released once merged, and the shards after it record into its
+// rings. The bound still holds when the free list drops a quarter of its
+// items, as sync.Pool does under -race.
+func TestReplayReusesShardRings(t *testing.T) {
+	pop := GeneratePopulation(PopConfig{
+		Functions: 700, Period: 6 * time.Hour, Seed: 4,
+		RateMedian: 30, RateSigma: 1.8, RateCap: 20000, ArmMix: ChaosArmMix(),
+	}, testArchetypes())
+	cfg := testConfig(2)
+	cfg.Blocks = 64
+	cfg.SLOs = DefaultChaosSLOs()
+	cfg.Chaos = &chaos.Config{Incidents: testIncidents(t), Mitigations: chaos.AllMitigations()}
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Replay(cfg, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	windows := cfg.withDefaults().Windows
+	ring := uint64(windows) * uint64(unsafe.Sizeof(monitor.Rollup{}))
+	fresh := uint64(cfg.Blocks) * uint64(len(res.Store.Names())) * ring
+	t.Logf("%d series of %d windows: 64 fresh shard stores hold %.1f MB of rings; the replay allocated %.1f MB",
+		len(res.Store.Names()), windows, float64(fresh)/(1<<20), float64(allocated)/(1<<20))
+	if allocated >= fresh/2 {
+		t.Errorf("the replay allocated %d bytes, want under half of the %d bytes of 64 fresh shard stores' rings", allocated, fresh)
 	}
 }

@@ -187,8 +187,8 @@ func TestRowMatchesRecord(t *testing.T) {
 			CostUSD:    rng.Float64() * 1e-5,
 		}
 		viaRecord.Record(s)
-		s.Function = "ignored by rows"
-		rows[name].Record(&s)
+		c := PhaseOf(&s)
+		rows[name].Add(&c)
 	}
 	if want, got := viaRecord.RenderTable(), viaRow.RenderTable(); got != want {
 		t.Fatalf("rows differ from Record:\n%s\nvs\n%s", want, got)
@@ -198,5 +198,5 @@ func TestRowMatchesRecord(t *testing.T) {
 	}
 	var nilLedger *Ledger
 	r := nilLedger.Row("x")
-	r.Record(&Sample{})
+	r.Add(&Phase{Invocations: 1})
 }

@@ -161,7 +161,7 @@ lambdatrim_req_total_max{function="b"} 5 # {span_id="deadbeef"} 5 2
 }
 
 // The grouped writer must keep unlabeled stores byte-identical to the
-// historical per-series writer (goldens and smoke checks depend on it).
+// historical per-series writer (the goldens depend on it).
 func TestStoreFamiliesUnlabeledCompat(t *testing.T) {
 	st := NewStore(time.Minute, 10)
 	st.Record("req.total", time.Second, 1.5)

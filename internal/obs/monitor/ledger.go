@@ -39,36 +39,36 @@ func (p Phase) CostUSD() float64 {
 	return p.InitUSD + p.ExecUSD + p.IdleUSD + p.RestoreUSD
 }
 
-func (p *Phase) add(s *Sample) {
-	p.Invocations++
+// PhaseOf is one sample's contribution to a bucket: one invocation, its
+// cold start and error, its billed phases plus the rounding idle, and its
+// dollars. It is the ledger's one definition of the pro-rata split: the
+// duration bill (the cost less the restore fee) divides over BilledInit
+// and BilledExec in proportion to Billed, and the remainder is idle.
+// Ledger.Record adds it to the sample's bucket; a caller feeding several
+// rows and series computes it once and adds it to each (Row.Add).
+func PhaseOf(s *Sample) Phase {
+	c := Phase{Invocations: 1, BilledInit: s.BilledInit, BilledExec: s.BilledExec, RestoreUSD: s.RestoreFeeUSD}
 	if s.Cold {
-		p.ColdStarts++
+		c.ColdStarts = 1
 	}
 	if s.Class != "ok" {
-		p.Errors++
+		c.Errors = 1
 	}
-	idle := s.Billed - s.BilledInit - s.BilledExec
-	if idle < 0 {
-		idle = 0
+	if idle := s.Billed - s.BilledInit - s.BilledExec; idle > 0 {
+		c.BilledIdle = idle
 	}
-	p.BilledInit += s.BilledInit
-	p.BilledExec += s.BilledExec
-	p.BilledIdle += idle
-	durUSD := s.CostUSD - s.RestoreFeeUSD
-	if durUSD < 0 {
-		durUSD = 0
+	if durUSD := s.CostUSD - s.RestoreFeeUSD; s.Billed > 0 && durUSD > 0 {
+		c.InitUSD = durUSD * float64(s.BilledInit) / float64(s.Billed)
+		c.ExecUSD = durUSD * float64(s.BilledExec) / float64(s.Billed)
+		c.IdleUSD = durUSD - c.InitUSD - c.ExecUSD
 	}
-	if s.Billed > 0 && durUSD > 0 {
-		init := durUSD * float64(s.BilledInit) / float64(s.Billed)
-		exec := durUSD * float64(s.BilledExec) / float64(s.Billed)
-		p.InitUSD += init
-		p.ExecUSD += exec
-		p.IdleUSD += durUSD - init - exec
-	}
-	p.RestoreUSD += s.RestoreFeeUSD
+	return c
 }
 
-func (p *Phase) merge(o Phase) {
+// merge adds o to p field by field. A sample's contribution leaves a
+// dollar field at +0 where it has no share; adding +0 leaves every sum
+// unchanged, because a sum that starts at +0 never holds −0.
+func (p *Phase) merge(o *Phase) {
 	p.Invocations += o.Invocations
 	p.ColdStarts += o.ColdStarts
 	p.Errors += o.Errors
@@ -103,17 +103,17 @@ func (l *Ledger) Record(s Sample) {
 	if l == nil {
 		return
 	}
+	c := PhaseOf(&s)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.phase(s.Function).add(&s)
+	l.phase(s.Function).merge(&c)
 }
 
-// Row is a single-owner write handle to one ledger row: the first Record
+// Row is a single-owner write handle to one ledger row: the first Add
 // resolves the row under the ledger lock, later ones add with no lock and
-// no map lookup. The row's name keys the bucket (the sample's Function
-// field is ignored), and a row that never records creates no bucket. See
-// Ledger for the ownership contract; a row on a nil ledger records
-// nothing.
+// no map lookup. The row's name keys the bucket, and a row that never adds
+// creates no bucket. See Ledger for the ownership contract; a row on a nil
+// ledger records nothing.
 type Row struct {
 	l    *Ledger
 	name string
@@ -123,8 +123,8 @@ type Row struct {
 // Row returns an unresolved write handle to the named row.
 func (l *Ledger) Row(name string) Row { return Row{l: l, name: name} }
 
-// Record attributes one invocation sample to the row.
-func (r *Row) Record(s *Sample) {
+// Add attributes one sample's contribution (PhaseOf) to the row.
+func (r *Row) Add(c *Phase) {
 	if r.ph == nil {
 		if r.l == nil {
 			return
@@ -133,7 +133,7 @@ func (r *Row) Record(s *Sample) {
 		r.ph = r.l.phase(r.name)
 		r.l.mu.Unlock()
 	}
-	r.ph.add(s)
+	r.ph.merge(c)
 }
 
 // phase returns the named bucket, creating it; the caller holds l.mu.
@@ -190,7 +190,7 @@ func (l *Ledger) Total() Phase {
 	sort.Strings(names)
 	var out Phase
 	for _, name := range names {
-		out.merge(*l.perFn[name])
+		out.merge(l.perFn[name])
 	}
 	return out
 }
@@ -215,8 +215,8 @@ func (l *Ledger) Merge(o *Ledger) {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, sn := range snaps {
-		l.phase(sn.name).merge(sn.ph)
+	for i := range snaps {
+		l.phase(snaps[i].name).merge(&snaps[i].ph)
 	}
 }
 

@@ -64,6 +64,12 @@ func (r Rollup) Mean() float64 {
 
 // series is one named metric's ring of fixed-resolution windows plus its
 // cumulative (ring-independent) total.
+//
+// Only the windows [latest−cap+1, latest] (those at or above 0) are ever
+// read: Range, Scan and Merge clip to them. A series starts at latest −1,
+// and record and Merge zero every window they advance latest over before
+// writing it. So a ring holds no readable window it did not write, and a
+// series may start on a ring another series left dirty (Store.Release).
 type series struct {
 	ring    []Rollup
 	latest  int64 // highest absolute window index written; -1 when empty
@@ -136,10 +142,36 @@ func (s *Store) windowIndex(at time.Duration) int64 {
 func (s *Store) getSeries(name string) *series {
 	se, ok := s.series[name]
 	if !ok {
-		se = &series{ring: make([]Rollup, s.cap), latest: -1}
+		se, _ = freeSeries.Get().(*series)
+		if se == nil || len(se.ring) != s.cap {
+			se = &series{ring: make([]Rollup, s.cap)}
+		}
+		*se = series{ring: se.ring, latest: -1}
 		s.series[name] = se
 	}
 	return se
+}
+
+// freeSeries holds the series of released stores; a new series takes one
+// with a ring of its store's capacity instead of allocating a ring. The
+// ring's stale windows need no clearing (see series).
+var freeSeries sync.Pool
+
+// Release ends the store's use: its series go to a free list whose rings
+// later stores' new series reuse, and the store holds nothing afterwards.
+// Neither the store nor any Handle or SampleSeries of it may be used
+// after Release. A replay shard's store is released once the merger has
+// folded it; a store whose data is read later is never released.
+func (s *Store) Release() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, se := range s.series {
+		freeSeries.Put(se)
+	}
+	s.series = nil
 }
 
 // Record lands one sample in the window containing `at`. Samples newer

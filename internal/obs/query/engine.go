@@ -161,9 +161,10 @@ func jsonFloat(v float64) string {
 
 // InstantJSON parses and evaluates q as Instant does and renders the
 // result as one canonical JSON object, whose at_us is the boundary it was
-// evaluated at. The rendering is hand-built and byte-stable: CLI goldens
-// and the live /query endpoint share it, so a served response and the
-// smoke artifact compare with cmp.
+// evaluated at. The rendering is hand-built and byte-stable: the CLI's
+// -query output and the live /query endpoint share it, so a served
+// response compares byte for byte with what cmd/lambdatrim's
+// TestDeterminism/query checks.
 func (e *Engine) InstantJSON(q string, at time.Duration) (string, error) {
 	x, err := Parse(q)
 	if err != nil {

@@ -229,7 +229,7 @@ func TestNilEngine(t *testing.T) {
 }
 
 // dayEngine queries a one-day, one-minute store with a sample in every
-// window of the series the query smoke test reads.
+// window of the series cmd/lambdatrim's TestDeterminism/query reads.
 func dayEngine() *Engine {
 	st := monitor.NewStore(time.Minute, 24*60+6*60+1)
 	var at time.Duration
@@ -251,8 +251,8 @@ func sumOf(term string, n int) string {
 
 // TestQueryWorkBound checks the per-request read bound: two short queries
 // whose evaluation at a one-minute step over a day costs seconds are
-// rejected with both numbers named, and the query smoke test's queries
-// pass as instant queries and at 5 m and 1 h steps.
+// rejected with both numbers named, and the queries of cmd/lambdatrim's
+// TestDeterminism/query pass as instant queries and at 5 m and 1 h steps.
 func TestQueryWorkBound(t *testing.T) {
 	e := dayEngine()
 	for _, q := range []string{

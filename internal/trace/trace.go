@@ -107,13 +107,15 @@ func poissonArrivals(rng *rand.Rand, expected float64, period time.Duration) []t
 // (peak mid-period at 1.6x, trough at 0.4x — the day/night swing in the
 // Azure trace) without materializing the sequence. A rate that is not
 // positive and finite yields nothing: under NaN or +Inf the thinning loop
-// would never advance t.
+// would never advance t. Each candidate draws ExpFloat64 then Float64, and
+// thinner.keep decides it exactly as math.Sin would (see thin.go).
 func poissonStream(rng *rand.Rand, expected float64, period time.Duration) func() (time.Duration, bool) {
 	base := expected / period.Seconds()
 	maxRate := base * 1.6
 	if math.IsNaN(maxRate) || math.IsInf(maxRate, 0) || maxRate <= 0 {
 		return func() (time.Duration, bool) { return 0, false }
 	}
+	th := newThinner(base, maxRate)
 	t := 0.0
 	limit := period.Seconds()
 	return func() (time.Duration, bool) {
@@ -122,9 +124,7 @@ func poissonStream(rng *rand.Rand, expected float64, period time.Duration) func(
 			if t >= limit {
 				return 0, false
 			}
-			phase := 2 * math.Pi * t / limit
-			rate := base * (1 + 0.6*math.Sin(phase-math.Pi/2))
-			if rng.Float64() < rate/maxRate {
+			if th.keep(2*math.Pi*t/limit, rng.Float64()) {
 				return time.Duration(t * float64(time.Second)), true
 			}
 		}
