@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flame := fs.String("flame", "", "write a folded-stack flamegraph of the run (speedscope/flamegraph.pl)")
 	openmetrics := fs.String("openmetrics", "", "write an OpenMetrics text exposition of the run's metrics")
 	fleetFunctions := fs.Int("fleet-functions", 0, "population size for the fleet/query/chaos targets (0: each target's default)")
-	fleetWorkers := fs.Int("fleet-workers", 0, "worker shards for the fleet/query/chaos targets, 0 = GOMAXPROCS (wall-clock only; output — including the chaos scorecard — is byte-identical at any count)")
+	fleetWorkers := fs.Int("fleet-workers", 0, "worker shards for the fleet and chaos targets, 0 = GOMAXPROCS (wall-clock only; output — including the chaos scorecard — is byte-identical at any count); the query target always replays at 1 and 4 workers")
 	cpuprofile := fs.String("cpuprofile", "", "write a real-clock CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC) at exit to this file")
 	if err := fs.Parse(args); err != nil {

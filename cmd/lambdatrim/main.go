@@ -180,30 +180,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 func (o *options) conflict(fs *flag.FlagSet) string {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	switch {
-	case set["chaos-mitigations"] && o.chaos == "":
-		return "-chaos-mitigations needs -chaos"
-	case set["scorecard"] && o.chaos == "":
-		return "-scorecard needs -chaos"
-	case set["query-step"] && len(o.queries) == 0:
-		return "-query-step needs -query"
-	}
 	mode := ""
 	switch {
 	case o.fleet:
 		mode = "in fleet mode"
 	case o.all:
 		mode = "with -all"
-	default:
-		return ""
 	}
-	// -k and -out shape one application's debloat; an app name picks it.
-	for _, name := range []string{"k", "out"} {
-		if set[name] {
-			return fmt.Sprintf("-%s does nothing %s", name, mode)
+	// Each flag a rule names does nothing, for the rule's reason, when the
+	// rule's condition holds.
+	for _, r := range []struct {
+		flags []string
+		bad   bool
+		why   string
+	}{
+		{[]string{"list"}, len(set) > 1 || o.app != "", "takes no other flag and no app name"},
+		{[]string{"chaos-mitigations", "scorecard"}, o.chaos == "", "needs -chaos"},
+		{[]string{"query-step"}, len(o.queries) == 0, "needs -query"},
+		// These shape one application's debloat and its replays.
+		{[]string{"k", "out", "scoring", "granularity", "dir", "tune", "faults", "monitor", "rollout"}, mode != "", "does nothing " + mode},
+		{[]string{"all"}, o.fleet, "does nothing in fleet mode"},
+		{[]string{"workers"}, !o.all, "needs -all"},
+		{[]string{"fleet-functions", "fleet-workers"}, !o.fleet, "needs fleet mode (-fleet, -chaos, -query, -rules, -span or -serve)"},
+		{[]string{"serve-frame-delay"}, o.serve == "", "needs -serve"},
+		{[]string{"slo"}, !o.fleet && !o.monitor, "needs -monitor or fleet mode"},
+		{[]string{"fault-seed"}, !o.fleet && !o.faults && !o.monitor && !o.rollout, "needs -faults, -monitor, -rollout or fleet mode"},
+	} {
+		for _, name := range r.flags {
+			if r.bad && set[name] {
+				return fmt.Sprintf("-%s %s", name, r.why)
+			}
 		}
 	}
-	if o.app != "" {
+	if mode != "" && o.app != "" {
 		return fmt.Sprintf("the app name %q does nothing %s", o.app, mode)
 	}
 	return ""
@@ -220,7 +229,7 @@ func runApp(o *options, stdout, stderr io.Writer) int {
 		return usageError(stderr, "%v", err)
 	}
 	mcfg := experiments.DefaultMonitorConfig()
-	if o.monitor && o.slo != "" {
+	if o.slo != "" {
 		if mcfg.SLOs, err = monitor.ParseSLOs(o.slo); err != nil {
 			return usageError(stderr, "parsing -slo: %v", err)
 		}
@@ -458,7 +467,7 @@ func runError(stderr io.Writer, format string, a ...any) int {
 // through the sharded fleet engine, and print the merged report. The
 // telemetry flags reuse the run's exporters: -openmetrics gets the fleet
 // exposition directly, while -trace/-events/-metrics/-flame export the
-// replay's bounded span tree and merged counters through a tracer. The
+// replay's bounded span tree and its counters through a tracer. The
 // query surface (-query/-rules/-span/-serve) turns on labeled series and
 // reads the same merged result: every output stays byte-identical at any
 // -fleet-workers count.

@@ -132,6 +132,23 @@ func TestRunRejects(t *testing.T) {
 		{"-fleet -out trimmed", "-out does nothing in fleet mode"},
 		{"markdown -fleet", `the app name "markdown" does nothing in fleet mode`},
 		{"markdown -all", `the app name "markdown" does nothing with -all`},
+		{"-fleet -fleet-functions 50 -tune -scoring time", "-scoring does nothing in fleet mode"},
+		{"-all -workers 2 -granularity stmt -monitor", "-granularity does nothing with -all"},
+		{"-fleet -fleet-functions 50 -dir /x", "-dir does nothing in fleet mode"},
+		{"-all -faults", "-faults does nothing with -all"},
+		{"-fleet -fleet-functions 50 -monitor", "-monitor does nothing in fleet mode"},
+		{"-fleet -fleet-functions 50 -all", "-all does nothing in fleet mode"},
+		{"markdown -workers 3", "-workers needs -all"},
+		{"markdown -fleet-functions 5", "-fleet-functions needs fleet mode"},
+		{"-all -fleet-workers 2", "-fleet-workers needs fleet mode"},
+		{"-fleet -fleet-functions 50 -serve-frame-delay 2s", "-serve-frame-delay needs -serve"},
+		{"markdown -slo p95=1s", "-slo needs -monitor or fleet mode"},
+		{"-all -slo p95=1s", "-slo needs -monitor or fleet mode"},
+		{"markdown -fault-seed 3", "-fault-seed needs -faults, -monitor, -rollout or fleet mode"},
+		{"-all -fault-seed 3", "-fault-seed needs -faults, -monitor, -rollout or fleet mode"},
+		{"-all -list", "-list takes no other flag and no app name"},
+		{"-list -trace t.json", "-list takes no other flag and no app name"},
+		{"markdown -list", "-list takes no other flag and no app name"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(tc.argv), &stdout, &stderr); code != 2 || stdout.Len() > 0 ||

@@ -111,55 +111,29 @@ type Config struct {
 	// Seed keys every chaos hash; the same seed, population, and incident
 	// schedule reproduce byte-identical outcomes at any worker count.
 	Seed int64
-	// Topology is the fault-domain layout (zero: DefaultTopology).
-	Topology Topology
 	// Incidents is the schedule (each validated; see ParseIncidents).
 	Incidents []Incident
-	// FallbackRate is the calm-weather uncovered-path rate of the
-	// fallback/breaker arms; a brownout raises it to the incident's Frac.
-	// Zero: 0.02.
-	FallbackRate float64
 	// Mitigations toggles the degradation mechanisms.
 	Mitigations Mitigations
 	// Pricing bills every attempt (zero value: faas.AWSPricing).
 	Pricing faas.Pricing
-	// Breaker tunes the breaker arm's circuit breaker (zero:
-	// rollout.DefaultBreakerConfig).
-	Breaker rollout.BreakerConfig
-	// RetryBudget and RetryBudgetWindow bound client retries per function
-	// when Mitigations.Budget is on (zero: 20 per 5m).
-	RetryBudget       int
-	RetryBudgetWindow time.Duration
-	// MaxAttempts bounds the client admission loop, first try included
-	// (zero: 4; capped at 16).
-	MaxAttempts int
 }
 
-func (cfg Config) withDefaults() Config {
-	cfg.Topology = cfg.Topology.withDefaults()
-	if cfg.FallbackRate == 0 {
-		cfg.FallbackRate = 0.02
-	}
-	if cfg.Pricing == (faas.Pricing{}) {
-		cfg.Pricing = faas.AWSPricing()
-	}
-	if cfg.Breaker == (rollout.BreakerConfig{}) {
-		cfg.Breaker = rollout.DefaultBreakerConfig()
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 20
-	}
-	if cfg.RetryBudgetWindow == 0 {
-		cfg.RetryBudgetWindow = 5 * time.Minute
-	}
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.MaxAttempts > 16 {
-		cfg.MaxAttempts = 16
-	}
-	return cfg
-}
+// The client model's fixed parameters. The breaker arm's circuit breaker
+// is rollout.DefaultBreakerConfig and the fault-domain layout is
+// DefaultTopology.
+const (
+	// fallbackRate is the calm-weather uncovered-path rate of the
+	// fallback/breaker arms; a brownout raises it to the incident's Frac.
+	fallbackRate = 0.02
+	// retryBudget and retryBudgetWindow bound client retries per function
+	// when Mitigations.Budget is on.
+	retryBudget       = 20
+	retryBudgetWindow = 5 * time.Minute
+	// maxAttempts bounds the client admission loop, first try included.
+	// It stays below 16: draw packs the attempt index into four bits.
+	maxAttempts = 4
+)
 
 // Engine holds the validated config; per-function state hangs off
 // Function. The engine itself is immutable after construction and safe to
@@ -172,14 +146,17 @@ type Engine struct {
 // NewEngine validates the config (incident parameters and zone indices
 // against the topology) and builds an engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Pricing == (faas.Pricing{}) {
+		cfg.Pricing = faas.AWSPricing()
+	}
+	zones := DefaultTopology().Zones
 	for _, in := range cfg.Incidents {
 		if err := in.Validate(); err != nil {
 			return nil, err
 		}
-		if in.Zone >= cfg.Topology.Zones {
+		if in.Zone >= zones {
 			return nil, fmt.Errorf("chaos: %s zone %d out of range (topology has %d zones)",
-				in.Kind, in.Zone, cfg.Topology.Zones)
+				in.Kind, in.Zone, zones)
 		}
 	}
 	return &Engine{
@@ -317,8 +294,8 @@ func (e *Engine) Function(fn FnView) *FnState {
 		eng:  e,
 		fn:   fn,
 		key:  key,
-		zone: e.cfg.Topology.ZoneOf(key),
-		host: e.cfg.Topology.HostOf(key),
+		zone: DefaultTopology().ZoneOf(key),
+		host: DefaultTopology().HostOf(key),
 		hist: stats.NewHistogram(),
 	}
 	for idx, in := range e.cfg.Incidents {
@@ -339,10 +316,10 @@ func (e *Engine) Function(fn FnView) *FnState {
 	}
 	sort.Slice(st.flushes, func(i, j int) bool { return st.flushes[i] < st.flushes[j] })
 	if e.cfg.Mitigations.Budget {
-		st.budget = faas.NewRetryBudget(e.cfg.RetryBudget, e.cfg.RetryBudgetWindow)
+		st.budget = faas.NewRetryBudget(retryBudget, retryBudgetWindow)
 	}
 	if e.cfg.Mitigations.Breaker && fn.Arm == ArmBreaker {
-		st.breaker = rollout.NewBreaker(e.cfg.Breaker)
+		st.breaker = rollout.NewBreaker(rollout.DefaultBreakerConfig())
 	}
 	return st
 }
@@ -436,7 +413,7 @@ func (st *FnState) Admit(at time.Duration) bool {
 			throttledAttempts++
 		}
 		dropClass = class
-		if try+1 >= cfg.MaxAttempts {
+		if try+1 >= maxAttempts {
 			break
 		}
 		if st.budget != nil && !st.budget.Spend(at) {
@@ -546,7 +523,7 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	// re-invokes the original — both attempts billed (§5.4). A brownout
 	// raises the uncovered rate to its Frac: new cold paths appear
 	// exactly when the original's import is slowest.
-	pFb := cfg.FallbackRate
+	pFb := fallbackRate
 	if brownoutOn && brownout.Frac > pFb {
 		pFb = brownout.Frac
 	}

@@ -292,7 +292,7 @@ func BuildScorecard(eng *Engine, store *monitor.Store, latest time.Duration,
 	arms map[string]*ArmStats, armFns map[string]int) *Scorecard {
 	sc := &Scorecard{
 		Mitigations: eng.cfg.Mitigations,
-		Topology:    eng.cfg.Topology,
+		Topology:    DefaultTopology(),
 		Resolution:  store.Resolution(),
 	}
 	names := make([]string, 0, len(arms))

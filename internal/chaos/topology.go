@@ -42,20 +42,10 @@ type Topology struct {
 	HostsPerZone int
 }
 
-// DefaultTopology mirrors a small-region layout: 4 zones of 16 hosts.
+// DefaultTopology is the engine's fault-domain layout, a small region:
+// 4 zones of 16 hosts.
 func DefaultTopology() Topology {
 	return Topology{Zones: 4, HostsPerZone: 16}
-}
-
-func (t Topology) withDefaults() Topology {
-	d := DefaultTopology()
-	if t.Zones < 1 {
-		t.Zones = d.Zones
-	}
-	if t.HostsPerZone < 1 {
-		t.HostsPerZone = d.HostsPerZone
-	}
-	return t
 }
 
 // ZoneOf places a function key in its zone.

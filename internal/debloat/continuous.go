@@ -1,11 +1,7 @@
 package debloat
 
 import (
-	"fmt"
-
-	"repro/internal/analyzer"
 	"repro/internal/appspec"
-	"repro/internal/profiler"
 	"repro/internal/pylang"
 	"repro/internal/pyparser"
 )
@@ -17,82 +13,39 @@ import (
 // efficiently. Each previously-reduced module is first revalidated as-is
 // against the extended oracle (a handful of runs); only modules whose
 // reductions no longer pass go through full Delta Debugging again.
+//
+// Rerun runs Run's pipeline untraced and without the import-snapshot memo,
+// whatever cfg's Tracer, Snapshots and DisableMemo say.
 func Rerun(prev *Result, newCases []appspec.TestCase, cfg Config) (*Result, error) {
-	if cfg.K <= 0 {
-		cfg.K = 20
-	}
 	app := prev.Original.Clone()
 	app.Oracle = append(app.Oracle, newCases...)
+	cfg.Tracer, cfg.DisableMemo = nil, true
+	return pipeline(app, prev, cfg)
+}
 
-	report, err := analyzer.Analyze(app.Image, app.Entry, app.Handler)
-	if err != nil {
-		return nil, err
+// reuseReduction accepts prev's reduction of module name, with prev's
+// outcome for it, when it still passes the runner's oracle. It reports
+// false when prev is nil, did not reduce the module, or the reduction
+// fails; the module then goes through DD.
+func reuseReduction(run *runner, prev *Result, name string) (ModuleResult, bool) {
+	if prev == nil {
+		return ModuleResult{}, false
 	}
-	prof, err := profiler.Run(app.Image, app.Entry, profiler.Options{
-		Scoring: cfg.Scoring, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	run, err := newRunner(app)
-	if err != nil {
-		return nil, err
-	}
-
-	// Index the previous run's accepted reductions by module.
-	prevReduced := make(map[string]bool)
 	for _, m := range prev.Modules {
-		if m.Skipped == "" && len(m.Removed) > 0 {
-			prevReduced[m.Module] = true
-		}
-	}
-
-	res := &Result{Original: app, Report: report, Profile: prof}
-	for _, mp := range prof.TopK(cfg.K) {
-		name := mp.Name
-		if prevReduced[name] {
-			// Fast path: does the previous reduction still satisfy the
-			// (extended) oracle?
-			if candidate, ok := previousReduction(prev, name); ok && run.test(name, candidate) {
-				run.overrides[name] = candidate
-				mr := ModuleResult{Module: name}
-				for _, m := range prev.Modules {
-					if m.Module == name {
-						mr = m
-						break
-					}
-				}
-				res.Modules = append(res.Modules, mr)
-				continue
-			}
-		}
-		// Slow path: full DD against the extended oracle.
-		res.Modules = append(res.Modules, debloatModule(run, report, name, cfg))
-	}
-
-	optimized := app.Clone()
-	for name, ast := range run.overrides {
-		path, ok := moduleFile(app, name)
-		if !ok {
+		if m.Module != name {
 			continue
 		}
-		optimized.Image.Write(path, pylang.Print(ast))
-	}
-	res.App = optimized
-	res.DebloatTime = run.virtual
-	res.OracleRuns = run.runs
-
-	final, err := newRunner(optimized)
-	if err != nil {
-		return nil, fmt.Errorf("debloat: rerun output fails verification: %w", err)
-	}
-	for i := range final.golden {
-		if final.golden[i].stdout != run.golden[i].stdout ||
-			final.golden[i].result != run.golden[i].result {
-			return nil, fmt.Errorf("debloat: rerun output diverges on oracle case %d", i)
+		if m.Skipped != "" || len(m.Removed) == 0 {
+			return ModuleResult{}, false
 		}
+		candidate, ok := previousReduction(prev, name)
+		if !ok || !run.test(name, candidate) {
+			return ModuleResult{}, false
+		}
+		run.overrides[name] = candidate
+		return m, true
 	}
-	return res, nil
+	return ModuleResult{}, false
 }
 
 // previousReduction parses the prior optimized image's version of module.

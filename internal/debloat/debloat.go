@@ -102,13 +102,21 @@ func (r *Result) TotalRemoved() int {
 // VerifyApp checks that an app passes its own oracle set (every test case
 // runs without raising). Used as a behaviour check for optimized images.
 func VerifyApp(app *appspec.App) error {
-	_, err := newRunner(app)
+	_, err := newRunner(app, nil, 0, nil, nil)
 	return err
 }
 
 // Run executes the full λ-trim pipeline on app: static analysis, cost
 // profiling, and per-module Delta Debugging, returning the optimized app.
 func Run(app *appspec.App, cfg Config) (*Result, error) {
+	return pipeline(app, nil, cfg)
+}
+
+// pipeline is Run and Rerun: analyze → profile → golden → per-module DD →
+// materialize → verify. A non-nil prev is the run being repeated: a module
+// it reduced first tries that reduction as-is and goes through DD only if
+// the reduction no longer passes the oracle.
+func pipeline(app *appspec.App, prev *Result, cfg Config) (*Result, error) {
 	if cfg.K <= 0 {
 		cfg.K = 20
 	}
@@ -145,7 +153,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 
 	// Everything downstream of profiling rides the runner's virtual
 	// clock, offset by the profiling time already spent.
-	run, err := newTracedRunner(app, tr, prof.TotalTime, snap, astc)
+	run, err := newRunner(app, tr, prof.TotalTime, snap, astc)
 	if err != nil {
 		tr.End(root, prof.TotalTime)
 		return nil, err
@@ -164,7 +172,10 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	}
 
 	for _, mp := range prof.TopK(cfg.K) {
-		mr := debloatModule(run, report, mp.Name, cfg)
+		mr, ok := reuseReduction(run, prev, mp.Name)
+		if !ok {
+			mr = debloatModule(run, report, mp.Name, cfg)
+		}
 		res.Modules = append(res.Modules, mr)
 	}
 
@@ -194,7 +205,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	// source, not the in-memory ASTs) must still pass the oracle. The
 	// caches are shared: the rewritten modules hash to new keys while the
 	// untouched library chain still replays.
-	final, err := newTracedRunner(optimized, nil, 0, snap, astc)
+	final, err := newRunner(optimized, nil, 0, snap, astc)
 	if err != nil {
 		tr.End(root, matAt)
 		return nil, fmt.Errorf("debloat: optimized app fails verification: %w", err)

@@ -72,17 +72,13 @@ func (r *runner) nowVirtual() time.Duration {
 	return r.base + r.virtual
 }
 
-// newRunner records the golden behaviour of the unmodified application.
-func newRunner(app *appspec.App) (*runner, error) {
-	return newTracedRunner(app, nil, 0, nil, nil)
-}
-
-// newTracedRunner is newRunner on the pipeline timeline: the golden runs
-// it performs are already metered into tr's registry. snap and astc are the
-// (possibly suite-shared) snapshot and parse caches; a nil snap disables
-// import memoization and a nil astc falls back to a private parse cache.
-// Neither cache affects any simulated observable — see DESIGN.md §9.
-func newTracedRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap *pyruntime.SnapshotCache, astc *pyruntime.ASTCache) (*runner, error) {
+// newRunner records the golden behaviour of the unmodified application,
+// placed on the pipeline timeline at base: the golden runs it performs are
+// already metered into tr's registry (nil: untraced). snap and astc are
+// the (possibly suite-shared) snapshot and parse caches; a nil snap
+// disables import memoization and a nil astc falls back to a private parse
+// cache. Neither cache affects any simulated observable — see DESIGN.md §9.
+func newRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap *pyruntime.SnapshotCache, astc *pyruntime.ASTCache) (*runner, error) {
 	if astc == nil {
 		astc = pyruntime.NewASTCache()
 	}

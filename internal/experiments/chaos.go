@@ -8,75 +8,52 @@ import (
 	"repro/internal/fleet"
 )
 
-// ChaosConfig parameterizes the chaos incident-day experiment: a four-arm
-// population (original, debloated, debloated-with-fallback, and
-// debloated-with-breaker) replayed twice through the same scripted
-// incident schedule — once with every graceful-degradation mechanism off,
-// once with all of them on — so the report isolates what the mechanisms
-// buy and what the static fallback wrapper costs under correlated faults.
-type ChaosConfig struct {
-	// Functions is the population size; Seed keys the population, the
-	// arrival streams, and every chaos draw.
-	Functions int
-	Seed      int64
-	// Workers is the shard count (0: GOMAXPROCS; wall-clock only).
-	Workers int
-	// Incidents is the scripted schedule (default: the canonical incident
-	// day, chaos.DefaultIncidentDay).
-	Incidents []chaos.Incident
-}
+// chaosFunctions is the chaos target's population: it replays the day
+// twice, so it halves the fleet target's scale.
+const chaosFunctions = 4000
 
-// DefaultChaosConfig replays 4000 functions (the experiment runs the day
-// twice, so it halves the fleet target's default scale) through the
-// canonical incident day.
-func DefaultChaosConfig() ChaosConfig {
-	return ChaosConfig{Functions: 4000, Seed: 1, Incidents: chaos.DefaultIncidentDay()}
-}
-
-// ChaosResult pairs the mechanisms-off and mechanisms-on replays.
+// ChaosResult pairs the mechanisms-off and mechanisms-on replays of the
+// chaos incident-day experiment: a four-arm population (original,
+// debloated, debloated-with-fallback, and debloated-with-breaker) replayed
+// twice through the canonical incident day (chaos.DefaultIncidentDay) —
+// once with every graceful-degradation mechanism off, once with all of
+// them on — so the report isolates what the mechanisms buy and what the
+// static fallback wrapper costs under correlated faults.
 type ChaosResult struct {
-	Config ChaosConfig
+	// Functions is the population size.
+	Functions int
 	// Off ran with Mitigations none; On with all of hedge/shed/breaker/
 	// budget. Both carry full fleet results including scorecards.
 	Off, On *fleet.Result
 }
 
-// Chaos runs the chaos incident-day experiment under the suite's knobs
-// (FleetFunctions, FleetWorkers; zero values take the defaults).
+// Chaos generates the four-arm population and replays the incident day
+// twice. s.FleetFunctions sizes the population (zero: chaosFunctions);
+// s.FleetWorkers only changes wall-clock time. Both replays share the
+// population, schedule, seed, and pricing; the only difference is the
+// mitigation toggles, so every delta in the report is attributable to the
+// mechanisms.
 func (s *Suite) Chaos() (*ChaosResult, error) {
-	cfg := DefaultChaosConfig()
-	if s.FleetFunctions > 0 {
-		cfg.Functions = s.FleetFunctions
-	}
-	cfg.Workers = s.FleetWorkers
-	return s.ChaosWith(cfg)
-}
-
-// ChaosWith generates the four-arm population and replays the incident
-// day twice. Both replays share the population, schedule, seed, and
-// pricing; the only difference is the mitigation toggles, so every delta
-// in the report is attributable to the mechanisms.
-func (s *Suite) ChaosWith(cfg ChaosConfig) (*ChaosResult, error) {
-	if len(cfg.Incidents) == 0 {
-		cfg.Incidents = chaos.DefaultIncidentDay()
-	}
 	pc := fleet.DefaultPopConfig()
-	pc.Functions = cfg.Functions
-	pc.Seed = cfg.Seed
+	pc.Functions = chaosFunctions
+	if s.FleetFunctions > 0 {
+		pc.Functions = s.FleetFunctions
+	}
+	pc.Seed = fleetSeed
 	pc.Pricing = s.Platform.Pricing
 	pc.ArmMix = fleet.ChaosArmMix()
 	pop := fleet.GeneratePopulation(pc, nil)
 
 	run := func(m chaos.Mitigations) (*fleet.Result, error) {
 		return fleet.Replay(fleet.Config{
-			Workers: cfg.Workers,
+			Workers: s.FleetWorkers,
 			Period:  pc.Period,
 			SLOs:    fleet.DefaultChaosSLOs(),
-			Seed:    cfg.Seed,
+			Seed:    fleetSeed,
 			Pricing: pc.Pricing,
 			Chaos: &chaos.Config{
-				Seed:        cfg.Seed,
-				Incidents:   cfg.Incidents,
+				Seed:        fleetSeed,
+				Incidents:   chaos.DefaultIncidentDay(),
 				Mitigations: m,
 			},
 		}, pop)
@@ -89,7 +66,7 @@ func (s *Suite) ChaosWith(cfg ChaosConfig) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ChaosResult{Config: cfg, Off: off, On: on}, nil
+	return &ChaosResult{Functions: pc.Functions, Off: off, On: on}, nil
 }
 
 // Render produces the incident-day report: the schedule, both replays'
@@ -99,8 +76,8 @@ func (s *Suite) ChaosWith(cfg ChaosConfig) (*ChaosResult, error) {
 func (r *ChaosResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos incident day — %d functions, 4 arms (original/debloated/fallback/breaker), seed %d\n",
-		r.Config.Functions, r.Config.Seed)
-	fmt.Fprintf(&b, "schedule: %s\n\n", chaos.FormatIncidents(r.Config.Incidents))
+		r.Functions, fleetSeed)
+	fmt.Fprintf(&b, "schedule: %s\n\n", chaos.FormatIncidents(chaos.DefaultIncidentDay()))
 
 	b.WriteString("mitigations=none:\n")
 	b.WriteString(indent(r.Off.Scorecard()))

@@ -13,9 +13,8 @@ import (
 // brownout cost amplification exceeds the plain debloated arm's.
 func TestChaosExperiment(t *testing.T) {
 	s := NewSuite()
-	cfg := DefaultChaosConfig()
-	cfg.Functions = 500
-	res, err := s.ChaosWith(cfg)
+	s.FleetFunctions = 500
+	res, err := s.Chaos()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,70 +43,49 @@ type MonitorConfig struct {
 	// Seed drives trace generation for both the app replay and the fleet
 	// section; a fixed seed reproduces every byte of output.
 	Seed int64
-	// MaxRequests caps the replayed arrivals.
-	MaxRequests int
-	// BurstWindow groups arrivals closer than this into one concurrent
-	// burst.
-	BurstWindow time.Duration
-	// Headroom provisions each deployment's memory at this factor over its
-	// own profiled peak.
-	Headroom float64
-	// Resolution is the monitor's TSDB window (and SLO tick) size.
-	Resolution time.Duration
-	// DashboardEvery renders a dashboard frame at this virtual interval.
-	DashboardEvery time.Duration
-	// LatencyBudget and CostBudget are the allowed bad fractions of the
-	// latency and per-invocation cost objectives; ErrorBudget the allowed
-	// failure fraction.
-	LatencyBudget, CostBudget, ErrorBudget float64
 	// SLOs, when non-empty, replaces the probe-derived objective set
 	// entirely (e.g. parsed from a -slo flag). Both deployments still
 	// share the same set.
 	SLOs []monitor.SLO
-	// Retry is the client-side retry policy for the replay.
-	Retry faas.RetryPolicy
-
-	// FleetFunctions/FleetPeriod shape the fleet trace; FleetKeepAlive the
-	// pool policy; FleetColdInit the modeled init latency of a fleet cold
-	// start; FleetColdBudget the fleet cold-fraction SLO budget.
-	FleetFunctions  int
-	FleetPeriod     time.Duration
-	FleetKeepAlive  time.Duration
-	FleetColdInit   time.Duration
-	FleetColdBudget float64
-	// FleetResolution is the fleet monitor's TSDB window size.
-	FleetResolution time.Duration
 	// FleetWorkers shards the fleet replay across worker goroutines via
 	// the fleet engine (0 or 1 replays sequentially). The rendered output
 	// is byte-identical at any worker count.
 	FleetWorkers int
 }
 
-// DefaultMonitorConfig replays ~150 requests of the hottest seeded trace
-// function (a few minutes of virtual time, so seconds-scale windows) and a
-// two-hour sixty-function fleet.
+// DefaultMonitorConfig studies lightgbm at seed 7.
 func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{
-		App:            "lightgbm",
-		Seed:           7,
-		MaxRequests:    150,
-		BurstWindow:    2 * time.Second,
-		Headroom:       1.2,
-		Resolution:     5 * time.Second,
-		DashboardEvery: 30 * time.Second,
-		LatencyBudget:  0.05,
-		CostBudget:     0.05,
-		ErrorBudget:    0.02,
-		Retry:          faas.DefaultRetryPolicy(),
-
-		FleetFunctions:  60,
-		FleetPeriod:     2 * time.Hour,
-		FleetKeepAlive:  15 * time.Minute,
-		FleetColdInit:   400 * time.Millisecond,
-		FleetColdBudget: 0.30,
-		FleetResolution: time.Minute,
-	}
+	return MonitorConfig{App: "lightgbm", Seed: 7}
 }
+
+// The monitored replay's fixed parameters: ~150 requests of the hottest
+// seeded trace function (a few minutes of virtual time, so seconds-scale
+// windows) and a two-hour sixty-function fleet.
+const (
+	// monitorRequests caps the replayed arrivals.
+	monitorRequests = 150
+	// monitorResolution is the monitor's TSDB window (and SLO tick) size.
+	monitorResolution = 5 * time.Second
+	// monitorDashboardEvery renders a dashboard frame at this virtual
+	// interval.
+	monitorDashboardEvery = 30 * time.Second
+	// latencyBudget and costBudget are the allowed bad fractions of the
+	// latency and per-invocation cost objectives; errorBudget the allowed
+	// failure fraction.
+	latencyBudget, costBudget, errorBudget = 0.05, 0.05, 0.02
+
+	// monitorFleetFunctions and monitorFleetPeriod shape the fleet trace;
+	// monitorFleetKeepAlive is the pool policy, monitorFleetColdInit the
+	// modeled init latency of a fleet cold start, monitorFleetColdBudget
+	// the fleet cold-fraction SLO budget and monitorFleetResolution the
+	// fleet monitor's TSDB window size.
+	monitorFleetFunctions  = 60
+	monitorFleetPeriod     = 2 * time.Hour
+	monitorFleetKeepAlive  = 15 * time.Minute
+	monitorFleetColdInit   = 400 * time.Millisecond
+	monitorFleetColdBudget = 0.30
+	monitorFleetResolution = time.Minute
+)
 
 // MonitorVariantRow is one deployment's monitored outcome.
 type MonitorVariantRow struct {
@@ -207,21 +186,16 @@ func MonitorCompare(orig, trim *appspec.App, profile *profiler.Profile, platform
 	slos := cfg.SLOs
 	if len(slos) == 0 {
 		slos = []monitor.SLO{
-			{Name: "latency-p95", Kind: monitor.KindLatency, Threshold: latSLO, Budget: cfg.LatencyBudget},
-			{Name: "cost-per-invocation", Kind: monitor.KindCostPerInvocation, BudgetUSD: costSLO, Budget: cfg.CostBudget},
-			{Name: "error-rate", Kind: monitor.KindErrorRate, Budget: cfg.ErrorBudget},
+			{Name: "latency-p95", Kind: monitor.KindLatency, Threshold: latSLO, Budget: latencyBudget},
+			{Name: "cost-per-invocation", Kind: monitor.KindCostPerInvocation, BudgetUSD: costSLO, Budget: costBudget},
+			{Name: "error-rate", Kind: monitor.KindErrorRate, Budget: errorBudget},
 		}
 	}
 
-	groups := burstGroups(cfg.Seed, cfg.MaxRequests, cfg.BurstWindow)
+	groups := burstGroups(cfg.Seed, monitorRequests)
 	event := map[string]any{}
 	if len(orig.Oracle) > 0 {
 		event = orig.Oracle[0].Event
-	}
-	provision := func(app *appspec.App, peakMB float64) *appspec.App {
-		cp := app.Clone()
-		cp.MemoryMB = int(math.Ceil(peakMB * cfg.Headroom))
-		return cp
 	}
 
 	out := &MonitorResult{App: orig.Name, Seed: cfg.Seed, Config: cfg,
@@ -236,9 +210,9 @@ func MonitorCompare(orig, trim *appspec.App, profile *profiler.Profile, platform
 	}
 	for _, v := range variants {
 		mon := monitor.New(monitor.Config{
-			Resolution:     cfg.Resolution,
+			Resolution:     monitorResolution,
 			SLOs:           slos,
-			DashboardEvery: cfg.DashboardEvery,
+			DashboardEvery: monitorDashboardEvery,
 		})
 		mcfg := platform
 		mcfg.Monitor = mon
@@ -255,7 +229,7 @@ func MonitorCompare(orig, trim *appspec.App, profile *profiler.Profile, platform
 			for i := range events {
 				events[i] = event
 			}
-			invs, err := p.InvokeGroupWithRetry(app.Name, events, cfg.Retry)
+			invs, err := p.InvokeGroupWithRetry(app.Name, events, faas.DefaultRetryPolicy())
 			if err != nil {
 				return nil, fmt.Errorf("monitor %s: %w", v.label, err)
 			}
@@ -282,7 +256,7 @@ func MonitorCompare(orig, trim *appspec.App, profile *profiler.Profile, platform
 		}
 	}
 
-	out.Fleet, err = replayFleet(platform.Pricing, cfg)
+	out.Fleet, err = replayFleet(platform.Pricing, cfg.Seed, cfg.FleetWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -295,11 +269,11 @@ func MonitorCompare(orig, trim *appspec.App, profile *profiler.Profile, platform
 // to apply. The engine's block-ordered merge plus post-hoc SLO sweep
 // reproduce the globally-sorted live-monitor feed byte-for-byte (see
 // monitor/eval.go), so the rendered section is pinned by a golden test.
-// cfg.FleetWorkers > 1 shards the replay across workers without changing
-// a byte of the output.
-func replayFleet(pricing faas.Pricing, cfg MonitorConfig) (FleetSummary, error) {
+// workers > 1 shards the replay across workers without changing a byte of
+// the output.
+func replayFleet(pricing faas.Pricing, seed int64, workers int) (FleetSummary, error) {
 	tr := trace.Generate(trace.GenConfig{
-		Functions: cfg.FleetFunctions, Period: cfg.FleetPeriod, Seed: cfg.Seed,
+		Functions: monitorFleetFunctions, Period: monitorFleetPeriod, Seed: seed,
 	})
 	fns := make([]fleet.Function, 0, len(tr.Functions))
 	for i := range tr.Functions {
@@ -307,26 +281,25 @@ func replayFleet(pricing faas.Pricing, cfg MonitorConfig) (FleetSummary, error) 
 		fns = append(fns, fleet.Function{
 			ID:       f.ID,
 			Name:     fmt.Sprintf("fleet-%03d", f.ID),
-			ColdInit: cfg.FleetColdInit,
+			ColdInit: monitorFleetColdInit,
 			Exec:     time.Duration(f.DurationMS * float64(time.Millisecond)),
 			MemoryMB: pricing.ConfigureMemory(f.MemoryMB),
 			Arrivals: f.SortedArrivals(),
 		})
 	}
-	workers := cfg.FleetWorkers
 	if workers <= 0 {
 		workers = 1
 	}
 	res, err := fleet.Replay(fleet.Config{
 		Workers:    workers,
-		Period:     cfg.FleetPeriod,
-		Resolution: cfg.FleetResolution,
+		Period:     monitorFleetPeriod,
+		Resolution: monitorFleetResolution,
 		Windows:    monitor.DefaultWindows,
-		KeepAlive:  cfg.FleetKeepAlive,
+		KeepAlive:  monitorFleetKeepAlive,
 		Pricing:    pricing,
-		Seed:       cfg.Seed,
+		Seed:       seed,
 		SLOs: []monitor.SLO{
-			{Name: "fleet-cold-fraction", Kind: monitor.KindColdFraction, Budget: cfg.FleetColdBudget},
+			{Name: "fleet-cold-fraction", Kind: monitor.KindColdFraction, Budget: monitorFleetColdBudget},
 		},
 	}, fns)
 	if err != nil {
@@ -378,7 +351,7 @@ func (r *MonitorResult) Render() string {
 	for _, s := range r.SLOs {
 		fmt.Fprintf(&b, "  %-22s %s\n", s.Name, describeSLO(s))
 	}
-	fmt.Fprintf(&b, "windows: %s resolution, burn≥1 on both 5× and 30× trailing windows\n\n", r.Config.Resolution)
+	fmt.Fprintf(&b, "windows: %s resolution, burn≥1 on both 5× and 30× trailing windows\n\n", monitorResolution)
 
 	fmt.Fprintf(&b, "%-10s %6s %6s %6s %7s %12s %12s %12s %12s %6s %7s\n",
 		"Deployment", "MemMB", "Reqs", "Cold", "Err", "Init$", "Handler$", "Idle$", "Total$", "Init%", "Alerts")
@@ -429,7 +402,7 @@ func (r *MonitorResult) Render() string {
 		b.WriteByte('\n')
 	}
 
-	renderFleetSection(&b, r.Fleet, r.Config)
+	renderFleetSection(&b, r.Fleet)
 	b.WriteString("the original pages on latency and cost where the debloated deployment stays inside budget; the delta row is init-phase dollars debloating removed\n")
 	return b.String()
 }
@@ -437,9 +410,9 @@ func (r *MonitorResult) Render() string {
 // renderFleetSection renders the fleet replay's lines of the monitor
 // report. Split out so the golden test can pin the section (and only the
 // section) against the pre-engine output byte-for-byte.
-func renderFleetSection(b *strings.Builder, f FleetSummary, cfg MonitorConfig) {
+func renderFleetSection(b *strings.Builder, f FleetSummary) {
 	fmt.Fprintf(b, "fleet replay: %d functions over %s, keep-alive %s\n",
-		f.Functions, cfg.FleetPeriod, cfg.FleetKeepAlive)
+		f.Functions, monitorFleetPeriod, monitorFleetKeepAlive)
 	coldPct := 0.0
 	if f.Invocations > 0 {
 		coldPct = 100 * float64(f.ColdStarts) / float64(f.Invocations)

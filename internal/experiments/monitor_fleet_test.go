@@ -20,15 +20,13 @@ func TestFleetSectionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultMonitorConfig()
 	for _, workers := range []int{1, 4} {
-		cfg.FleetWorkers = workers
-		sum, err := replayFleet(faas.AWSPricing(), cfg)
+		sum, err := replayFleet(faas.AWSPricing(), DefaultMonitorConfig().Seed, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var b strings.Builder
-		renderFleetSection(&b, sum, cfg)
+		renderFleetSection(&b, sum)
 		if got := b.String(); got != string(golden) {
 			t.Errorf("workers=%d: fleet section drifted from golden:\n--- got\n%s--- want\n%s",
 				workers, got, golden)

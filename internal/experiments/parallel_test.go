@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/appspec"
 	"repro/internal/debloat"
 	"repro/internal/obs"
 	"repro/internal/pyruntime"
@@ -74,13 +75,21 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-// benchGoldenPath holds the benchmark's committed reference digests; its
-// "debloat" map has one digest per app of the default-config result.
+// benchGoldenPath holds the benchmark's committed reference digests: its
+// "debloat" map has one digest per app of the default-config result, and
+// its "rerun" map one of that result healed by debloat.Rerun with
+// benchHealCases.
 const benchGoldenPath = "../../cmd/bench/testdata/golden.json"
 
-// checkGoldenDigests checks each app's debloat result in s against the
-// benchmark's committed digest, so a change to what the debloater removes
-// fails here even when it changes every arm the same way.
+// benchHealCases is the benchmark's heal-corpus oracle extension: the
+// advanced-mode input that breaks some apps' default reductions, so Rerun
+// both keeps reductions as-is and redoes DD.
+var benchHealCases = []appspec.TestCase{{Name: "heal-advanced", Event: map[string]any{"mode": "advanced"}}}
+
+// checkGoldenDigests checks each app's debloat result in s, and its Rerun
+// with benchHealCases, against the benchmark's committed digests, so a
+// change to what the debloater removes fails here even when it changes
+// every arm the same way.
 func checkGoldenDigests(t *testing.T, s *Suite, names []string) {
 	t.Helper()
 	raw, err := os.ReadFile(benchGoldenPath)
@@ -89,6 +98,7 @@ func checkGoldenDigests(t *testing.T, s *Suite, names []string) {
 	}
 	var g struct {
 		Debloat map[string]string `json:"debloat"`
+		Rerun   map[string]string `json:"rerun"`
 	}
 	if err := json.Unmarshal(raw, &g); err != nil {
 		t.Fatalf("%s: %v", benchGoldenPath, err)
@@ -100,6 +110,13 @@ func checkGoldenDigests(t *testing.T, s *Suite, names []string) {
 		}
 		if got, want := resultDigest(r), g.Debloat[name]; got != want {
 			t.Errorf("%s: debloat digest %.16s, committed %.16s", name, got, want)
+		}
+		h, err := debloat.Rerun(r, benchHealCases, debloat.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultDigest(h), g.Rerun[name]; got != want {
+			t.Errorf("%s: rerun digest %.16s, committed %.16s", name, got, want)
 		}
 	}
 }

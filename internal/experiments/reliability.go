@@ -42,48 +42,50 @@ type ReliabilityConfig struct {
 	Seed int64
 	// MaxRequests caps the replayed arrivals.
 	MaxRequests int
-	// AdvancedEvery routes every Nth request to the rarely-used code path
-	// the oracle does not cover (0 disables). This is the λ-trim risk the
-	// fallback wrapper absorbs.
-	AdvancedEvery int
-	// Headroom provisions each deployment's memory at this factor over
-	// its own profiled peak (the operator's safety margin).
-	Headroom float64
-	// BurstWindow groups arrivals closer than this into one concurrent
-	// burst — what builds the concurrency that trips the throttle limit.
-	BurstWindow time.Duration
 	// Timeout, when positive, bounds every invocation's billed window
 	// (the platform's default timeout for the replay).
 	Timeout time.Duration
-	// Faults is the injected fault mix.
-	Faults faas.FaultConfig
-	// Retry is the client-side retry policy.
-	Retry faas.RetryPolicy
 }
 
-// DefaultReliabilityConfig is a fault mix aggressive enough that every
-// failure class fires within a ~150-request replay, while success still
-// dominates.
+// DefaultReliabilityConfig replays ~150 requests of lightgbm at seed 7
+// under a one-second timeout.
 func DefaultReliabilityConfig() ReliabilityConfig {
-	return ReliabilityConfig{
-		App:           "lightgbm",
-		Seed:          7,
-		MaxRequests:   150,
-		AdvancedEvery: 9,
-		Headroom:      1.2,
-		BurstWindow:   2 * time.Second,
-		Timeout:       time.Second,
-		Faults: faas.FaultConfig{
-			Enabled:          true,
-			InitCrashRate:    0.15,
-			SlowColdRate:     0.20,
-			SlowColdFactor:   3,
-			MemorySpikeRate:  0.12,
-			MemorySpikeMB:    96,
-			ConcurrencyLimit: 3,
-		},
-		Retry: faas.DefaultRetryPolicy(),
-	}
+	return ReliabilityConfig{App: "lightgbm", Seed: 7, MaxRequests: 150, Timeout: time.Second}
+}
+
+// The replays' shared workload and provisioning parameters.
+const (
+	// burstWindow groups arrivals closer than this into one concurrent
+	// burst — what builds the concurrency that trips the throttle limit.
+	burstWindow = 2 * time.Second
+	// headroom provisions each deployment's memory at this factor over
+	// its own profiled peak (the operator's safety margin).
+	headroom = 1.2
+	// advancedEvery routes every Nth reliability request to the
+	// rarely-used code path the oracle does not cover. This is the λ-trim
+	// risk the fallback wrapper absorbs.
+	advancedEvery = 9
+)
+
+// reliabilityFaults is the injected fault mix: aggressive enough that
+// every failure class fires within a ~150-request replay, while success
+// still dominates.
+var reliabilityFaults = faas.FaultConfig{
+	Enabled:          true,
+	InitCrashRate:    0.15,
+	SlowColdRate:     0.20,
+	SlowColdFactor:   3,
+	MemorySpikeRate:  0.12,
+	MemorySpikeMB:    96,
+	ConcurrencyLimit: 3,
+}
+
+// provision returns a copy of app configured with memory at headroom over
+// its profiled peak.
+func provision(app *appspec.App, peakMB float64) *appspec.App {
+	cp := app.Clone()
+	cp.MemoryMB = int(math.Ceil(peakMB * headroom))
+	return cp
 }
 
 // ReliabilityRow is one deployment's outcome over the replay.
@@ -163,21 +165,16 @@ func ReliabilityCompare(orig, trim *appspec.App, platform faas.Config, cfg Relia
 	if err != nil {
 		return nil, fmt.Errorf("reliability: profiling debloated: %w", err)
 	}
-	provision := func(app *appspec.App, peakMB float64) *appspec.App {
-		cp := app.Clone()
-		cp.MemoryMB = int(math.Ceil(peakMB * cfg.Headroom))
-		return cp
-	}
-
 	// The workload: the synthetic Azure-shaped trace's hottest arrival
 	// process — the adversarial case for throttling and cold-start storms.
-	groups := arrivalGroups(cfg)
+	groups := burstGroups(cfg.Seed, cfg.MaxRequests)
+	retry := faas.DefaultRetryPolicy()
 
 	faulted := platform
 	faulted.EnforceMemory = true
 	faulted.DefaultTimeout = cfg.Timeout
 	faulted.FaultSeed = cfg.Seed
-	faulted.Faults = cfg.Faults
+	faulted.Faults = reliabilityFaults
 
 	normalEvent := map[string]any{}
 	if len(orig.Oracle) > 0 {
@@ -216,7 +213,7 @@ func ReliabilityCompare(orig, trim *appspec.App, platform faas.Config, cfg Relia
 		reqIdx := 0
 		event := func() map[string]any {
 			reqIdx++
-			if cfg.AdvancedEvery > 0 && reqIdx%cfg.AdvancedEvery == 0 {
+			if reqIdx%advancedEvery == 0 {
 				return advancedEvent
 			}
 			return normalEvent
@@ -242,7 +239,7 @@ func ReliabilityCompare(orig, trim *appspec.App, platform faas.Config, cfg Relia
 				p.Advance(gap)
 			}
 			if g.size == 1 {
-				inv, err := p.InvokeWithRetry(name, event(), cfg.Retry)
+				inv, err := p.InvokeWithRetry(name, event(), retry)
 				if err != nil {
 					return nil, fmt.Errorf("reliability %s: %w", v.label, err)
 				}
@@ -253,7 +250,7 @@ func ReliabilityCompare(orig, trim *appspec.App, platform faas.Config, cfg Relia
 			for i := range events {
 				events[i] = event()
 			}
-			invs, err := p.InvokeGroupWithRetry(name, events, cfg.Retry)
+			invs, err := p.InvokeGroupWithRetry(name, events, retry)
 			if err != nil {
 				return nil, fmt.Errorf("reliability %s: %w", v.label, err)
 			}
@@ -282,17 +279,11 @@ type arrivalGroup struct {
 	size  int
 }
 
-// arrivalGroups generates the replay workload for the reliability
-// experiment (shared with the monitor driver via burstGroups).
-func arrivalGroups(cfg ReliabilityConfig) []arrivalGroup {
-	return burstGroups(cfg.Seed, cfg.MaxRequests, cfg.BurstWindow)
-}
-
 // burstGroups generates the synthetic Azure-shaped trace, picks the
 // hottest function — the adversarial case for throttling and cold-start
-// storms — and clusters its first maxRequests arrivals into window-sized
-// burst groups.
-func burstGroups(seed int64, maxRequests int, window time.Duration) []arrivalGroup {
+// storms — and clusters its first maxRequests arrivals into
+// burstWindow-sized burst groups.
+func burstGroups(seed int64, maxRequests int) []arrivalGroup {
 	tr := trace.Generate(trace.GenConfig{Functions: 60, Period: 24 * time.Hour, Seed: seed})
 	var hottest *trace.Function
 	for i := range tr.Functions {
@@ -307,7 +298,7 @@ func burstGroups(seed int64, maxRequests int, window time.Duration) []arrivalGro
 	}
 	var groups []arrivalGroup
 	for _, at := range arrivals {
-		if n := len(groups); n > 0 && at-groups[n-1].start <= window {
+		if n := len(groups); n > 0 && at-groups[n-1].start <= burstWindow {
 			groups[n-1].size++
 			continue
 		}
@@ -320,10 +311,10 @@ func burstGroups(seed int64, maxRequests int, window time.Duration) []arrivalGro
 func (r *ReliabilityResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Reliability — %s under injected faults (seed %d)\n", r.App, r.Seed)
-	f := r.Config.Faults
+	f := reliabilityFaults
 	fmt.Fprintf(&b, "faults: init-crash %.0f%%, slow-cold %.0f%% (%.0fx), mem-spike %.0f%% (+%.0f MB), concurrency limit %d; retries: %d attempts\n",
 		100*f.InitCrashRate, 100*f.SlowColdRate, f.SlowColdFactor,
-		100*f.MemorySpikeRate, f.MemorySpikeMB, f.ConcurrencyLimit, r.Config.Retry.MaxAttempts)
+		100*f.MemorySpikeRate, f.MemorySpikeMB, f.ConcurrencyLimit, faas.DefaultRetryPolicy().MaxAttempts)
 	fmt.Fprintf(&b, "%-10s %6s %6s %8s %8s %9s %5s %5s %6s %6s %5s %9s %11s\n",
 		"Deployment", "MemMB", "Reqs", "Attempts", "RetryAmp", "Fail%", "OOM", "Thr", "Crash", "TOut", "Fallb", "Cold", "Cost$")
 	for _, row := range r.Rows {

@@ -42,57 +42,53 @@ import (
 
 // RolloutConfig parameterizes the closed-loop replay.
 type RolloutConfig struct {
-	// StormApps get advanced-mode traffic after StormFrac of the trace;
+	// StormApps get advanced-mode traffic after stormFrac of the trace;
 	// their debloated artifacts carry the latent over-trim.
 	StormApps []string
 	// CleanApps receive only oracle traffic throughout.
 	CleanApps []string
 	// Seed drives the trace generator and the alias routing draws.
 	Seed int64
-	// MaxRequests caps replayed arrivals; BurstWindow groups arrivals
-	// closer than this into one concurrent burst.
-	MaxRequests int
-	BurstWindow time.Duration
-	// StormFrac and SteadyFrac position the storm onset and the
-	// steady-state costing window as fractions of the trace span.
-	StormFrac, SteadyFrac float64
-	// Stages is the canary ramp; GateResolution the health-gate tick.
-	Stages         []rollout.Stage
-	GateResolution time.Duration
-	// Breaker tunes the fallback-storm circuit breaker.
-	Breaker rollout.BreakerConfig
-	// Retry is the client-side retry policy for every arm.
-	Retry faas.RetryPolicy
 }
 
-// DefaultRolloutConfig sizes the loop to the seeded trace: second-scale
-// bakes so the initial canary promotes before the storm, and a breaker
-// window matching the storm request rate.
+// DefaultRolloutConfig storms lightgbm and dna-visualization beside a
+// clean markdown at seed 7.
 func DefaultRolloutConfig() RolloutConfig {
 	return RolloutConfig{
-		StormApps:   []string{"lightgbm", "dna-visualization"},
-		CleanApps:   []string{"markdown"},
-		Seed:        7,
-		MaxRequests: 360,
-		BurstWindow: 2 * time.Second,
-		StormFrac:   0.35,
-		SteadyFrac:  0.80,
-		Stages: []rollout.Stage{
-			{Weight: 0.05, Bake: 30 * time.Second},
-			{Weight: 0.25, Bake: 30 * time.Second},
-			{Weight: 1.00, Bake: time.Minute},
-		},
-		GateResolution: 10 * time.Second,
-		Breaker: rollout.BreakerConfig{
-			Window:       time.Minute,
-			MinRequests:  6,
-			FallbackRate: 0.5,
-			Consecutive:  4,
-			Cooldown:     10 * time.Minute,
-			Probes:       3,
-		},
-		Retry: faas.DefaultRetryPolicy(),
+		StormApps: []string{"lightgbm", "dna-visualization"},
+		CleanApps: []string{"markdown"},
+		Seed:      7,
 	}
+}
+
+// The closed-loop replay's fixed parameters, sized to the seeded trace:
+// second-scale bakes so the initial canary promotes before the storm, and
+// a breaker window matching the storm request rate.
+const (
+	// rolloutRequests caps replayed arrivals.
+	rolloutRequests = 360
+	// stormFrac and steadyFrac position the storm onset and the
+	// steady-state costing window as fractions of the trace span.
+	stormFrac, steadyFrac = 0.35, 0.80
+	// gateResolution is the health-gate tick.
+	gateResolution = 10 * time.Second
+)
+
+// rolloutStages is the canary ramp.
+var rolloutStages = []rollout.Stage{
+	{Weight: 0.05, Bake: 30 * time.Second},
+	{Weight: 0.25, Bake: 30 * time.Second},
+	{Weight: 1.00, Bake: time.Minute},
+}
+
+// rolloutBreaker tunes the fallback-storm circuit breaker.
+var rolloutBreaker = rollout.BreakerConfig{
+	Window:       time.Minute,
+	MinRequests:  6,
+	FallbackRate: 0.5,
+	Consecutive:  4,
+	Cooldown:     10 * time.Minute,
+	Probes:       3,
 }
 
 // RolloutArmRow is one deployment regime's outcome.
@@ -203,14 +199,15 @@ func RolloutCompare(storm, clean []*debloat.Result, platform faas.Config, dcfg d
 		return nil, fmt.Errorf("rollout: no members")
 	}
 
-	groups := burstGroups(cfg.Seed, cfg.MaxRequests, cfg.BurstWindow)
+	groups := burstGroups(cfg.Seed, rolloutRequests)
+	retry := faas.DefaultRetryPolicy()
 	span := groups[len(groups)-1].start
 	out := &RolloutResult{
 		Config:   cfg,
 		Groups:   len(groups),
 		Span:     span,
-		StormAt:  time.Duration(float64(span) * cfg.StormFrac),
-		SteadyAt: time.Duration(float64(span) * cfg.SteadyFrac),
+		StormAt:  time.Duration(float64(span) * stormFrac),
+		SteadyAt: time.Duration(float64(span) * steadyFrac),
 		Storm:    make(map[string]bool),
 	}
 	for _, m := range members {
@@ -269,7 +266,7 @@ func RolloutCompare(storm, clean []*debloat.Result, platform faas.Config, dcfg d
 			}
 		}
 		row, err := replay("fallback-only", p, func(m *rolloutMember, events []map[string]any) ([]*faas.Invocation, error) {
-			return p.InvokeGroupWithRetry(m.res.App.Name, events, cfg.Retry)
+			return p.InvokeGroupWithRetry(m.res.App.Name, events, retry)
 		})
 		if err != nil {
 			return nil, err
@@ -281,13 +278,13 @@ func RolloutCompare(storm, clean []*debloat.Result, platform faas.Config, dcfg d
 	{
 		p := faas.New(platform)
 		ctrl := rollout.New(p, rollout.Config{
-			Stages:         cfg.Stages,
+			Stages:         rolloutStages,
 			Gate:           []monitor.SLO{{Name: "canary-err", Kind: monitor.KindErrorRate, Budget: 0.05}},
-			GateResolution: cfg.GateResolution,
-			Breaker:        cfg.Breaker,
+			GateResolution: gateResolution,
+			Breaker:        rolloutBreaker,
 			SelfHeal:       true,
 			Debloat:        dcfg,
-			Retry:          cfg.Retry,
+			Retry:          retry,
 			Tracer:         platform.Tracer,
 		})
 		for _, m := range members {
@@ -323,7 +320,7 @@ func RolloutCompare(storm, clean []*debloat.Result, platform faas.Config, dcfg d
 			}
 		}
 		row, err := replay("oracle-clean", p, func(m *rolloutMember, events []map[string]any) ([]*faas.Invocation, error) {
-			return p.InvokeGroupWithRetry(m.res.App.Name, events, cfg.Retry)
+			return p.InvokeGroupWithRetry(m.res.App.Name, events, retry)
 		})
 		if err != nil {
 			return nil, err
@@ -351,9 +348,9 @@ func (r *RolloutResult) Render() string {
 		strings.Join(names, ", "), r.Groups, r.Span.Round(time.Second))
 	fmt.Fprintf(&b, "storm: advanced-mode traffic to storm members from %s; steady-state window from %s\n",
 		monitor.FmtOffset(r.StormAt), monitor.FmtOffset(r.SteadyAt))
-	br := r.Config.Breaker
+	br := rolloutBreaker
 	fmt.Fprintf(&b, "canary: %s; breaker: rate ≥%.2f over %s (min %d) or %d consecutive; gate: error burn on %s ticks\n\n",
-		rollout.FormatStages(r.Config.Stages), br.FallbackRate, br.Window, br.MinRequests, br.Consecutive, r.Config.GateResolution)
+		rollout.FormatStages(rolloutStages), br.FallbackRate, br.Window, br.MinRequests, br.Consecutive, gateResolution)
 
 	b.WriteString("controller events:\n")
 	if r.EventLog == "" {

@@ -46,10 +46,11 @@ type Suite struct {
 	ASTs        *pyruntime.ASTCache
 	DisableMemo bool
 
-	// FleetFunctions and FleetWorkers parameterize the fleet target
-	// (cmd/experiments -fleet-functions/-fleet-workers). Zero values take
-	// the defaults: a 10k-function population on GOMAXPROCS worker shards.
-	// The worker count never changes a byte of the rendered result.
+	// FleetFunctions and FleetWorkers parameterize the fleet and chaos
+	// targets (cmd/experiments -fleet-functions/-fleet-workers). Zero
+	// values take the defaults: the target's own population size
+	// (fleetFunctions, chaosFunctions) on GOMAXPROCS worker shards. The
+	// worker count never changes a byte of the rendered result.
 	FleetFunctions int
 	FleetWorkers   int
 

@@ -109,15 +109,16 @@ func (p Pricing) ConfigureMemory(peakMB float64) int {
 	return mem
 }
 
+// baseRuntimeMB is the interpreter/runtime footprint added to every
+// instance (CPython ~35 MB on Lambda).
+const baseRuntimeMB = 35
+
 // Config parameterizes the platform simulator.
 type Config struct {
 	Pricing Pricing
 	// KeepAlive is how long an idle instance survives (AWS: up to
 	// ~45-60 min; GCP: <15 min). Paper experiments assume 15 min.
 	KeepAlive time.Duration
-	// BaseRuntimeMB is the interpreter/runtime footprint added to every
-	// instance (CPython ~35 MB on Lambda).
-	BaseRuntimeMB float64
 	// RoutingOverhead models request routing/queueing on every invocation
 	// (present in E2E, never billed).
 	RoutingOverhead time.Duration
@@ -168,7 +169,6 @@ func DefaultConfig() Config {
 	return Config{
 		Pricing:          AWSPricing(),
 		KeepAlive:        15 * time.Minute,
-		BaseRuntimeMB:    35,
 		RoutingOverhead:  40 * time.Millisecond,
 		InstanceInit:     350 * time.Millisecond,
 		TransferRateMBps: 600,
@@ -368,7 +368,7 @@ func (p *Platform) profilePeakMB(app *appspec.App) float64 {
 			}
 		}
 	}
-	return simtime.MBf(interp.Alloc.Peak()) + p.cfg.BaseRuntimeMB
+	return simtime.MBf(interp.Alloc.Peak()) + baseRuntimeMB
 }
 
 // DeployWithFallback registers a debloated app plus its original as the
@@ -557,7 +557,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 			inv.Class = FailureInitCrash
 			inv.Err = &FailureError{Class: FailureInitCrash, Function: d.app.Name,
 				Detail: "transient crash during function initialization"}
-			inv.PeakMB = simtime.MBf(interp.Alloc.Peak()) + p.cfg.BaseRuntimeMB
+			inv.PeakMB = simtime.MBf(interp.Alloc.Peak()) + baseRuntimeMB
 			inv.BilledDuration = p.cfg.Pricing.BillDuration(inv.Init)
 			inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB)
 			inv.E2E = p.cfg.RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init
@@ -593,7 +593,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 	// Footprint. Fault draw 3 (every attempt): an input-dependent memory
 	// spike inflates this invocation's footprint without changing the
 	// deployment's configuration.
-	inv.PeakMB = simtime.MBf(interp.Alloc.Peak()) + p.cfg.BaseRuntimeMB
+	inv.PeakMB = simtime.MBf(interp.Alloc.Peak()) + baseRuntimeMB
 	if p.faultFires(p.cfg.Faults.MemorySpikeRate) && p.cfg.Faults.MemorySpikeMB > 0 {
 		inv.PeakMB += p.cfg.Faults.MemorySpikeMB
 		p.emitFault("memory-spike", d.app.Name)

@@ -130,32 +130,23 @@ type RetryPolicy struct {
 	// Jitter in [0,1] randomizes that fraction of each wait, drawn from
 	// the platform's seeded stream (0 = fully deterministic waits).
 	Jitter float64
-	// Budget, when non-nil, caps the total number of retries across every
-	// request sharing the budget, per sliding sim-time window. Per-request
-	// backoff bounds amplification within one request; the budget bounds it
-	// across the client — N throttled requests retrying in lockstep are
-	// exactly the storm that re-throttles itself. Nil means unlimited
-	// (prior behavior, byte-identical).
-	Budget *RetryBudget
 }
 
 // RetryBudget is a sliding-window cap on total client-side retries. Share
-// one budget across the requests of a logical client (a driver loop, a
-// rollout arm) so injected throttling cannot amplify into a retry storm:
-// once the window's retries are spent, further failures return to the
-// caller immediately instead of re-entering the backoff loop.
+// one budget across the requests of a logical client so injected
+// throttling cannot amplify into a retry storm: once the window's retries
+// are spent, further failures return to the caller immediately instead of
+// re-entering the backoff loop.
 //
-// Spend times come from the platform's virtual clock, so budget decisions
-// are deterministic. Not safe for concurrent use (like Platform itself).
+// Spend times come from a virtual clock, so budget decisions are
+// deterministic. Not safe for concurrent use.
 type RetryBudget struct {
 	// MaxRetries is the cap per window; values < 1 deny every retry.
 	MaxRetries int
-	// Window is the sliding sim-time window; <= 0 means the cap applies
-	// to the whole run (spent retries never expire).
+	// Window is the sliding sim-time window; it must be positive.
 	Window time.Duration
 
-	spent []time.Duration // sliding-window charge times, ascending (Window > 0 only)
-	used  int             // whole-run charges (Window <= 0); no per-charge storage
+	spent []time.Duration // charge times within the window, ascending
 }
 
 // NewRetryBudget builds a budget allowing maxRetries per window.
@@ -166,34 +157,12 @@ func NewRetryBudget(maxRetries int, window time.Duration) *RetryBudget {
 // Spend charges one retry at the given sim time. It reports false — and
 // charges nothing — when the window's cap is already spent.
 func (b *RetryBudget) Spend(now time.Duration) bool {
-	if b.Window <= 0 {
-		if b.used >= b.MaxRetries {
-			return false
-		}
-		b.used++
-		return true
-	}
 	b.prune(now)
 	if len(b.spent) >= b.MaxRetries {
 		return false
 	}
 	b.spent = append(b.spent, now)
 	return true
-}
-
-// Remaining reports how many retries the window has left at the given time.
-func (b *RetryBudget) Remaining(now time.Duration) int {
-	var n int
-	if b.Window <= 0 {
-		n = b.MaxRetries - b.used
-	} else {
-		b.prune(now)
-		n = b.MaxRetries - len(b.spent)
-	}
-	if n > 0 {
-		return n
-	}
-	return 0
 }
 
 // prune expires charges older than the window. Charges arrive in ascending
@@ -210,11 +179,6 @@ func (b *RetryBudget) prune(now time.Duration) {
 		n := copy(b.spent, b.spent[i:])
 		b.spent = b.spent[:n]
 	}
-}
-
-// allowRetry charges one retry to the policy's budget (nil = unlimited).
-func (rp RetryPolicy) allowRetry(now time.Duration) bool {
-	return rp.Budget == nil || rp.Budget.Spend(now)
 }
 
 // DefaultRetryPolicy mirrors the AWS SDK defaults: 3 attempts, 100 ms
@@ -296,15 +260,9 @@ func (st *retryState) absorb(p *Platform, inv *Invocation, pol RetryPolicy) {
 	st.done = inv.Err == nil || !retryable(inv.Class) || len(st.costs) >= pol.MaxAttempts
 }
 
-// retry makes the next attempt of an unfinished request: it charges the
-// budget (a denied retry ends the request), waits out the backoff on the
-// platform clock, re-invokes and absorbs the attempt.
+// retry makes the next attempt of an unfinished request: it waits out the
+// backoff on the platform clock, re-invokes and absorbs the attempt.
 func (p *Platform) retry(st *retryState, name string, event map[string]any, pol RetryPolicy) error {
-	if !pol.allowRetry(p.now) {
-		p.noteBudgetExhausted(name)
-		st.done = true
-		return nil
-	}
 	wait := pol.backoff(len(st.costs), p.rng)
 	st.backoff += wait
 	p.recordBackoff(st.span, len(st.costs), wait)
@@ -359,14 +317,6 @@ func (p *Platform) InvokeWithRetry(name string, event map[string]any, pol RetryP
 	out := st.finalize()
 	st.close(p, out)
 	return out, nil
-}
-
-// noteBudgetExhausted records a retry denied by an exhausted budget.
-func (p *Platform) noteBudgetExhausted(name string) {
-	if tr := p.cfg.Tracer; tr != nil {
-		tr.Emit("faas.retry.budget_exhausted", p.now, obs.String("fn", name))
-		tr.Metrics().Inc("faas.retry.budget_denied", 1)
-	}
 }
 
 // recordBackoff records one backoff wait as a child span of the request,

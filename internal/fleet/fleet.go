@@ -2,8 +2,8 @@
 // partitions a population of thousands of serverless functions into
 // contiguous ID-ordered blocks, replays each block's keep-alive pool
 // dynamics on a private worker shard — each shard feeding its own
-// monitor.Store, cost ledgers, and obs.Registry — and folds the shard
-// results back together in block order at the end of the replay.
+// monitor.Store and cost ledgers — and folds the shard results back
+// together in block order at the end of the replay.
 //
 // The engine's contract is byte-identity across worker counts. Every
 // accumulator is either order-independent (integer counters, window
@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/faas"
-	"repro/internal/obs"
 	"repro/internal/obs/monitor"
 	"repro/internal/obs/query"
 	"repro/internal/stats"
@@ -201,7 +200,6 @@ type partial struct {
 	ledger *monitor.Ledger // per function
 	arms   *monitor.Ledger // per arm
 	arch   *monitor.Ledger // per "archetype/arm"
-	reg    *obs.Registry
 	hist   *stats.Histogram
 	ex     *exemplars
 
@@ -242,7 +240,6 @@ func newPartial(cfg *Config) *partial {
 	p.ledger = monitor.NewLedger()
 	p.arms = monitor.NewLedger()
 	p.arch = monitor.NewLedger()
-	p.reg = obs.NewRegistry()
 	p.hist = stats.NewHistogram()
 	p.ex = newExemplars(topK, cfg.Seed)
 	p.series = p.store.SampleSeries(cfg.SLOs)
@@ -267,7 +264,6 @@ func (p *partial) merge(o *partial) error {
 	p.ledger.Merge(o.ledger)
 	p.arms.Merge(o.arms)
 	p.arch.Merge(o.arch)
-	p.reg.Merge(o.reg)
 	if p.hist != nil {
 		p.hist.Merge(o.hist)
 	}
@@ -404,12 +400,6 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 	}
 	res := trace.SimulatePoolGated(fn.arrivalSource(p.rng, cfg.Period), fn.Exec, cfg.KeepAlive, gate,
 		func(ev trace.PoolEvent) { p.serve(cfg, r, ev) })
-	if res.Invocations > 0 {
-		p.reg.Inc("fleet.invocations", int64(res.Invocations))
-	}
-	if res.ColdStarts > 0 {
-		p.reg.Inc("fleet.cold_starts", int64(res.ColdStarts))
-	}
 	if res.MaxInstances > p.peakLive {
 		p.peakLive = res.MaxInstances
 	}
@@ -690,7 +680,6 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		Ledger:      final.ledger,
 		Arms:        final.arms,
 		Archetypes:  final.arch,
-		Registry:    final.reg,
 		Latency:     final.hist,
 		ArmFns:      final.armFns,
 	}

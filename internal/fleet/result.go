@@ -36,14 +36,12 @@ type Result struct {
 	Latest time.Duration
 
 	// Store is the merged TSDB; Ledger/Arms/Archetypes the cost ledgers
-	// keyed by function, arm, and "archetype/arm"; Registry the merged
-	// shard counters; Latency the cumulative E2E histogram. All nil when
-	// the replay ran with DisableTelemetry.
+	// keyed by function, arm, and "archetype/arm"; Latency the cumulative
+	// E2E histogram. All nil when the replay ran with DisableTelemetry.
 	Store      *monitor.Store
 	Ledger     *monitor.Ledger
 	Arms       *monitor.Ledger
 	Archetypes *monitor.Ledger
-	Registry   *obs.Registry
 	Latency    *stats.Histogram
 
 	SLOs       []monitor.SLO
@@ -397,7 +395,8 @@ func (r *Result) OpenMetrics() []byte {
 // child per "archetype/arm" bucket (widest first) sized by its billed
 // duration, with init/exec/idle leaf phases — "where does the billed time
 // go" at a glance, a few dozen spans no matter how many invocations
-// replayed. The merged shard registry is folded into tr's metrics.
+// replayed. Invocations and ColdStarts, when non-zero, are added to tr's
+// fleet.invocations and fleet.cold_starts counters.
 func (r *Result) EmitSpans(tr *obs.Tracer) {
 	if tr == nil || r.Archetypes == nil {
 		return
@@ -443,7 +442,12 @@ func (r *Result) EmitSpans(tr *obs.Tracer) {
 	}
 	tr.End(root, total)
 	r.emitExemplarSpans(tr)
-	tr.Metrics().Merge(r.Registry)
+	if r.Invocations > 0 {
+		tr.Metrics().Inc("fleet.invocations", int64(r.Invocations))
+	}
+	if r.ColdStarts > 0 {
+		tr.Metrics().Inc("fleet.cold_starts", int64(r.ColdStarts))
+	}
 }
 
 // emitExemplarSpans records a second root holding one span per kept

@@ -46,10 +46,9 @@ type Sample struct {
 
 // Config parameterizes a Monitor.
 type Config struct {
-	// Resolution is the TSDB window size (default DefaultResolution).
+	// Resolution is the TSDB window size (default DefaultResolution). The
+	// ring holds DefaultWindows windows.
 	Resolution time.Duration
-	// Windows is the TSDB ring capacity (default DefaultWindows).
-	Windows int
 	// SLOs are the objectives to evaluate; zero fields take engine
 	// defaults derived from Resolution.
 	SLOs []SLO
@@ -85,12 +84,9 @@ func New(cfg Config) *Monitor {
 	if cfg.Resolution <= 0 {
 		cfg.Resolution = DefaultResolution
 	}
-	if cfg.Windows <= 0 {
-		cfg.Windows = DefaultWindows
-	}
 	m := &Monitor{
 		cfg:       cfg,
-		store:     NewStore(cfg.Resolution, cfg.Windows),
+		store:     NewStore(cfg.Resolution, DefaultWindows),
 		ledger:    NewLedger(),
 		hist:      stats.NewHistogram(),
 		nextTick:  cfg.Resolution,

@@ -155,9 +155,6 @@ type Options struct {
 	Scoring Scoring
 	// Seed drives the Random scoring method only.
 	Seed int64
-	// Exclude lists module names never considered candidates (the entry
-	// module is always excluded).
-	Exclude []string
 	// Tracer, when non-nil, records the profiling run as a span tree on
 	// the profiling interpreter's clock: one "profile" span holding one
 	// span per module execution, nested by import structure, each
@@ -197,12 +194,9 @@ func Run(image *vfs.FS, entry string, opts Options) (*Profile, error) {
 	opts.Tracer.End(sp, in.Clock.Now())
 	opts.Tracer.Metrics().Observe("profiler.init.seconds", prof.TotalTime.Seconds())
 
-	excluded := map[string]bool{entry: true}
-	for _, e := range opts.Exclude {
-		excluded[e] = true
-	}
+	// The entry module is application code, never a candidate.
 	for name, mp := range hook.out {
-		if excluded[name] {
+		if name == entry {
 			continue
 		}
 		prof.Modules = append(prof.Modules, mp)

@@ -31,13 +31,14 @@ type Config struct {
 	SelfHeal bool
 	// Debloat configures the self-heal Rerun.
 	Debloat debloat.Config
-	// MaxHealCases caps collected failing inputs per heal round.
-	MaxHealCases int
 	// Retry is the client-side retry policy used for managed invokes.
 	Retry faas.RetryPolicy
 	// Tracer receives rollout.* events (nil disables).
 	Tracer *obs.Tracer
 }
+
+// maxHealCases caps collected failing inputs per heal round.
+const maxHealCases = 8
 
 // DefaultConfig returns a controller config sized for the experiment
 // traces: second-scale gates, minute-scale bakes.
@@ -49,7 +50,6 @@ func DefaultConfig() Config {
 		Breaker:        DefaultBreakerConfig(),
 		SelfHeal:       true,
 		Debloat:        debloat.DefaultConfig(),
-		MaxHealCases:   8,
 	}
 }
 
@@ -106,9 +106,6 @@ func New(p *faas.Platform, cfg Config) *Controller {
 	}
 	if cfg.Breaker == (BreakerConfig{}) {
 		cfg.Breaker = DefaultBreakerConfig()
-	}
-	if cfg.MaxHealCases <= 0 {
-		cfg.MaxHealCases = 8
 	}
 	return &Controller{
 		p:     p,
@@ -366,7 +363,7 @@ func (c *Controller) observe(st *fnState, event map[string]any, inv *faas.Invoca
 
 // collectHealCase keeps the failing input as a future oracle case.
 func (c *Controller) collectHealCase(st *fnState, event map[string]any) {
-	if !c.cfg.SelfHeal || len(st.healCases) >= c.cfg.MaxHealCases {
+	if !c.cfg.SelfHeal || len(st.healCases) >= maxHealCases {
 		return
 	}
 	// fmt formats maps with sorted keys, so this key is deterministic.
