@@ -213,12 +213,9 @@ func pipeline(app *appspec.App, prev *Result, cfg Config) (*Result, error) {
 	if tr != nil {
 		tr.StartChild(root, "verify", "pipeline", matAt).Finish(matAt + final.virtual)
 	}
-	for i := range final.golden {
-		if final.golden[i].stdout != run.golden[i].stdout ||
-			final.golden[i].result != run.golden[i].result {
-			tr.End(root, matAt+final.virtual)
-			return nil, fmt.Errorf("debloat: optimized app diverges on oracle case %d", i)
-		}
+	if i, ok := final.diverges(run); ok {
+		tr.End(root, matAt+final.virtual)
+		return nil, fmt.Errorf("debloat: optimized app diverges on oracle case %d", i)
 	}
 	if tr != nil {
 		root.Add(

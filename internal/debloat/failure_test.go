@@ -106,28 +106,7 @@ func TestVerifyApp(t *testing.T) {
 // comparison keeps them alive. A sibling attribute with no side effect is
 // removed, proving DD did consider this module.
 func TestOracleComparesRemoteJournal(t *testing.T) {
-	fs := vfs.New()
-	fs.Write("handler.py", `
-import lib
-
-def handler(event, context):
-    return lib.work(event.get("id", 0))
-`)
-	fs.Write("site-packages/lib/__init__.py", `
-def _register():
-    return remote_call("license-server", "register", {"product": "lib"})
-
-_lease = _register()
-
-def work(id):
-    return id * 2
-
-def unused_helper(x):
-    return x
-`)
-	app := &appspec.App{Name: "audit", Image: fs, Entry: "handler", Handler: "handler",
-		Oracle: []appspec.TestCase{{Name: "t", Event: map[string]any{"id": 7}}}}
-
+	app := licensedApp()
 	res, err := Run(app, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -138,5 +117,58 @@ def unused_helper(x):
 	}
 	if strings.Contains(src, "unused_helper") {
 		t.Errorf("side-effect-free dead attribute survived:\n%s", src)
+	}
+}
+
+// licensedApp is an app whose library registers itself with a license
+// server at import time; the handler never reads the registration.
+func licensedApp() *appspec.App {
+	fs := vfs.New()
+	fs.Write("handler.py", `
+import lib
+
+def handler(event, context):
+    return lib.work(event.get("id", 0))
+`)
+	fs.Write("site-packages/lib/__init__.py", licensedLib)
+	return &appspec.App{Name: "audit", Image: fs, Entry: "handler", Handler: "handler",
+		Oracle: []appspec.TestCase{{Name: "t", Event: map[string]any{"id": 7}}}}
+}
+
+const licensedLib = `
+def _register():
+    return remote_call("license-server", "register", {"product": "lib"})
+
+_lease = _register()
+
+def work(id):
+    return id * 2
+
+def unused_helper(x):
+    return x
+`
+
+// TestVerificationComparesRemoteJournal: the pipeline's final check of the
+// materialized image compares what the oracle compares, the remote-call
+// journal included. An image hand-edited to skip the import-time
+// registration keeps stdout and the result, and must still be rejected.
+func TestVerificationComparesRemoteJournal(t *testing.T) {
+	app := licensedApp()
+	run, err := newRunner(app, nil, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := app.Clone()
+	edited.Image.Write("site-packages/lib/__init__.py", strings.Replace(licensedLib, "_lease = _register()", "", 1))
+	final, err := newRunner(edited, nil, 0, nil, nil)
+	if err != nil {
+		t.Fatalf("the edited image fails its own oracle: %v", err)
+	}
+	g, e := run.golden[0], final.golden[0]
+	if g.stdout != e.stdout || g.result != e.result || len(e.remote) != len(g.remote)-1 {
+		t.Fatalf("the edit should drop one remote call and keep stdout and the result: %+v vs %+v", e, g)
+	}
+	if _, ok := final.diverges(run); !ok {
+		t.Error("verification accepted an image that drops an import-time remote call")
 	}
 }

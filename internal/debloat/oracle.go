@@ -2,6 +2,7 @@ package debloat
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,6 +25,11 @@ type goldenRecord struct {
 	stdout string
 	result string
 	remote []pyruntime.RemoteCall
+}
+
+// equal reports whether two records observe the same behaviour.
+func (g goldenRecord) equal(o goldenRecord) bool {
+	return g.stdout == o.stdout && g.result == o.result && slices.Equal(g.remote, o.remote)
 }
 
 // runner executes oracle runs against the application image with a stack of
@@ -110,23 +116,22 @@ func (r *runner) test(extraName string, extraAST *pylang.Module) bool {
 	for i, tc := range r.app.Oracle {
 		rec, ok, d := r.execute(tc, extraName, extraAST)
 		r.account(d)
-		if !ok {
+		if !ok || !rec.equal(r.golden[i]) {
 			return false
-		}
-		g := r.golden[i]
-		if rec.stdout != g.stdout || rec.result != g.result {
-			return false
-		}
-		if len(rec.remote) != len(g.remote) {
-			return false
-		}
-		for j := range rec.remote {
-			if rec.remote[j] != g.remote[j] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// diverges reports the first oracle case on which r's golden run observed
+// something other than base's.
+func (r *runner) diverges(base *runner) (int, bool) {
+	for i := range r.golden {
+		if !r.golden[i].equal(base.golden[i]) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // execute performs one isolated run: fresh interpreter (own module cache —

@@ -222,28 +222,25 @@ func Run(image *vfs.FS, entry string, opts Options) (*Profile, error) {
 
 // score computes a module's ranking score under the selected method.
 func score(method Scoring, m ModuleProfile, p *Profile, rng *rand.Rand) float64 {
-	T := p.TotalTime.Seconds()
-	M := p.TotalMemMB
-	t := m.ImportTime.Seconds()
-	mem := m.MemoryMB
 	switch method {
 	case Combined:
-		// Marginal monetary cost: TM − (T−t)(M−m). Expanding shows why it
-		// beats single-axis scoring: tM + mT − tm — a module scores by its
-		// time weighted by the app's total memory plus its memory weighted
-		// by total time.
-		return T*M - (T-t)*(M-mem)
+		return MarginalMonetaryCost(m.ImportTime, p.TotalTime, m.MemoryMB, p.TotalMemMB)
 	case TimeOnly:
-		return t
+		return m.ImportTime.Seconds()
 	case MemoryOnly:
-		return mem
+		return m.MemoryMB
 	case Random:
 		return rng.Float64()
 	}
 	return 0
 }
 
-// MarginalMonetaryCost exposes Eq. 2 directly for tests and documentation.
+// MarginalMonetaryCost is Eq. 2, the Combined score of a module with
+// marginal import time t and memory m (MB) in an app whose initialization
+// totals T and M: TM − (T−t)(M−m). Expanding shows why it beats single-axis
+// scoring: tM + mT − tm — a module scores by its time weighted by the app's
+// total memory plus its memory weighted by total time.
 func MarginalMonetaryCost(t, T time.Duration, m, M float64) float64 {
-	return T.Seconds()*M - (T-t).Seconds()*(M-m)
+	ts, Ts := t.Seconds(), T.Seconds()
+	return Ts*M - (Ts-ts)*(M-m)
 }

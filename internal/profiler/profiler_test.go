@@ -174,7 +174,7 @@ func TestRunFailsOnBrokenInit(t *testing.T) {
 }
 
 // TestMarginalMonetaryCostFormula pins Eq. 2 to its algebraic expansion
-// tM + mT − tm.
+// tM + mT − tm, and the Combined ranking score to Eq. 2.
 func TestMarginalMonetaryCostFormula(t *testing.T) {
 	T := 4 * time.Second
 	M := 100.0
@@ -184,6 +184,10 @@ func TestMarginalMonetaryCostFormula(t *testing.T) {
 	want := tt.Seconds()*M + m*T.Seconds() - tt.Seconds()*m
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("Eq.2 = %f, expansion = %f", got, want)
+	}
+	mp := ModuleProfile{ImportTime: tt, MemoryMB: m}
+	if s := score(Combined, mp, &Profile{TotalTime: T, TotalMemMB: M}, nil); s != got {
+		t.Errorf("Combined score = %v, Eq.2 = %v", s, got)
 	}
 }
 
