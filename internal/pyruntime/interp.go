@@ -683,15 +683,22 @@ func (in *Interp) bind(fr *frame, name string, v Value) {
 		fr.env.set(name, v)
 		return
 	}
-	if in.snap != nil {
-		// A global bind outside the module's own open import window (e.g. a
-		// cross-module `global` assignment) mutates memoized state.
-		if n := len(in.recStack); n == 0 || in.recStack[n-1].name != fr.module {
-			in.notePoisonModule(fr.module)
-		}
-	}
+	in.noteGlobalWrite(fr)
 	if fr.globals.Set(name, v) {
 		in.Alloc.Alloc(64) // new namespace slot
+	}
+}
+
+// noteGlobalWrite marks a bind or del of a name in fr's module namespace
+// outside the module's own open import window (a `global` statement in one
+// of its functions, run from another module or after its import): it
+// mutates memoized state (notePoisonModule).
+func (in *Interp) noteGlobalWrite(fr *frame) {
+	if in.snap == nil {
+		return
+	}
+	if n := len(in.recStack); n == 0 || in.recStack[n-1].name != fr.module {
+		in.notePoisonModule(fr.module)
 	}
 }
 
@@ -753,6 +760,7 @@ func (in *Interp) deleteTarget(fr *frame, target pylang.Expr) *PyErr {
 			}
 		}
 		if fr.globals.Delete(t.Name) {
+			in.noteGlobalWrite(fr)
 			in.Alloc.Free(64)
 			return nil
 		}
