@@ -8,7 +8,8 @@ GO ?= go
 check: fmt vet build test bench-smoke fuzz-smoke
 
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
-# take operator-written specs (SLOs, queries, incidents), on the import memo
+# take operator-written specs (SLOs, queries, incidents), on the Python
+# parser (no panic, print round-trips, a lexing error wins), on the import memo
 # (an imported library must observe byte-for-byte the same without the memo,
 # while it records, and when it replays; so must an app over a package, its
 # submodule and a second library that import and write into each other,
@@ -20,6 +21,7 @@ check: fmt vet build test bench-smoke fuzz-smoke
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
+	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run xxx ./internal/pyparser
 	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query

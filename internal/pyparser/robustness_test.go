@@ -77,14 +77,40 @@ func mutateSource(rng *rand.Rand, src string) string {
 	return string(b)
 }
 
-func TestParserNeverPanicsOnMutants(t *testing.T) {
+// mutants returns the stacked-mutation inputs of
+// TestParserNeverPanicsOnMutants: 3000 seed programs, each corrupted by one
+// to four mutations.
+func mutants() []string {
 	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 3000; trial++ {
+	out := make([]string, 3000)
+	for trial := range out {
 		src := seedPrograms[rng.Intn(len(seedPrograms))]
 		// Stack 1-4 mutations.
 		for n := rng.Intn(4) + 1; n > 0; n-- {
 			src = mutateSource(rng, src)
 		}
+		out[trial] = src
+	}
+	return out
+}
+
+// randomByteInputs returns the 1500 inputs of
+// TestParserNeverPanicsOnRandomBytes, up to 200 arbitrary bytes each.
+func randomByteInputs() []string {
+	rng := rand.New(rand.NewSource(99))
+	out := make([]string, 1500)
+	for trial := range out {
+		b := make([]byte, rng.Intn(200))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		out[trial] = string(b)
+	}
+	return out
+}
+
+func TestParserNeverPanicsOnMutants(t *testing.T) {
+	for trial, src := range mutants() {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -100,14 +126,7 @@ func TestParserNeverPanicsOnMutants(t *testing.T) {
 }
 
 func TestParserNeverPanicsOnRandomBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 1500; trial++ {
-		n := rng.Intn(200)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-		}
-		src := string(b)
+	for trial, src := range randomByteInputs() {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
