@@ -28,21 +28,19 @@ func (e *ParseError) Error() string {
 // Parse tokenizes and parses src. name is the dotted module name used in
 // error messages and stored on the returned module.
 func Parse(name, src string) (*pylang.Module, error) {
-	toks, err := pylang.Tokenize(src)
-	if err != nil {
+	p := newParser(name, src)
+	mod := &pylang.Module{Name: name}
+	var err error
+	for err == nil && !p.at(pylang.EOF) {
+		var s []pylang.Stmt
+		s, err = p.statement()
+		mod.Body = append(mod.Body, s...)
+	}
+	if err = p.lexFirst(err); err != nil {
 		if le, ok := err.(*pylang.LexError); ok {
 			return nil, &ParseError{Module: name, Pos: le.Pos, Msg: le.Msg}
 		}
 		return nil, err
-	}
-	p := &parser{name: name, toks: toks}
-	mod := &pylang.Module{Name: name}
-	for !p.at(pylang.EOF) {
-		s, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		mod.Body = append(mod.Body, s...)
 	}
 	return mod, nil
 }
@@ -58,42 +56,77 @@ func MustParse(name, src string) *pylang.Module {
 
 // ParseExpr parses a single expression (used by tests and tools).
 func ParseExpr(src string) (pylang.Expr, error) {
-	toks, err := pylang.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser("", src)
 	e, err := p.exprList()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.at(pylang.NEWLINE) && !p.at(pylang.EOF) {
+		err = p.errf("unexpected %s after expression", p.cur())
 	}
-	if !p.at(pylang.NEWLINE) && !p.at(pylang.EOF) {
-		return nil, p.errf("unexpected %s after expression", p.cur())
+	if err = p.lexFirst(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
+// parser pulls tokens from the lexer through a two-token window: the
+// grammar never backtracks and looks at most one token past the current one.
 type parser struct {
-	name string
-	toks []pylang.Token
-	pos  int
+	name  string
+	lx    *pylang.Lexer
+	tok   pylang.Token // current token
+	ahead pylang.Token // the token after it
+	// lexErr is the lexer's error; once set, the window reads EOF.
+	lexErr *pylang.LexError
 }
 
-func (p *parser) cur() pylang.Token     { return p.toks[p.pos] }
-func (p *parser) at(k pylang.Kind) bool { return p.toks[p.pos].Kind == k }
-
-func (p *parser) peek(off int) pylang.Token {
-	i := p.pos + off
-	if i >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+func newParser(name, src string) *parser {
+	p := &parser{name: name, lx: pylang.NewLexer(src)}
+	p.tok = p.pull()
+	p.ahead = p.tok
+	if p.tok.Kind != pylang.EOF {
+		p.ahead = p.pull()
 	}
-	return p.toks[i]
+	return p
 }
 
+// pull returns the lexer's next token, or EOF once the lexer has failed.
+func (p *parser) pull() pylang.Token {
+	if p.lexErr == nil {
+		t, err := p.lx.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err.(*pylang.LexError)
+	}
+	return pylang.Token{Kind: pylang.EOF, Pos: p.lexErr.Pos}
+}
+
+// lexFirst finishes lexing the input and returns the lexing error if there
+// was one, else err: a lexing error anywhere in the input wins over any
+// parse error.
+func (p *parser) lexFirst(err error) error {
+	for p.ahead.Kind != pylang.EOF {
+		p.ahead = p.pull()
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+func (p *parser) cur() pylang.Token     { return p.tok }
+func (p *parser) at(k pylang.Kind) bool { return p.tok.Kind == k }
+
+// peek returns the token after the current one.
+func (p *parser) peek() pylang.Token { return p.ahead }
+
+// next consumes the current token and returns it; EOF is never consumed.
 func (p *parser) next() pylang.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != pylang.EOF {
+		p.tok = p.ahead
+		if p.ahead.Kind != pylang.EOF {
+			p.ahead = p.pull()
+		}
 	}
 	return t
 }
@@ -639,7 +672,7 @@ func (p *parser) dottedName() (string, error) {
 	}
 	var sb strings.Builder
 	sb.WriteString(nameTok.Text)
-	for p.at(pylang.Dot) && p.peek(1).Kind == pylang.NAME {
+	for p.at(pylang.Dot) && p.peek().Kind == pylang.NAME {
 		p.next()
 		part := p.next()
 		sb.WriteByte('.')
@@ -931,7 +964,7 @@ func (p *parser) trailers(e pylang.Expr) (pylang.Expr, error) {
 			p.next()
 			call := &pylang.CallExpr{Pos: e.Position(), Func: e}
 			for !p.at(pylang.RParen) {
-				if p.at(pylang.NAME) && p.peek(1).Kind == pylang.Assign {
+				if p.at(pylang.NAME) && p.peek().Kind == pylang.Assign {
 					nameTok := p.next()
 					p.next() // =
 					v, err := p.expr()
