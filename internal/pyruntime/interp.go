@@ -416,11 +416,7 @@ func (in *Interp) execStmt(fr *frame, s pylang.Stmt) (ctrl, *PyErr) {
 		if derr != nil {
 			return ctrlNormal, derr
 		}
-		fn := &FuncV{
-			Name: v.Name, Params: v.Params, Body: v.Body,
-			Globals: fr.globals, Module: fr.module, Env: fr.env,
-			Defaults: defaults,
-		}
+		fn := &FuncV{Def: v, Globals: fr.globals, Env: fr.env, Module: fr.module, Defaults: defaults}
 		in.Alloc.Alloc(SizeOf(fn) + int64(60*len(v.Body)))
 		var value Value = fn
 		// Apply decorators innermost-first.
@@ -1012,9 +1008,7 @@ func (in *Interp) eval(fr *frame, e pylang.Expr) (Value, *PyErr) {
 		if derr != nil {
 			return nil, derr
 		}
-		fn := &FuncV{Name: "<lambda>", Params: v.Params, Expr: v.Body,
-			Globals: fr.globals, Module: fr.module, Env: fr.env,
-			Defaults: defaults}
+		fn := &FuncV{Lambda: v, Globals: fr.globals, Env: fr.env, Module: fr.module, Defaults: defaults}
 		in.Alloc.Alloc(SizeOf(fn))
 		return fn, nil
 	}
@@ -1100,54 +1094,52 @@ func (in *Interp) call(fn Value, args []Value, kwargs map[string]Value, pos pyla
 
 func (in *Interp) callFunc(f *FuncV, args []Value, kwargs map[string]Value, pos pylang.Pos) (Value, *PyErr) {
 	env := NewEnv(f.Env)
+	params := f.Params()
 	// Bind positional parameters.
-	if len(args) > len(f.Params) {
+	if len(args) > len(params) {
 		return nil, in.NewExc("TypeError", "%s() takes %d arguments but %d were given",
-			f.Name, len(f.Params), len(args))
+			f.Name(), len(params), len(args))
 	}
-	bound := make(map[string]bool, len(f.Params))
+	bound := make(map[string]bool, len(params))
 	for i, a := range args {
-		env.vars[f.Params[i].Name] = a
-		bound[f.Params[i].Name] = true
+		env.vars[params[i].Name] = a
+		bound[params[i].Name] = true
 	}
 	// Keyword arguments, in sorted order: with two or more invalid keywords
 	// the raised error would otherwise depend on Go map iteration order.
 	for _, name := range sortedKwargKeys(kwargs) {
 		val := kwargs[name]
 		found := false
-		for _, p := range f.Params {
+		for _, p := range params {
 			if p.Name == name {
 				found = true
 				break
 			}
 		}
 		if !found {
-			return nil, in.NewExc("TypeError", "%s() got an unexpected keyword argument '%s'", f.Name, name)
+			return nil, in.NewExc("TypeError", "%s() got an unexpected keyword argument '%s'", f.Name(), name)
 		}
 		if bound[name] {
-			return nil, in.NewExc("TypeError", "%s() got multiple values for argument '%s'", f.Name, name)
+			return nil, in.NewExc("TypeError", "%s() got multiple values for argument '%s'", f.Name(), name)
 		}
 		env.vars[name] = val
 		bound[name] = true
 	}
 	// Defaults (evaluated once at definition time, per CPython).
 	fr := &frame{globals: f.Globals, env: env, module: f.Module}
-	for i, p := range f.Params {
+	for i, p := range params {
 		if bound[p.Name] {
 			continue
 		}
 		if i >= len(f.Defaults) || f.Defaults[i] == nil {
-			return nil, in.NewExc("TypeError", "%s() missing required argument: '%s'", f.Name, p.Name)
+			return nil, in.NewExc("TypeError", "%s() missing required argument: '%s'", f.Name(), p.Name)
 		}
 		env.vars[p.Name] = f.Defaults[i]
 	}
-	if f.Cost > 0 {
-		in.Clock.Advance(time.Duration(f.Cost))
+	if f.Lambda != nil {
+		return in.eval(fr, f.Lambda.Body)
 	}
-	if f.Expr != nil { // lambda
-		return in.eval(fr, f.Expr)
-	}
-	c, err := in.execStmts(fr, f.Body)
+	c, err := in.execStmts(fr, f.Def.Body)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDictInsertionOrder(t *testing.T) {
@@ -382,6 +383,15 @@ func TestFromGoRejectsUnknownTypes(t *testing.T) {
 	}
 	if _, err := FromGo(map[string]any{"bad": make(chan int)}); err == nil {
 		t.Error("channel should be rejected")
+	}
+}
+
+// TestFuncVLayout keeps a function value small: a corpus pass executes
+// hundreds of thousands of def statements, and each allocates one. The code
+// stays on the defining node (FuncV.Def, FuncV.Lambda).
+func TestFuncVLayout(t *testing.T) {
+	if size := unsafe.Sizeof(FuncV{}); size > 80 {
+		t.Errorf("FuncV is %d bytes, want at most 80", size)
 	}
 }
 
