@@ -8,14 +8,12 @@
 // is the practical target.
 package dd
 
-import (
-	"strconv"
-	"strings"
-)
+import "encoding/binary"
 
 // Oracle tests whether a candidate subset of components satisfies the
 // target property (for debloating: "the program still behaves correctly
-// with only these components present").
+// with only these components present"). Minimize reuses keep's storage for
+// the next test, so an oracle must not keep the slice after it returns.
 type Oracle[T any] func(keep []T) bool
 
 // Stats reports the work performed by one minimization.
@@ -45,20 +43,23 @@ func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 	memo := make(map[string]bool)
 	t := newTrace(opts, len(items))
 
+	// Tests run one at a time, so each reuses the key and subset storage.
+	var key []byte
+	var subset []T
 	test := func(keep []int) bool {
-		key := indexKey(keep)
-		if v, ok := memo[key]; ok {
+		key = appendIndexKey(key[:0], keep)
+		if v, ok := memo[string(key)]; ok {
 			stats.CacheHits++
 			t.cacheHit()
 			return v
 		}
-		subset := make([]T, len(keep))
-		for i, idx := range keep {
-			subset[i] = items[idx]
+		subset = subset[:0]
+		for _, idx := range keep {
+			subset = append(subset, items[idx])
 		}
 		stats.Tests++
 		v := t.oracleCall(len(keep), func() bool { return oracle(subset) })
-		memo[key] = v
+		memo[string(key)] = v
 		return v
 	}
 
@@ -84,6 +85,7 @@ func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 	}
 
 	current := all
+	var spare []int // complement storage that current does not use
 	n := 2
 	round := 0
 	for {
@@ -111,10 +113,12 @@ func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 
 		// Step 2: does some complement satisfy the oracle?
 		if !reduced && n > 1 {
-			for i := range parts {
-				comp := complement(current, parts[i])
-				if test(comp) {
-					current = comp
+			start := 0
+			for _, p := range parts {
+				spare = complement(spare[:0], current, start, start+len(p))
+				start += len(p)
+				if test(spare) {
+					current, spare = spare, nil
 					n = n - 1
 					if n < 2 {
 						n = 2
@@ -178,26 +182,18 @@ func split(idxs []int, n int) [][]int {
 	return parts
 }
 
-// complement returns current minus part (both sorted index slices).
-func complement(current, part []int) []int {
-	inPart := make(map[int]bool, len(part))
-	for _, i := range part {
-		inPart[i] = true
-	}
-	out := make([]int, 0, len(current)-len(part))
-	for _, i := range current {
-		if !inPart[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+// complement appends to dst current without current[lo:hi], the partition
+// split made there.
+func complement(dst, current []int, lo, hi int) []int {
+	dst = append(dst, current[:lo]...)
+	return append(dst, current[hi:]...)
 }
 
-func indexKey(keep []int) string {
-	var sb strings.Builder
+// appendIndexKey appends the memo key of a subset to dst: its indices as
+// uvarints, a prefix-free code, so distinct subsets get distinct keys.
+func appendIndexKey(dst []byte, keep []int) []byte {
 	for _, i := range keep {
-		sb.WriteString(strconv.Itoa(i))
-		sb.WriteByte(',')
+		dst = binary.AppendUvarint(dst, uint64(i))
 	}
-	return sb.String()
+	return dst
 }

@@ -211,9 +211,29 @@ func TestSplitPartitions(t *testing.T) {
 
 func TestComplement(t *testing.T) {
 	cur := []int{1, 3, 5, 7}
-	comp := complement(cur, []int{3, 7})
-	if len(comp) != 2 || comp[0] != 1 || comp[1] != 5 {
+	comp := complement(nil, cur, 1, 3)
+	if len(comp) != 2 || comp[0] != 1 || comp[1] != 7 {
 		t.Errorf("complement = %v", comp)
+	}
+}
+
+// TestIndexKeyDistinct checks that every subset of a few indices, some of
+// them multi-byte uvarints, gets its own memo key.
+func TestIndexKeyDistinct(t *testing.T) {
+	vals := []int{0, 1, 3, 127, 128, 255, 16384}
+	seen := make(map[string]int)
+	for mask := 0; mask < 1<<len(vals); mask++ {
+		var keep []int
+		for i, v := range vals {
+			if mask&(1<<i) != 0 {
+				keep = append(keep, v)
+			}
+		}
+		key := string(appendIndexKey(nil, keep))
+		if prev, ok := seen[key]; ok {
+			t.Fatalf("subsets %b and %b share a memo key", prev, mask)
+		}
+		seen[key] = mask
 	}
 }
 

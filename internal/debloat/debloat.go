@@ -323,11 +323,11 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 	}
 
 	// Step 4: DD over the candidates' indices. Every probe body is built
-	// from a kept bitmap through an index computed once per module.
+	// from a kept bitmap through an index computed once per module, in the
+	// index's reused scratch.
 	idx := newProbeIndex(ast.Body, candidates)
 	keep, stats := minimize(run, len(candidates), func(keep []int) bool {
-		body := idx.build(keptBitmap(len(candidates), keep))
-		return run.test(name, &pylang.Module{Name: name, Body: body})
+		return run.test(name, &pylang.Module{Name: name, Body: idx.probe(keep)})
 	})
 	mr.DD = stats
 
@@ -341,7 +341,8 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 	sort.Strings(mr.Removed)
 	mr.AttrsAfter = mr.AttrsBefore - len(mr.Removed)
 	if len(mr.Removed) > 0 {
-		run.overrides[name] = &pylang.Module{Name: name, Body: idx.build(kept)}
+		body := idx.build(make([]pylang.Stmt, 0, len(ast.Body)), kept)
+		run.overrides[name] = &pylang.Module{Name: name, Body: body}
 	}
 	return mr
 }
@@ -359,8 +360,13 @@ func minimize(run *runner, n int, oracle dd.Oracle[int]) ([]int, dd.Stats) {
 // debloatModuleStmts is the statement-granularity ablation arm.
 func debloatModuleStmts(run *runner, name string, ast *pylang.Module, mr ModuleResult) ModuleResult {
 	comp, stmts := stmtComponents(ast.Body)
+	// One bitmap and one body buffer serve every probe, as in the
+	// attribute arm (probeIndex.probe).
+	probeKept := make([]bool, len(stmts))
+	body := make([]pylang.Stmt, 0, len(ast.Body))
 	keep, stats := minimize(run, len(stmts), func(keep []int) bool {
-		body := keepStmts(ast.Body, comp, keptBitmap(len(stmts), keep))
+		setKept(probeKept, keep)
+		body = keepStmts(body[:0], ast.Body, comp, probeKept)
 		return run.test(name, &pylang.Module{Name: name, Body: body})
 	})
 	mr.DD = stats
@@ -377,7 +383,7 @@ func debloatModuleStmts(run *runner, name string, ast *pylang.Module, mr ModuleR
 	mr.Removed = sortedNames(removedAttrs)
 	mr.AttrsAfter = mr.AttrsBefore - len(mr.Removed)
 	if len(mr.Removed) > 0 {
-		run.overrides[name] = &pylang.Module{Name: name, Body: keepStmts(ast.Body, comp, kept)}
+		run.overrides[name] = &pylang.Module{Name: name, Body: keepStmts(nil, ast.Body, comp, kept)}
 	}
 	return mr
 }

@@ -61,6 +61,11 @@ type probeIndex struct {
 	// is removed: it binds no candidate, or it is a def, class or
 	// assignment that binds a name that is not a candidate.
 	cands [][]int
+
+	// The probes' scratch: the kept bitmap and the body buffer that every
+	// probe of the module reuses (see probe).
+	kept []bool
+	out  []pylang.Stmt
 }
 
 // newProbeIndex indexes body against the DD candidates.
@@ -69,7 +74,12 @@ func newProbeIndex(body []pylang.Stmt, candidates []string) *probeIndex {
 	for i, c := range candidates {
 		index[c] = i
 	}
-	p := &probeIndex{body: body, cands: make([][]int, len(body))}
+	p := &probeIndex{
+		body:  body,
+		cands: make([][]int, len(body)),
+		kept:  make([]bool, len(candidates)),
+		out:   make([]pylang.Stmt, 0, len(body)),
+	}
 	for i, s := range body {
 		names := pylang.BoundNames(s)
 		cs := make([]int, len(names))
@@ -95,8 +105,18 @@ func newProbeIndex(body []pylang.Stmt, candidates []string) *probeIndex {
 	return p
 }
 
-// build returns the module body with every candidate that kept leaves out
-// removed, at attribute granularity:
+// probe returns the body of the DD probe that keeps the candidates keep
+// lists. It is built in the index's scratch, so it is valid only until the
+// next probe: Delta Debugging runs one probe at a time, and an oracle run
+// keeps nothing of the body it executed.
+func (p *probeIndex) probe(keep []int) []pylang.Stmt {
+	setKept(p.kept, keep)
+	p.out = p.build(p.out[:0], p.kept)
+	return p.out
+}
+
+// build appends to out the module body with every candidate that kept
+// leaves out removed, at attribute granularity:
 //
 //   - def / class statements whose name is removed are dropped entirely;
 //   - assignments are dropped when every name target is removed;
@@ -105,8 +125,7 @@ func newProbeIndex(body []pylang.Stmt, candidates []string) *probeIndex {
 //     the paper highlights (Figure 7: "from torch.nn import Linear, MSELoss"
 //     becomes "from torch.nn import Linear");
 //   - everything else is kept untouched.
-func (p *probeIndex) build(kept []bool) []pylang.Stmt {
-	out := make([]pylang.Stmt, 0, len(p.body))
+func (p *probeIndex) build(out []pylang.Stmt, kept []bool) []pylang.Stmt {
 	for i, s := range p.body {
 		cs := p.cands[i]
 		if cs == nil {
@@ -188,13 +207,12 @@ func stmtComponents(body []pylang.Stmt) (comp, stmts []int) {
 	return comp, stmts
 }
 
-// keepStmts builds a module body at statement granularity (ablation):
-// statement i stays when it is no component (comp[i] < 0) or its component
-// is kept. Statements that bind no attribute — or that bind a magic
-// attribute — are no component, matching the attribute arm's exclusion of
-// magic attributes from DD.
-func keepStmts(body []pylang.Stmt, comp []int, kept []bool) []pylang.Stmt {
-	out := make([]pylang.Stmt, 0, len(body))
+// keepStmts appends to out a module body at statement granularity
+// (ablation): statement i stays when it is no component (comp[i] < 0) or
+// its component is kept. Statements that bind no attribute — or that bind a
+// magic attribute — are no component, matching the attribute arm's
+// exclusion of magic attributes from DD.
+func keepStmts(out, body []pylang.Stmt, comp []int, kept []bool) []pylang.Stmt {
 	for i, s := range body {
 		if c := comp[i]; c < 0 || kept[c] {
 			out = append(out, s)
@@ -206,10 +224,16 @@ func keepStmts(body []pylang.Stmt, comp []int, kept []bool) []pylang.Stmt {
 // keptBitmap turns a DD subset of the indices 0..n-1 into a bitmap.
 func keptBitmap(n int, keep []int) []bool {
 	kept := make([]bool, n)
+	setKept(kept, keep)
+	return kept
+}
+
+// setKept overwrites the bitmap kept with the DD subset keep.
+func setKept(kept []bool, keep []int) {
+	clear(kept)
 	for _, k := range keep {
 		kept[k] = true
 	}
-	return kept
 }
 
 // stmtIsCandidate reports whether a statement is a valid DD component at

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/appcorpus"
 	"repro/internal/profiler"
@@ -207,7 +208,8 @@ if x:
 // rewrite of the documented rules. Candidates are the bound non-magic names
 // minus a random quarter, which stand in for the call-graph-protected names
 // a probe must never remove. The statement arm is checked the same way.
-// edgeSrc runs 64 times, each with fresh random candidates.
+// edgeSrc runs 64 times, each with fresh random candidates. Every probe of a
+// module after its first must reuse the first one's body slice.
 func TestProbeBodiesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mods := ddTargets(t)
@@ -234,20 +236,30 @@ func TestProbeBodiesMatchReference(t *testing.T) {
 			}
 		}
 		idx := newProbeIndex(mod.Body, candidates)
+		var first *pylang.Stmt
 		for _, kept := range keptSets(rng, len(candidates)) {
 			removed := map[string]bool{}
+			var keep []int
 			for i, c := range candidates {
-				if !kept[i] {
+				if kept[i] {
+					keep = append(keep, i)
+				} else {
 					removed[c] = true
 				}
 			}
-			got := pylang.Print(&pylang.Module{Name: mod.Name, Body: idx.build(kept)})
+			body := idx.probe(keep)
+			if first == nil {
+				first = unsafe.SliceData(body)
+			} else if unsafe.SliceData(body) != first {
+				t.Fatalf("%s: a probe after the first built a new body slice", mod.Name)
+			}
+			got := pylang.Print(&pylang.Module{Name: mod.Name, Body: body})
 			want := pylang.Print(&pylang.Module{Name: mod.Name, Body: refWithout(mod.Body, removed)})
 			if got != want {
 				t.Fatalf("%s: attribute probe body differs from the reference (%d of %d candidates kept):\n%s",
 					mod.Name, len(candidates)-len(removed), len(candidates), firstLineDiff(want, got))
 			}
-			for _, s := range idx.build(kept) {
+			for _, s := range body {
 				if imp, ok := s.(*pylang.FromImportStmt); ok && !containsStmt(mod.Body, imp) {
 					partialImports++
 				}
@@ -262,7 +274,7 @@ func TestProbeBodiesMatchReference(t *testing.T) {
 					keep[i] = true
 				}
 			}
-			got := pylang.Print(&pylang.Module{Name: mod.Name, Body: keepStmts(mod.Body, comp, kept)})
+			got := pylang.Print(&pylang.Module{Name: mod.Name, Body: keepStmts(nil, mod.Body, comp, kept)})
 			want := pylang.Print(&pylang.Module{Name: mod.Name, Body: refKeepStmts(mod.Body, keep)})
 			if got != want {
 				t.Fatalf("%s: statement probe body differs from the reference:\n%s", mod.Name, firstLineDiff(want, got))
