@@ -1061,3 +1061,31 @@ func FuzzSnapshotCrossModule(f *testing.F) {
 		}
 	})
 }
+
+// TestSnapshotNoEntryReadsPoison: the app writes the package lib, which
+// poisons lib's sfp, and then imports lib2, which reads lib. No interpreter
+// can match that poison, so lib2's window inserts no entry, and lib2's sfp
+// becomes a poison too, so the windows that read lib2 are refused in turn.
+func TestSnapshotNoEntryReadsPoison(t *testing.T) {
+	fs := vfs.New()
+	fs.Write("site-packages/lib/__init__.py", "A = 1\n")
+	fs.Write("site-packages/lib2.py", "import lib\nB = lib.A\n")
+	fs.Write("app.py", "import lib\nlib.A = 2\nimport lib2\ndef handler(event, ctx):\n    return lib2.B\n")
+	want := snapRun(t, fs, nil)
+	snap := NewSnapshotCache()
+	in := New(fs)
+	in.SetSnapshots(snap)
+	got, err := trySnapRun(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, want, got, "recording run")
+	for key := range snap.m {
+		if name, _, _ := strings.Cut(key, "\x00"); name == "lib2" {
+			t.Errorf("an entry was inserted for lib2, whose window read lib's poisoned state")
+		}
+	}
+	if !isPoison(in.sfp["lib2"]) {
+		t.Errorf("lib2's sfp is %q, want a poison", in.sfp["lib2"])
+	}
+}
