@@ -13,17 +13,19 @@ check: fmt vet build test bench-smoke fuzz-smoke
 # (an imported library must observe byte-for-byte the same without the memo,
 # while it records, and when it replays; so must an app over a package, its
 # submodule and a second library that import and write into each other,
-# after a primer app filled the cache), and on the three fast paths that
+# after a primer app filled the cache), and on the four fast paths that
 # must equal their definitions (trace.Source against math/rand's generator,
 # the arrival thinning's squeeze test against its math.Sin comparison, the
-# histogram's bucket table against its log form). Seeds alone run in the
-# normal test pass; this also explores.
+# histogram's bucket table against its log form, and FuzzNamespace: fresh,
+# presized and replayed namespaces against an ordered-map model). Seeds
+# alone run in the normal test pass; this also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run xxx ./internal/pyparser
 	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
+	$(GO) test -fuzz FuzzNamespace -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
 	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -run xxx ./internal/trace

@@ -84,8 +84,9 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 
 	body, file := in.moduleBody(name, src)
 
-	// __name__ and __file__ plus every name the body binds at top level.
-	mod := &ModuleV{Name: name, Dict: newNamespaceSize(2 + staticBinds(body)), File: file}
+	// __name__ and __file__ plus every name the body binds at top level,
+	// its own submodules included.
+	mod := &ModuleV{Name: name, Dict: newNamespaceSize(2 + staticBinds(name, body)), File: file}
 	in.Alloc.Alloc(SizeOf(mod))
 	mod.Dict.Set("__name__", StrV(name))
 	mod.Dict.Set("__file__", StrV(file))
@@ -123,11 +124,28 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 }
 
 // staticBinds counts the names a module body's top-level statements bind
-// (pylang.BoundNames). It sizes the module's namespace before the body runs.
-func staticBinds(body []pylang.Stmt) int {
+// (pylang.BoundNames), plus one for each absolute import of one of its own
+// submodules, which the Import loop binds into it. It sizes the module's
+// namespace before the body runs.
+func staticBinds(name string, body []pylang.Stmt) int {
 	n := 0
+	own := func(dotted string) {
+		if rest, ok := strings.CutPrefix(dotted, name); ok && strings.HasPrefix(rest, ".") {
+			n++
+		}
+	}
 	for _, s := range body {
 		n += pylang.NumBoundNames(s)
+		switch v := s.(type) {
+		case *pylang.ImportStmt:
+			for _, a := range v.Names {
+				own(a.Name)
+			}
+		case *pylang.FromImportStmt:
+			if v.Level == 0 {
+				own(v.Module)
+			}
+		}
 	}
 	return n
 }

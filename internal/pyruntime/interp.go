@@ -688,14 +688,22 @@ func (in *Interp) bind(fr *frame, name string, v Value) {
 // noteGlobalWrite marks a bind or del of a name in fr's module namespace
 // outside the module's own open import window (a `global` statement in one
 // of its functions, run from another module or after its import): it
-// mutates memoized state (notePoisonModule).
+// mutates memoized state (notePoisonModule). A volatile module has no
+// window, but a write while its own import is the innermost one needs no
+// mark either: every open window was kept from capturing when that import
+// began, and when it ends the import publishes a fresh poison for the
+// module or, on an error, drops the module.
 func (in *Interp) noteGlobalWrite(fr *frame) {
 	if in.snap == nil {
 		return
 	}
-	if n := len(in.recStack); n == 0 || in.recStack[n-1].name != fr.module {
-		in.notePoisonModule(fr.module)
+	if n := len(in.recStack); n > 0 && in.recStack[n-1].name == fr.module {
+		return
 	}
+	if n := len(in.importStack); n > 0 && in.importStack[n-1] == fr.module && in.volatile[fr.module] {
+		return
+	}
+	in.notePoisonModule(fr.module)
 }
 
 func (in *Interp) assign(fr *frame, target pylang.Expr, value Value) *PyErr {

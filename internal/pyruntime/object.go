@@ -9,6 +9,8 @@ package pyruntime
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -286,32 +288,34 @@ func (*ModuleV) TypeName() string { return "module" }
 // globals, class dicts and instance dicts. Order determines dir() output and
 // keeps every experiment deterministic.
 //
-// A namespace installed by an import-snapshot replay is lazy: order names
-// every recorded slot from the start, but m holds only the slots read or set
-// since the replay, and a recorded slot's value is built from its snapshot
-// node on its first Get (see snapshot.go).
+// A namespace installed by an import-snapshot replay is lazy: its names are
+// its snapshot node's (snap), shared read-only, and t holds only the slots
+// read or set since the replay, a recorded slot's value being built from
+// its node on its first Get (see snapshot.go). A name set that the node
+// does not record follows the node's names in Names().
 type Namespace struct {
-	order []string
-	m     map[string]Value
-	snap  *snapNS        // recorded slots; nil unless lazy
-	si    *snapInstaller // the replay that installed snap
+	t    slotTable[Value]
+	snap *snapNS        // recorded slots; nil unless lazy
+	si   *snapInstaller // the replay that installed snap
 }
 
-// NewNamespace returns an empty namespace.
+// NewNamespace returns an empty namespace. Its table is allocated on the
+// first Set, so a namespace that stays empty (most builtin exception class
+// dicts) costs only its header.
 func NewNamespace() *Namespace {
-	return &Namespace{m: make(map[string]Value)}
+	return &Namespace{}
 }
 
 // newNamespaceSize returns an empty namespace with room for n names, so a
-// module body whose binds are known up front never grows its map.
+// module body whose binds are known up front never grows its table.
 func newNamespaceSize(n int) *Namespace {
-	return &Namespace{order: make([]string, 0, n), m: make(map[string]Value, n)}
+	return &Namespace{t: slotTable[Value]{slots: make([]slot[Value], 0, n)}}
 }
 
 // Get looks up name.
 func (ns *Namespace) Get(name string) (Value, bool) {
-	if v, ok := ns.m[name]; ok {
-		return v, true
+	if i, ok := ns.t.find(name); ok {
+		return ns.t.slots[i].val, true
 	}
 	if ns.snap == nil {
 		return nil, false
@@ -321,28 +325,17 @@ func (ns *Namespace) Get(name string) (Value, bool) {
 
 // Has reports whether name is bound, without materializing a lazy slot.
 func (ns *Namespace) Has(name string) bool {
-	if _, ok := ns.m[name]; ok {
+	if _, ok := ns.t.find(name); ok {
 		return true
 	}
-	return ns.snap != nil && ns.snap.has(name)
+	return ns.recorded(name)
 }
 
 // Set binds name and reports whether the name is new, which callers use to
-// charge a slot without a second lookup. The map is allocated lazily so
-// namespaces that stay empty (most builtin exception class dicts) cost a
-// single small allocation. On a lazy namespace, setting a slot not yet read
-// shadows its recorded value; that name is not new.
+// charge a slot without a second lookup. On a lazy namespace, setting a
+// slot not yet read shadows its recorded value; that name is not new.
 func (ns *Namespace) Set(name string, v Value) bool {
-	if ns.m == nil {
-		ns.m = make(map[string]Value, 4)
-	}
-	n := len(ns.m)
-	ns.m[name] = v
-	if len(ns.m) == n || ns.snap != nil && ns.snap.has(name) {
-		return false
-	}
-	ns.order = append(ns.order, name)
-	return true
+	return ns.t.set(name, v) && !ns.recorded(name)
 }
 
 // Delete unbinds name, reporting whether it was bound. A lazy namespace is
@@ -351,23 +344,32 @@ func (ns *Namespace) Delete(name string) bool {
 	if ns.snap != nil {
 		ns.materializeAll()
 	}
-	if _, ok := ns.m[name]; !ok {
-		return false
+	i, ok := ns.t.find(name)
+	if ok {
+		ns.t.remove(i)
 	}
-	delete(ns.m, name)
-	for i, o := range ns.order {
-		if o == name {
-			ns.order = append(ns.order[:i], ns.order[i+1:]...)
-			break
-		}
-	}
-	return true
+	return ok
 }
 
 // Names returns bound names in insertion order.
 func (ns *Namespace) Names() []string {
-	out := make([]string, len(ns.order))
-	copy(out, ns.order)
+	return ns.appendNames(make([]string, 0, ns.Len()))
+}
+
+// appendNames appends the bound names to out in insertion order: a lazy
+// namespace's recorded names, then the names set since its replay that it
+// does not record.
+func (ns *Namespace) appendNames(out []string) []string {
+	if ns.snap != nil {
+		for i := range ns.snap.slots {
+			out = append(out, ns.snap.slots[i].name)
+		}
+	}
+	for i := range ns.t.slots {
+		if name := ns.t.slots[i].name; !ns.recorded(name) {
+			out = append(out, name)
+		}
+	}
 	return out
 }
 
@@ -379,7 +381,160 @@ func (ns *Namespace) SortedNames() []string {
 }
 
 // Len returns the number of bindings.
-func (ns *Namespace) Len() int { return len(ns.order) }
+func (ns *Namespace) Len() int {
+	if ns.snap == nil {
+		return len(ns.t.slots)
+	}
+	n := len(ns.snap.slots)
+	for i := range ns.t.slots {
+		if !ns.snap.has(ns.t.slots[i].name) {
+			n++
+		}
+	}
+	return n
+}
+
+// recorded reports whether name is one of a lazy namespace's recorded slots.
+func (ns *Namespace) recorded(name string) bool {
+	return ns.snap != nil && ns.snap.has(name)
+}
+
+// slotTable is an insertion-ordered string-keyed table: its slots in
+// insertion order, found through a flat open-addressed index of slot
+// numbers. A namespace keeps its values in one; a snapshot node (snapNS)
+// keeps the recorded namespace's nodes in another, whose index capture
+// copies from the live table. A small table has no index and is scanned.
+type slotTable[V any] struct {
+	slots []slot[V]
+	// index holds slot+1 per bucket, 0 for an empty bucket, at a load
+	// factor of at most one half; nil while the table has at most
+	// smallTable slots.
+	index []int32
+}
+
+type slot[V any] struct {
+	name string
+	val  V
+}
+
+// smallTable is the most slots a table scans instead of indexing: most
+// class and instance dicts, and a replay's read slots, stay that small.
+const smallTable = 8
+
+// slotSeed hashes slot names. The process-wide seed lets a snapshot node
+// copy its live table's index at capture.
+var slotSeed = maphash.MakeSeed()
+
+// find returns the slot of name.
+func (t *slotTable[V]) find(name string) (int, bool) {
+	if t.index == nil {
+		for i := range t.slots {
+			if t.slots[i].name == name {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	mask := uint64(len(t.index) - 1)
+	for h := maphash.String(slotSeed, name) & mask; ; h = (h + 1) & mask {
+		i := t.index[h]
+		if i == 0 {
+			return 0, false
+		}
+		if t.slots[i-1].name == name {
+			return int(i - 1), true
+		}
+	}
+}
+
+func (t *slotTable[V]) has(name string) bool {
+	_, ok := t.find(name)
+	return ok
+}
+
+// set binds name to v and reports whether name was not in the table. A new
+// name takes the empty bucket its probe ended on, so a bind hashes once.
+func (t *slotTable[V]) set(name string, v V) bool {
+	if t.index == nil {
+		if i, ok := t.find(name); ok {
+			t.slots[i].val = v
+			return false
+		}
+		if t.slots == nil {
+			t.slots = make([]slot[V], 0, 4)
+		}
+		t.slots = append(t.slots, slot[V]{name, v})
+		if len(t.slots) > smallTable {
+			t.reindex()
+		}
+		return true
+	}
+	mask := uint64(len(t.index) - 1)
+	h := maphash.String(slotSeed, name) & mask
+	for ; t.index[h] != 0; h = (h + 1) & mask {
+		if s := &t.slots[t.index[h]-1]; s.name == name {
+			s.val = v
+			return false
+		}
+	}
+	t.slots = append(t.slots, slot[V]{name, v})
+	if 2*len(t.slots) > len(t.index) {
+		t.reindex()
+	} else {
+		t.index[h] = int32(len(t.slots))
+	}
+	return true
+}
+
+// remove deletes slot i, keeping the others in order.
+func (t *slotTable[V]) remove(i int) {
+	t.slots = slices.Delete(t.slots, i, i+1)
+	if t.index != nil {
+		clear(t.index)
+		for j := range t.slots {
+			t.insert(j)
+		}
+	}
+}
+
+// reindex builds the index afresh, sized for the slots' capacity so that
+// filling a presized table never rebuilds it.
+func (t *slotTable[V]) reindex() {
+	size := 2
+	for size < 2*cap(t.slots) {
+		size *= 2
+	}
+	t.index = make([]int32, size)
+	for i := range t.slots {
+		t.insert(i)
+	}
+}
+
+// insert enters slot i, which the index does not hold, into the index.
+func (t *slotTable[V]) insert(i int) {
+	mask := uint64(len(t.index) - 1)
+	h := maphash.String(slotSeed, t.slots[i].name) & mask
+	for t.index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	t.index[h] = int32(i + 1)
+}
+
+// copyIndex indexes t, whose first n slots hold the names of the table that
+// index indexes, in the same order: it copies index and enters only t's
+// later slots, rather than hashing every name.
+func (t *slotTable[V]) copyIndex(index []int32, n int) {
+	if index == nil || 2*len(t.slots) > len(index) {
+		if len(t.slots) > smallTable {
+			t.reindex()
+		}
+		return
+	}
+	t.index = slices.Clone(index)
+	for i := n; i < len(t.slots); i++ {
+		t.insert(i)
+	}
+}
 
 // Env is a local variable environment with a parent chain for closures.
 type Env struct {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"sort"
 	"strings"
@@ -837,14 +836,11 @@ type (
 	snapList       struct{ elems []any }
 	snapTuple      struct{ elems []any }
 	snapDict       struct{ pairs []snapDictPair }
-	// snapNS is a namespace's recorded slots. index maps each name to its
-	// slot and is built at capture, before the entry is published, so the
-	// lazy namespaces of concurrent replays only ever read it.
-	snapNS struct {
-		names []string
-		vals  []any
-		index []int32 // open addressing: slot+1 per bucket, 0 empty
-	}
+	// snapNS is a namespace's recorded slots: the same slot table a live
+	// namespace keeps, holding nodes. Capture copies its names and index
+	// from the captured table before the entry is published, so the lazy
+	// namespaces of concurrent replays only ever read it.
+	snapNS   = slotTable[any]
 	snapFunc struct {
 		def      *pylang.DefStmt
 		lambda   *pylang.LambdaExpr
@@ -875,51 +871,6 @@ type (
 		globalNames []string
 	}
 )
-
-// snapSeed hashes snapNS names. A cache holds tens of thousands of them, so
-// the index is a flat table of slot numbers rather than a Go map, which
-// would store every name a second time.
-var snapSeed = maphash.MakeSeed()
-
-// buildIndex fills the name -> slot table at a load factor of at most one
-// half; captured names are unique.
-func (t *snapNS) buildIndex() {
-	size := 2
-	for size < 2*len(t.names) {
-		size *= 2
-	}
-	t.index = make([]int32, size)
-	mask := uint64(size - 1)
-	for i, name := range t.names {
-		h := maphash.String(snapSeed, name) & mask
-		for t.index[h] != 0 {
-			h = (h + 1) & mask
-		}
-		t.index[h] = int32(i + 1)
-	}
-}
-
-// slot returns the recorded slot of name.
-func (t *snapNS) slot(name string) (int, bool) {
-	if len(t.index) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(t.index) - 1)
-	for h := maphash.String(snapSeed, name) & mask; ; h = (h + 1) & mask {
-		i := t.index[h]
-		if i == 0 {
-			return 0, false
-		}
-		if t.names[i-1] == name {
-			return int(i - 1), true
-		}
-	}
-}
-
-func (t *snapNS) has(name string) bool {
-	_, ok := t.slot(name)
-	return ok
-}
 
 type snapCloner struct {
 	in      *Interp
@@ -980,12 +931,14 @@ func newSnapCloner(in *Interp, rec *snapRecorder) *snapCloner {
 		}
 		return names[i] < names[j]
 	})
+	var attrs []string
 	for _, mn := range names {
 		m := in.modules[mn]
 		if _, ok := c.origin[m.Dict]; !ok {
 			c.origin[m.Dict] = &snapModDictRef{name: mn}
 		}
-		for _, attr := range m.Dict.order {
+		attrs = m.Dict.appendNames(attrs[:0])
+		for _, attr := range attrs {
 			v, ok := m.Dict.peek(attr)
 			if !ok {
 				continue
@@ -1150,26 +1103,36 @@ func (c *snapCloner) cloneNS(ns *Namespace) any {
 		}
 		return ref
 	}
-	node := &snapNS{names: make([]string, 0, len(ns.order)), vals: make([]any, 0, len(ns.order))}
+	node := &snapNS{slots: make([]slot[any], 0, ns.Len())}
 	c.memo[ns] = node
-	direct := ns.snap != nil && c.adoptedSI[ns.si]
-	for _, name := range ns.order {
+	if ns.snap == nil {
+		for _, s := range ns.t.slots {
+			node.slots = append(node.slots, slot[any]{s.name, c.clone(s.val)})
+		}
+		node.copyIndex(ns.t.index, len(node.slots))
+		return node
+	}
+	direct := c.adoptedSI[ns.si]
+	for _, rec := range ns.snap.slots {
 		var val any
-		if v, ok := ns.m[name]; ok {
-			val = c.clone(v)
+		if i, ok := ns.t.find(rec.name); ok {
+			val = c.clone(ns.t.slots[i].val)
 		} else if direct {
 			// Unread slot of an adopted replay: its node is exactly what the
 			// slot holds, and reading it later maps back to the same node.
-			i, _ := ns.snap.slot(name)
-			val = ns.snap.vals[i]
+			val = rec.val
 		} else {
-			v, _ := ns.Get(name)
+			v, _ := ns.materialize(rec.name)
 			val = c.clone(v)
 		}
-		node.names = append(node.names, name)
-		node.vals = append(node.vals, val)
+		node.slots = append(node.slots, slot[any]{rec.name, val})
 	}
-	node.buildIndex()
+	for _, s := range ns.t.slots {
+		if !ns.snap.has(s.name) {
+			node.slots = append(node.slots, slot[any]{s.name, c.clone(s.val)})
+		}
+	}
+	node.copyIndex(ns.snap.index, len(ns.snap.slots))
 	return node
 }
 
@@ -1245,29 +1208,36 @@ type snapInstaller struct {
 
 // materialize builds an unread slot's value on its first read.
 func (ns *Namespace) materialize(name string) (Value, bool) {
-	i, ok := ns.snap.slot(name)
+	i, ok := ns.snap.find(name)
 	if !ok {
 		return nil, false
 	}
-	v := ns.si.value(ns.snap.vals[i])
-	if ns.m == nil {
-		ns.m = make(map[string]Value, 4)
-	}
-	ns.m[name] = v
+	v := ns.si.value(ns.snap.slots[i].val)
+	ns.t.set(name, v)
 	ns.si.in.snap.materialized.Add(1)
 	return v, true
 }
 
 // materializeAll reads every unread slot and drops the namespace's link to
-// its snapshot, after which it is an ordinary namespace.
+// its snapshot, after which it is an ordinary namespace whose table starts
+// from a copy of the node's index.
 func (ns *Namespace) materializeAll() {
-	for _, name := range ns.order {
-		if _, ok := ns.m[name]; !ok {
-			ns.materialize(name)
+	t := slotTable[Value]{slots: make([]slot[Value], 0, ns.Len())}
+	for _, rec := range ns.snap.slots {
+		if i, ok := ns.t.find(rec.name); ok {
+			t.slots = append(t.slots, ns.t.slots[i])
+		} else {
+			val, _ := ns.materialize(rec.name)
+			t.slots = append(t.slots, slot[Value]{rec.name, val})
 		}
 	}
-	ns.order = append([]string(nil), ns.order...) // may share the node's names
-	ns.snap, ns.si = nil, nil
+	for _, s := range ns.t.slots {
+		if !ns.snap.has(s.name) {
+			t.slots = append(t.slots, s)
+		}
+	}
+	t.copyIndex(ns.snap.index, len(ns.snap.slots))
+	ns.t, ns.snap, ns.si = t, nil, nil
 }
 
 // peek returns a slot's value without materializing it: the value of a slot
@@ -1275,17 +1245,17 @@ func (ns *Namespace) materializeAll() {
 // built into through another path of the same replay. An unread slot whose
 // node was never built has no runtime object yet, so nothing aliases it.
 func (ns *Namespace) peek(name string) (Value, bool) {
-	if v, ok := ns.m[name]; ok {
-		return v, true
+	if i, ok := ns.t.find(name); ok {
+		return ns.t.slots[i].val, true
 	}
 	if ns.snap == nil {
 		return nil, false
 	}
-	i, ok := ns.snap.slot(name)
+	i, ok := ns.snap.find(name)
 	if !ok {
 		return nil, false
 	}
-	v, ok := ns.si.memo[ns.snap.vals[i]].(Value)
+	v, ok := ns.si.memo[ns.snap.slots[i].val].(Value)
 	return v, ok
 }
 
@@ -1411,13 +1381,12 @@ func (si *snapInstaller) ns(n any) *Namespace {
 		if v, ok := si.memo[t]; ok {
 			return v.(*Namespace)
 		}
-		// Every recorded name is visible at once; the order shares the
-		// node's names with its capacity capped, so a later Set appends to a
-		// copy and never writes into the shared node.
-		ns := &Namespace{order: t.names[:len(t.names):len(t.names)]}
-		if len(t.names) > 0 {
+		// Every recorded name is visible at once through the shared node;
+		// the namespace's own table starts empty.
+		ns := &Namespace{}
+		if len(t.slots) > 0 {
 			ns.snap, ns.si = t, si
-			si.in.snap.installed.Add(int64(len(t.names)))
+			si.in.snap.installed.Add(int64(len(t.slots)))
 		}
 		si.memo[t] = ns
 		return ns

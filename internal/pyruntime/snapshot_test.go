@@ -586,8 +586,8 @@ func TestSnapshotReplayMaterializesReadSlotsOnly(t *testing.T) {
 		t.Errorf("replay deferred %d slots, want %d", d, slots-3)
 	}
 	ns := in.Modules()["biglib"].Dict
-	if len(ns.m) != 3 {
-		t.Errorf("biglib holds %d built slots, want 3", len(ns.m))
+	if len(ns.t.slots) != 3 {
+		t.Errorf("biglib holds %d built slots, want 3", len(ns.t.slots))
 	}
 	if ns.Len() != slots || len(ns.Names()) != slots {
 		t.Errorf("biglib lists %d names (Len %d), want %d", len(ns.Names()), ns.Len(), slots)
@@ -1087,5 +1087,50 @@ func TestSnapshotNoEntryReadsPoison(t *testing.T) {
 	}
 	if !isPoison(in.sfp["lib2"]) {
 		t.Errorf("lib2's sfp is %q, want a poison", in.sfp["lib2"])
+	}
+}
+
+// TestSnapshotVolatileGlobalWrites: lib is volatile, as a Delta Debugging
+// candidate is, and its body calls bump, which writes lib's N through
+// `global`. That write needs no mark: lib's import already keeps every open
+// window from capturing. lib3's window calls bump again, through a list the
+// app filled, and that write must still keep lib3's window from capturing,
+// since a replay of it would not bump N.
+func TestSnapshotVolatileGlobalWrites(t *testing.T) {
+	fs := vfs.New()
+	fs.Write("site-packages/lib.py", "N = 0\ndef bump():\n    global N\n    N = N + 1\n    return N\nbump()\n")
+	fs.Write("site-packages/hub.py", "hooks = []\n")
+	fs.Write("site-packages/lib3.py", "import hub\nR = hub.hooks[0]()\n")
+	fs.Write("app.py", "import hub\nimport lib\nhub.hooks.append(lib.bump)\nimport lib3\ndef handler(event, ctx):\n    return [lib.N, lib3.R]\n")
+	newInterp := func(snap *SnapshotCache) *Interp {
+		in := New(fs)
+		in.SetVolatile("lib")
+		if snap != nil {
+			in.SetSnapshots(snap)
+		}
+		return in
+	}
+	want, err := trySnapRun(newInterp(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.result != "[2, 2]" {
+		t.Fatalf("memo-off run returns %s, want [2, 2]", want.result)
+	}
+	snap := NewSnapshotCache()
+	for _, label := range []string{"recording run", "replaying run"} {
+		got, err := trySnapRun(newInterp(snap))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertSameRun(t, want, got, label)
+	}
+	if st := snap.Stats(); st.Hits == 0 {
+		t.Errorf("the replaying run never hit the memo: %+v", st)
+	}
+	for key := range snap.m {
+		if name, _, _ := strings.Cut(key, "\x00"); name == "lib3" {
+			t.Errorf("an entry was inserted for lib3, whose window wrote lib through bump")
+		}
 	}
 }
