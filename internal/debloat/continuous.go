@@ -50,12 +50,8 @@ func reuseReduction(run *runner, prev *Result, name string) (ModuleResult, bool)
 
 // previousReduction parses the prior optimized image's version of module.
 func previousReduction(prev *Result, name string) (*pylang.Module, bool) {
-	path, ok := moduleFile(prev.App, name)
+	_, src, ok := moduleFile(prev.App, name)
 	if !ok {
-		return nil, false
-	}
-	src, err := prev.App.Image.Read(path)
-	if err != nil {
 		return nil, false
 	}
 	ast, perr := pyparser.Parse(name, src)

@@ -185,7 +185,7 @@ func pipeline(app *appspec.App, prev *Result, cfg Config) (*Result, error) {
 	matAt := run.nowVirtual()
 	optimized := app.Clone()
 	for name, ast := range run.overrides {
-		path, ok := moduleFile(app, name)
+		path, _, ok := moduleFile(app, name)
 		if !ok {
 			continue
 		}
@@ -263,19 +263,14 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 		}
 	}()
 
-	path, ok := moduleFile(run.app, name)
+	path, src, ok := moduleFile(run.app, name)
 	if !ok {
 		mr.Skipped = "not a site-packages module"
 		return mr
 	}
 	mr.File = path
 
-	src, err := run.app.Image.Read(path)
-	if err != nil {
-		mr.Skipped = "source unavailable"
-		return mr
-	}
-	ast, perr := run.astCache.Parse(run.app.Image, path, name, src)
+	ast, perr := run.astCache.Parse(path, name, src)
 	if perr != nil {
 		mr.Skipped = "unparseable: " + perr.Error()
 		return mr
@@ -407,18 +402,11 @@ func loadAttrs(run *runner, name string) ([]string, bool) {
 	return mod.Dict.Names(), true
 }
 
-// moduleFile resolves a module name to its site-packages path inside the
-// app image. Only library code is debloated; application code and modules
-// without source are skipped.
-func moduleFile(app *appspec.App, name string) (string, bool) {
-	rel := strings.ReplaceAll(name, ".", "/")
-	for _, candidate := range []string{
-		pyruntime.SitePackages + rel + ".py",
-		pyruntime.SitePackages + rel + "/__init__.py",
-	} {
-		if app.Image.Exists(candidate) {
-			return candidate, true
-		}
-	}
-	return "", false
+// moduleFile returns the file the importer loads for a module name from the
+// app image, and its source, when that file is under site-packages. Only
+// library code is debloated; application code, including an image-root file
+// that shadows a library, and modules without source are skipped.
+func moduleFile(app *appspec.App, name string) (path, src string, ok bool) {
+	path, src, ok = pyruntime.ModuleFile(app.Image, name)
+	return path, src, ok && strings.HasPrefix(path, pyruntime.SitePackages)
 }

@@ -71,6 +71,53 @@ func TestModulesWithoutSourceAreSkipped(t *testing.T) {
 	}
 }
 
+// TestShadowedLibraryIsSkipped: the importer searches the image root before
+// site-packages, so a root lib.py shadows site-packages/lib.py. lib is
+// application code then: the debloater must skip it, not reduce and rewrite
+// the site-packages copy that the app never loads.
+func TestShadowedLibraryIsSkipped(t *testing.T) {
+	lib := `
+load_native(40, 20)
+
+def work(x):
+    return x * 2
+
+def extra():
+    return load_native(30, 10)
+`
+	fs := vfs.New()
+	fs.Write("handler.py", `
+import lib
+
+def handler(event, context):
+    return lib.work(event.get("x", 1))
+`)
+	fs.Write("lib.py", lib)
+	fs.Write("site-packages/lib.py", lib)
+	app := &appspec.App{Name: "shadow", Image: fs, Entry: "handler", Handler: "handler",
+		Oracle: []appspec.TestCase{{Name: "t", Event: map[string]any{"x": 3}}}}
+	res, err := Run(app, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, m := range res.Modules {
+		if m.Module != "lib" {
+			continue
+		}
+		found = true
+		if m.Skipped != "not a site-packages module" || len(m.Removed) != 0 {
+			t.Errorf("lib: skipped %q, removed %v; want it skipped as application code", m.Skipped, m.Removed)
+		}
+	}
+	if !found {
+		t.Fatal("the profiler never ranked lib")
+	}
+	if got, _ := res.App.Image.Read("site-packages/lib.py"); got != lib {
+		t.Errorf("the site-packages copy the app never loads was rewritten:\n%s", got)
+	}
+}
+
 func TestUnparseableLibraryIsSkippedNotFatal(t *testing.T) {
 	app := torchExampleApp()
 	// Inject a broken library that the app never imports but which sits in

@@ -66,24 +66,13 @@ type fuzzRecord struct {
 	remote string
 }
 
+// executeForFuzz runs one invocation of app on event in a fresh
+// interpreter and records what it observed.
 func executeForFuzz(app *appspec.App, event map[string]any) fuzzRecord {
 	in := pyruntime.New(app.Image)
-	mod, perr := in.Import(app.Entry)
-	if perr != nil {
-		return fuzzRecord{errCls: perr.ClassName()}
-	}
-	handler, ok := mod.Dict.Get(app.Handler)
-	if !ok {
-		return fuzzRecord{errCls: "NoHandler"}
-	}
-	ev, err := pyruntime.FromGo(anyMap(event))
-	if err != nil {
-		return fuzzRecord{errCls: "BadEvent"}
-	}
-	result, perr := in.CallFunction(handler, []Value{ev, NewContext(app, "fuzz")})
-	rec := fuzzRecord{stdout: in.OutputString()}
-	if perr != nil {
-		rec.errCls = perr.ClassName()
+	result, errCls := invoke(in, app, event, "fuzz")
+	rec := fuzzRecord{stdout: in.OutputString(), errCls: errCls}
+	if errCls != "" {
 		return rec
 	}
 	rec.result = pyruntime.Repr(result)

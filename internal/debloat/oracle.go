@@ -156,20 +156,8 @@ func (r *runner) execute(tc appspec.TestCase, extraName string, extraAST *pylang
 		in.SetVolatile(extraName)
 	}
 
-	mod, perr := in.Import(r.app.Entry)
-	if perr != nil {
-		return goldenRecord{}, false, in.Clock.Now()
-	}
-	handler, ok := mod.Dict.Get(r.app.Handler)
-	if !ok {
-		return goldenRecord{}, false, in.Clock.Now()
-	}
-	event, err := pyruntime.FromGo(anyMap(tc.Event))
-	if err != nil {
-		return goldenRecord{}, false, in.Clock.Now()
-	}
-	result, perr := in.CallFunction(handler, []Value{event, NewContext(r.app, tc.Name)})
-	if perr != nil {
+	result, errCls := invoke(in, r.app, tc.Event, tc.Name)
+	if errCls != "" {
 		return goldenRecord{}, false, in.Clock.Now()
 	}
 	return goldenRecord{
@@ -177,6 +165,31 @@ func (r *runner) execute(tc appspec.TestCase, extraName string, extraAST *pylang
 		result: pyruntime.Repr(result),
 		remote: in.RemoteLog,
 	}, true, in.Clock.Now()
+}
+
+// invoke performs one invocation in in, a fresh interpreter over app's
+// image: it imports the entry module, looks up the handler and calls it with
+// event and a lambda context for requestID. errCls is "" on success, else
+// the class of the exception that stopped it, NoHandler or BadEvent. The
+// oracle and the fuzzer each build their own record from in afterwards.
+func invoke(in *pyruntime.Interp, app *appspec.App, event map[string]any, requestID string) (result Value, errCls string) {
+	mod, perr := in.Import(app.Entry)
+	if perr != nil {
+		return nil, perr.ClassName()
+	}
+	handler, ok := mod.Dict.Get(app.Handler)
+	if !ok {
+		return nil, "NoHandler"
+	}
+	ev, err := pyruntime.FromGo(anyMap(event))
+	if err != nil {
+		return nil, "BadEvent"
+	}
+	result, perr = in.CallFunction(handler, []Value{ev, NewContext(app, requestID)})
+	if perr != nil {
+		return nil, perr.ClassName()
+	}
+	return result, ""
 }
 
 // Value aliases keep call sites below readable.

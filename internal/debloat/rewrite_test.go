@@ -159,13 +159,9 @@ func ddTargets(t *testing.T) []*pylang.Module {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, mp := range prof.TopK(DefaultConfig().K) {
-			path, ok := moduleFile(app, mp.Name)
+			path, src, ok := moduleFile(app, mp.Name)
 			if !ok {
 				continue
-			}
-			src, err := app.Image.Read(path)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if seen[path+"\x00"+src] {
 				continue

@@ -146,6 +146,9 @@ type Config struct {
 	// has been folded and released (test hook for memory-flatness
 	// assertions).
 	blockDone func(merged int)
+	// blockStart, when set, runs on a worker before it replays block b
+	// (test hook that paces the workers against the merge).
+	blockStart func(b int)
 }
 
 func (cfg Config) withDefaults() Config {
@@ -617,6 +620,9 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for b := range jobs {
+				if cfg.blockStart != nil {
+					cfg.blockStart(b)
+				}
 				p := newPartial(&cfg)
 				lo, hi := b*n/blocks, (b+1)*n/blocks
 				for i := lo; i < hi; i++ {

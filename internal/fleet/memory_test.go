@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -94,6 +95,14 @@ func TestReplayMemoryFlat(t *testing.T) {
 // store is released once merged, and the shards after it record into its
 // rings. The bound still holds when the free list drops a quarter of its
 // items, as sync.Pool does under -race.
+//
+// The workers may run ahead of the merge, and a shard started before the
+// merge released an earlier one takes fresh rings. On a loaded machine the
+// merge lags: the replay allocated 17 MB with 25 shards in flight against
+// 7 MB with 6, and up to 21 MB with the collector held off, so the
+// schedule, not the collector, moves the number. The test paces the
+// workers: one starts a block only while fewer than two blocks per worker
+// wait to be merged.
 func TestReplayReusesShardRings(t *testing.T) {
 	pop := GeneratePopulation(PopConfig{
 		Functions: 700, Period: 6 * time.Hour, Seed: 4,
@@ -103,6 +112,22 @@ func TestReplayReusesShardRings(t *testing.T) {
 	cfg.Blocks = 64
 	cfg.SLOs = DefaultChaosSLOs()
 	cfg.Chaos = &chaos.Config{Incidents: testIncidents(t), Mitigations: chaos.AllMitigations()}
+	var mu sync.Mutex
+	merge := sync.NewCond(&mu)
+	merged := 0
+	cfg.blockDone = func(m int) {
+		mu.Lock()
+		merged = m
+		mu.Unlock()
+		merge.Broadcast()
+	}
+	cfg.blockStart = func(b int) {
+		mu.Lock()
+		for b-merged >= 2*cfg.Workers {
+			merge.Wait()
+		}
+		mu.Unlock()
+	}
 
 	runtime.GC()
 	var before, after runtime.MemStats

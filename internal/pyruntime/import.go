@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/pylang"
+	"repro/internal/vfs"
 )
 
 // Module search roots, in order. Application code lives at the image root;
@@ -60,7 +61,7 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 		return m, nil
 	}
 
-	src, found := in.resolveSourceCached(name)
+	src, found := in.resolveSource(name)
 	if !found {
 		return nil, in.NewExc("ModuleNotFoundError", "No module named '%s'", name)
 	}
@@ -68,13 +69,13 @@ func (in *Interp) importOne(name string) (*ModuleV, *PyErr) {
 	var rec *snapRecorder
 	volatile := false
 	if in.snapActive() {
-		if in.volatile[name] {
+		if name == in.volatile {
 			// Probe-specific content (see SetVolatile): execute live, record
 			// nothing, and stop the enclosing windows from capturing.
 			volatile = true
 			in.poisonOpenWindows()
 		} else {
-			fp := in.moduleFP(name, src)
+			fp := in.moduleFP(src)
 			if entry := in.snap.lookup(in, name, fp); entry != nil {
 				return in.replayEntry(entry), nil
 			}
@@ -150,95 +151,91 @@ func staticBinds(name string, body []pylang.Stmt) int {
 	return n
 }
 
-// moduleSource is a resolved module origin: either a debloater AST override
-// or raw file source. It carries enough to fingerprint the module body
-// without parsing it.
-type moduleSource struct {
-	override *pylang.Module // non-nil for overrides
-	path     string
-	src      string // file source (empty for overrides)
+// srcRecord is one image's record of a dotted module name: the file the
+// importer resolves (image root before site-packages), its source, its
+// content digest and the body fingerprint the import memo keys on. It is
+// filled on first use and kept in the image's derived cache, so every
+// interpreter over the image shares one search-root walk and one digest per
+// name; FS.Write and FS.Remove drop it. Overrides are per interpreter and
+// never stored here, and neither is a parsed body: the ASTCache owns those.
+type srcRecord struct {
+	astKey // the file's path and content digest
+	src    string
+	fp     string
 }
 
-// fsResolved is the image-level memo of a file-backed module resolution,
-// stored in the FS derived cache so every oracle-run interpreter over the
-// same image shares one search-root walk per name.
-type fsResolved struct {
-	path string
-	src  string
-	ok   bool
-}
+// srcKey keys a name's srcRecord in the image's derived cache.
+type srcKey string
 
-// resolveSourceCached locates a dotted name through two cache layers: the
-// per-interpreter srcCache (which also covers debloater overrides) and the
-// image-level derived cache for plain files. The importer and the snapshot
-// validator both resolve the same names many times per run, and a fresh
-// interpreter is spawned per oracle run over an unchanging image.
-func (in *Interp) resolveSourceCached(name string) (moduleSource, bool) {
-	if e, hit := in.srcCache[name]; hit {
-		return e.src, e.ok
+// fileRecord returns fs's record of a dotted name, nil when no search root
+// holds it.
+func fileRecord(fs *vfs.FS, name string) *srcRecord {
+	if v, hit := fs.DerivedGet(srcKey(name)); hit {
+		return v.(*srcRecord)
 	}
-	var src moduleSource
-	var ok bool
-	if ast, hasOv := in.overrides[name]; hasOv {
-		src, ok = moduleSource{override: ast, path: "<override:" + name + ">"}, true
-	} else if v, hit := in.FS.DerivedGet("resolve\x00" + name); hit {
-		r := v.(fsResolved)
-		src, ok = moduleSource{path: r.path, src: r.src}, r.ok
-	} else {
-		src, ok = in.resolveFile(name)
-		in.FS.DerivedPut("resolve\x00"+name, fsResolved{path: src.path, src: src.src, ok: ok})
-	}
-	if in.srcCache == nil {
-		in.srcCache = make(map[string]srcCacheEnt)
-	}
-	in.srcCache[name] = srcCacheEnt{src: src, ok: ok}
-	return src, ok
-}
-
-// moduleFP returns the body fingerprint for a name resolved through
-// resolveSourceCached. File-backed fingerprints are memoized on the image
-// (shared by all runs); override fingerprints stay per-interpreter.
-func (in *Interp) moduleFP(name string, src moduleSource) string {
-	if e, hit := in.srcCache[name]; hit && e.fpDone {
-		return e.fp
-	}
-	var fp string
-	if src.override == nil {
-		if v, hit := in.FS.DerivedGet("modfp\x00" + name); hit {
-			fp = v.(string)
-		} else {
-			fp = in.bodyFingerprint(src)
-			in.FS.DerivedPut("modfp\x00"+name, fp)
-		}
-	} else {
-		fp = in.bodyFingerprint(src)
-	}
-	in.srcCache[name] = srcCacheEnt{src: src, ok: true, fp: fp, fpDone: true}
-	return fp
-}
-
-// resolveFile finds a name under the search roots as either pkg/mod.py or
-// pkg/mod/__init__.py. Overrides are handled by resolveSourceCached.
-func (in *Interp) resolveFile(name string) (moduleSource, bool) {
+	var rec *srcRecord
 	rel := strings.ReplaceAll(name, ".", "/")
+search:
 	for _, root := range searchRoots {
 		for _, candidate := range []string{root + rel + ".py", root + rel + "/__init__.py"} {
-			src, err := in.FS.Read(candidate)
-			if err != nil {
-				continue
+			if src, err := fs.Read(candidate); err == nil {
+				digest := contentDigest(src)
+				rec = &srcRecord{
+					astKey: astKey{path: candidate, digest: digest},
+					src:    src,
+					fp:     hashStrings("file", candidate, digest),
+				}
+				break search
 			}
-			return moduleSource{path: candidate, src: src}, true
 		}
 	}
-	return moduleSource{}, false
+	fs.DerivedPut(srcKey(name), rec)
+	return rec
 }
 
-// moduleBody parses a resolved source into an executable body.
+// ModuleFile returns the file the importer loads for a dotted module name
+// from fs, and its source.
+func ModuleFile(fs *vfs.FS, name string) (path, src string, ok bool) {
+	rec := fileRecord(fs, name)
+	if rec == nil {
+		return "", "", false
+	}
+	return rec.path, rec.src, true
+}
+
+// moduleSource is a resolved module origin in one interpreter: a debloater
+// AST override, or else the image's record of the module's file.
+type moduleSource struct {
+	override *pylang.Module
+	file     *srcRecord
+}
+
+// resolveSource locates a dotted name: this interpreter's override first,
+// then the image's record.
+func (in *Interp) resolveSource(name string) (moduleSource, bool) {
+	if ast, ok := in.overrides[name]; ok {
+		return moduleSource{override: ast}, true
+	}
+	rec := fileRecord(in.FS, name)
+	return moduleSource{file: rec}, rec != nil
+}
+
+// moduleFP returns a resolved source's body fingerprint. An override's is
+// memoized on the snapshot cache per AST, a file's on the image's record.
+func (in *Interp) moduleFP(src moduleSource) string {
+	if src.override != nil {
+		return in.snap.astFingerprint(src.override)
+	}
+	return src.file.fp
+}
+
+// moduleBody parses a resolved source into an executable body, and returns
+// it with the module's __file__.
 func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, string) {
 	if src.override != nil {
-		return src.override.Body, src.path
+		return src.override.Body, "<override:" + name + ">"
 	}
-	mod, perr := in.astCache.Parse(in.FS, src.path, name, src.src)
+	mod, perr := in.astCache.parse(src.file.astKey, name, src.file.src)
 	if perr != nil {
 		// Surface parse errors as a module body that raises; the importer
 		// converts it into an ImportError.
@@ -247,9 +244,9 @@ func (in *Interp) moduleBody(name string, src moduleSource) ([]pylang.Stmt, stri
 				Func: &pylang.NameExpr{Name: "ImportError"},
 				Args: []pylang.Expr{&pylang.StringLit{Value: perr.Error()}},
 			},
-		}}, src.path
+		}}, src.file.path
 	}
-	return mod.Body, src.path
+	return mod.Body, src.file.path
 }
 
 // execFromImport implements "from X import a, b" including relative levels

@@ -1,6 +1,8 @@
 package pyruntime
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -67,7 +69,7 @@ type Interp struct {
 
 	modules    map[string]*ModuleV       // sys.modules
 	overrides  map[string]*pylang.Module // debloater AST overlays
-	astCache   *ASTCache                 // parse cache shared via SetASTCache
+	astCache   *ASTCache                 // parse cache shared via SetASTCache; nil keeps nothing
 	hooks      []ImportHook
 	builtins   *Namespace
 	excClasses map[string]*ClassV
@@ -88,27 +90,11 @@ type Interp struct {
 	builtinPtrs map[Value]string
 	excPtrs     map[*ClassV]string
 
-	// srcCache memoizes resolveSource + bodyFingerprint per dotted name for
-	// this interpreter's lifetime. Sound because the image and the override
-	// set are fixed while a run executes; SetOverride invalidates its name.
-	// This keeps snapshot validation (which re-checks the fingerprint of
-	// every module a cached window created) off the filesystem/hash path.
-	srcCache map[string]srcCacheEnt
-
-	// volatile names modules whose content changes on every run (Delta
-	// Debugging candidates): the importer executes them live, skips their
-	// import window entirely, and stops enclosing windows from recording —
-	// see SetVolatile.
-	volatile map[string]bool
-}
-
-// srcCacheEnt is a memoized module resolution; fp is filled lazily on the
-// first fingerprint request (fpDone distinguishes "not yet hashed").
-type srcCacheEnt struct {
-	src    moduleSource
-	ok     bool
-	fp     string
-	fpDone bool
+	// volatile names the module whose content changes on every run (the
+	// Delta Debugging candidate), "" for none: the importer executes it
+	// live, skips its import window entirely, and stops enclosing windows
+	// from recording — see SetVolatile.
+	volatile string
 }
 
 // New constructs an interpreter over the given image.
@@ -120,7 +106,6 @@ func New(fs *vfs.FS) *Interp {
 		FS:         fs,
 		modules:    make(map[string]*ModuleV),
 		overrides:  make(map[string]*pylang.Module),
-		astCache:   NewASTCache(),
 		fuel:       DefaultFuel,
 		excClasses: buildExceptionClasses(),
 	}
@@ -128,30 +113,42 @@ func New(fs *vfs.FS) *Interp {
 	return in
 }
 
-// ASTCache is a concurrency-safe parse cache keyed by path+content. It is
-// shared across interpreter instances: the debloater creates a fresh Interp
-// per oracle run (module isolation) but source text is immutable during a
-// run, so parses can be reused — including across the corpus pool's
-// concurrent runs.
+// ASTCache is a concurrency-safe parse cache keyed by path and content
+// digest. It is shared across interpreter instances: the debloater creates
+// a fresh Interp per oracle run (module isolation) but source text is
+// immutable during a run, so parses can be reused — including across the
+// corpus pool's concurrent runs and across the images of different apps.
 type ASTCache struct {
 	mu sync.RWMutex
-	m  map[string]*pylang.Module
+	m  map[astKey]*pylang.Module
+}
+
+// astKey identifies a parse: a file's path and its content digest. The
+// importer takes it from the image's srcRecord, so a live import builds no
+// key.
+type astKey struct{ path, digest string }
+
+// contentDigest is the hex digest of a file's content.
+func contentDigest(src string) string {
+	sum := sha256.Sum256([]byte(src))
+	return hex.EncodeToString(sum[:16])
 }
 
 // NewASTCache returns an empty cache.
 func NewASTCache() *ASTCache {
-	return &ASTCache{m: make(map[string]*pylang.Module)}
+	return &ASTCache{m: make(map[astKey]*pylang.Module)}
 }
 
-// Parse returns the parse of src, the source of path in fs, and keeps it for
-// every later caller asking for the same path and content. The key is the
-// image's content hash when path is in fs: the cache is shared across
-// interpreters and apps, and hashing once per image beats building (and
-// hashing) a path+source map key on every import.
-func (c *ASTCache) Parse(fs *vfs.FS, path, name, src string) (*pylang.Module, error) {
-	key := path + "\x00" + src
-	if h, ok := fs.ContentHash(path); ok {
-		key = path + "\x00" + h
+// Parse returns the parse of src, the source of path, and keeps it for every
+// later caller asking for the same path and content. A nil cache parses
+// without keeping anything.
+func (c *ASTCache) Parse(path, name, src string) (*pylang.Module, error) {
+	return c.parse(astKey{path: path, digest: contentDigest(src)}, name, src)
+}
+
+func (c *ASTCache) parse(key astKey, name, src string) (*pylang.Module, error) {
+	if c == nil {
+		return pyparser.Parse(name, src)
 	}
 	c.mu.RLock()
 	m, ok := c.m[key]
@@ -191,7 +188,6 @@ func (in *Interp) SetSnapshots(cache *SnapshotCache) {
 // image.
 func (in *Interp) SetOverride(name string, mod *pylang.Module) {
 	in.overrides[name] = mod
-	delete(in.srcCache, name)
 }
 
 // SetVolatile declares a module's content as probe-specific: snapshot
@@ -201,13 +197,9 @@ func (in *Interp) SetOverride(name string, mod *pylang.Module) {
 // entries). The debloater marks each Delta Debugging candidate volatile;
 // accepted reductions are stable across the remaining probes and stay
 // memoizable. Simulated observables are unaffected — the module simply
-// always executes live.
-func (in *Interp) SetVolatile(name string) {
-	if in.volatile == nil {
-		in.volatile = make(map[string]bool, 1)
-	}
-	in.volatile[name] = true
-}
+// always executes live. One module is volatile at a time: a later call
+// replaces the name.
+func (in *Interp) SetVolatile(name string) { in.volatile = name }
 
 // AddImportHook registers a hook observing module executions.
 func (in *Interp) AddImportHook(h ImportHook) { in.hooks = append(in.hooks, h) }
@@ -700,7 +692,7 @@ func (in *Interp) noteGlobalWrite(fr *frame) {
 	if n := len(in.recStack); n > 0 && in.recStack[n-1].name == fr.module {
 		return
 	}
-	if n := len(in.importStack); n > 0 && in.importStack[n-1] == fr.module && in.volatile[fr.module] {
+	if n := len(in.importStack); n > 0 && in.importStack[n-1] == fr.module && fr.module == in.volatile {
 		return
 	}
 	in.notePoisonModule(fr.module)

@@ -233,21 +233,26 @@ func TestProgramObservations(t *testing.T) {
 
 // TestImportsOverSharedASTCache: a program that imports a package observes
 // the same whether each run parses privately or reuses a parse cache shared
-// across interpreters, as the debloater's oracle runs do.
+// across interpreters, as the debloater's oracle runs do. The second image
+// holds the same paths with other content, as a debloated image does, and
+// must never reuse the first image's parse.
 func TestImportsOverSharedASTCache(t *testing.T) {
-	files := map[string]string{
-		"site-packages/libfoo/__init__.py": `
-from libfoo.core import work, VERSION
-value = work(3)
-`,
-		"site-packages/libfoo/core.py": `
-VERSION = "1.2"
+	core := `
+VERSION = "%s"
 def work(n):
     out = []
     for i in range(n):
-        out.append(i * i)
+        out.append(i * %s)
     return out
+`
+	image := func(version, factor string) map[string]string {
+		return map[string]string{
+			"site-packages/libfoo/__init__.py": `
+from libfoo.core import work, VERSION
+value = work(3)
 `,
+			"site-packages/libfoo/core.py": fmt.Sprintf(core, version, factor),
+		}
 	}
 	src := `
 import libfoo
@@ -258,15 +263,27 @@ try:
 except ModuleNotFoundError as e:
     print("missing:", e)
 `
-	want := runObs{stdout: "[0, 1, 4] 1.2 [0, 1]\nmissing: ModuleNotFoundError('No module named \\'nosuchmod\\'')\n",
-		clockNS: 20800, used: 10296, peak: 10296, names: "__name__,libfoo,work,e", remote: "[]"}
-	if got, _ := observe(t, src, files, nil); got != want {
-		t.Fatalf("private parse cache:\n got:  %v\n want: %v", got, want)
+	missing := "missing: ModuleNotFoundError('No module named \\'nosuchmod\\'')\n"
+	inputs := []struct {
+		files map[string]string
+		want  runObs
+	}{
+		{image("1.2", "i"), runObs{stdout: "[0, 1, 4] 1.2 [0, 1]\n" + missing,
+			clockNS: 20800, used: 10296, peak: 10296, names: "__name__,libfoo,work,e", remote: "[]"}},
+		{image("2.0", "10"), runObs{stdout: "[0, 10, 20] 2.0 [0, 10]\n" + missing,
+			clockNS: 20800, used: 10296, peak: 10296, names: "__name__,libfoo,work,e", remote: "[]"}},
+	}
+	for i, c := range inputs {
+		if got, _ := observe(t, src, c.files, nil); got != c.want {
+			t.Fatalf("image %d, private parse cache:\n got:  %v\n want: %v", i, got, c.want)
+		}
 	}
 	shared := NewASTCache()
 	for round := 0; round < 3; round++ {
-		if got, _ := observe(t, src, files, func(in *Interp) { in.SetASTCache(shared) }); got != want {
-			t.Fatalf("shared parse cache, round %d:\n got:  %v\n want: %v", round, got, want)
+		for i, c := range inputs {
+			if got, _ := observe(t, src, c.files, func(in *Interp) { in.SetASTCache(shared) }); got != c.want {
+				t.Fatalf("image %d, shared parse cache, round %d:\n got:  %v\n want: %v", i, round, got, c.want)
+			}
 		}
 	}
 }

@@ -245,6 +245,9 @@ func hashStrings(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// astFingerprint is an override's body fingerprint. A file's is computed
+// once per image, on its srcRecord (fileRecord), from the file's path and
+// content digest.
 func (sc *SnapshotCache) astFingerprint(m *pylang.Module) string {
 	if s, ok := sc.astFP.Load(m); ok {
 		return s.(string)
@@ -252,23 +255,6 @@ func (sc *SnapshotCache) astFingerprint(m *pylang.Module) string {
 	s := hashStrings("ast", pylang.Print(m))
 	sc.astFP.Store(m, s)
 	return s
-}
-
-// bodyFingerprint content-addresses a module source resolved by
-// resolveSource, without parsing it. File content digests are memoized on
-// the image itself (vfs.FS.ContentHash), so repeated oracle runs against
-// the same image hash each file once, not once per run.
-func (in *Interp) bodyFingerprint(src moduleSource) string {
-	if src.override != nil {
-		return in.snap.astFingerprint(src.override)
-	}
-	if h, ok := in.FS.ContentHash(src.path); ok {
-		return hashStrings("file", src.path, h)
-	}
-	// File vanished between resolution and fingerprinting: hash the
-	// resolved source directly (distinct inputs can only produce distinct
-	// fingerprints, so a missed cache hit is the worst case).
-	return hashStrings("file", src.path, src.src)
 }
 
 // poisonSeq makes every poison value process-unique, so a stale sfp can only
@@ -717,14 +703,14 @@ func (in *Interp) validateEntry(e *snapEntry) bool {
 			// A volatile module's content is probe-specific: no recorded
 			// fingerprint can ever match it, and fingerprinting it here
 			// would print the fresh candidate AST on every probe.
-			if in.volatile[ev.name] {
+			if ev.name == in.volatile {
 				return false
 			}
 			if _, loaded := in.modules[ev.name]; loaded {
 				return false
 			}
-			src, ok := in.resolveSourceCached(ev.name)
-			if !ok || in.moduleFP(ev.name, src) != ev.fp {
+			src, ok := in.resolveSource(ev.name)
+			if !ok || in.moduleFP(src) != ev.fp {
 				return false
 			}
 		case 'l':

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/pylang"
 	"repro/internal/pyparser"
 	"repro/internal/vfs"
 )
@@ -231,6 +232,89 @@ CONFIG = None
 	}
 	if s := snap.Stats(); s.Hits == 0 {
 		t.Fatalf("untouched libA chain should have replayed: %+v", s)
+	}
+}
+
+// importAttr imports module name into a fresh interpreter over fs, with the
+// caches and the override given (each may be nil), and renders the module's
+// attribute attr and its __file__.
+func importAttr(t *testing.T, fs *vfs.FS, snap *SnapshotCache, astc *ASTCache, ov *pylang.Module, name, attr string) string {
+	t.Helper()
+	in := New(fs)
+	in.SetASTCache(astc)
+	if snap != nil {
+		in.SetSnapshots(snap)
+	}
+	if ov != nil {
+		in.SetOverride(name, ov)
+	}
+	m, err := in.Import(name)
+	if err != nil {
+		t.Fatalf("import %s: %v", name, err)
+	}
+	v, _ := m.Dict.Get(attr)
+	return Repr(v) + " " + m.File
+}
+
+// TestOverridesStayInTheirInterpreter: an override lives in the interpreter
+// that set it, never in the image's record of the module, so another
+// interpreter over the same image imports the file, with the memo on and
+// off, whichever of the two resolved the name first.
+func TestOverridesStayInTheirInterpreter(t *testing.T) {
+	ov, err := pyparser.Parse("lib", "V = 'override'\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, memo := range []bool{false, true} {
+		fs := vfs.New()
+		fs.Write("site-packages/lib.py", "V = 'file'\n")
+		var snap *SnapshotCache
+		if memo {
+			snap = NewSnapshotCache()
+		}
+		astc := NewASTCache()
+		for i, o := range []*pylang.Module{ov, nil, ov, nil} {
+			want := "'file' site-packages/lib.py"
+			if o != nil {
+				want = "'override' <override:lib>"
+			}
+			if got := importAttr(t, fs, snap, astc, o, "lib", "V"); got != want {
+				t.Errorf("memo %v, import %d: got %s, want %s", memo, i, got, want)
+			}
+		}
+	}
+}
+
+// TestImageWriteReachesNextImport: FS.Write drops the image's records, so
+// the next interpreter imports the new content of a module an earlier one
+// imported, with the memo on and off, and no entry recorded for the old
+// content replays.
+func TestImageWriteReachesNextImport(t *testing.T) {
+	for _, memo := range []bool{false, true} {
+		fs := vfs.New()
+		fs.Write("site-packages/lib.py", "V = 'old'\n")
+		fs.Write("app.py", "import lib\nW = lib.V\n")
+		var snap *SnapshotCache
+		if memo {
+			snap = NewSnapshotCache()
+		}
+		astc := NewASTCache()
+		for i := 0; i < 2; i++ {
+			if got := importAttr(t, fs, snap, astc, nil, "app", "W"); got != "'old' app.py" {
+				t.Fatalf("memo %v, run %d before the write: got %s", memo, i, got)
+			}
+		}
+		if memo && snap.Stats().Hits == 0 {
+			t.Fatalf("the second run replayed nothing: %+v", snap.Stats())
+		}
+		fs.Write("site-packages/lib.py", "V = 'new'\n")
+		before := snap.Stats()
+		if got := importAttr(t, fs, snap, astc, nil, "app", "W"); got != "'new' app.py" {
+			t.Errorf("memo %v, after the write: got %s", memo, got)
+		}
+		if after := snap.Stats(); after.Hits != before.Hits {
+			t.Errorf("memo %v: an entry recorded for the old content replayed: %+v -> %+v", memo, before, after)
+		}
 	}
 }
 

@@ -8,8 +8,6 @@
 package vfs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,16 +19,12 @@ import (
 type FS struct {
 	files map[string]string
 
-	// hashes memoizes ContentHash per path, invalidated by Write/Remove.
-	// A sync.Map so concurrent readers stay lock-free on the hit path.
-	hashes sync.Map // path -> hex digest
-
 	// derived memoizes values computed from the whole tree (the runtime's
-	// module resolution and body fingerprints). Unlike hashes it cannot be
-	// invalidated per path — adding a file can change the resolution of a
-	// name that previously fell through to another root — so any Write or
-	// Remove clears it entirely. Mutations only happen between pipeline
-	// stages, never on the oracle hot path.
+	// per-module source records). It cannot be invalidated per path —
+	// adding a file can change the resolution of a name that previously
+	// fell through to another root — so any Write or Remove clears it
+	// entirely. Mutations only happen between pipeline stages, never on the
+	// oracle hot path. A sync.Map so concurrent readers stay lock-free.
 	derived sync.Map // caller-defined key -> value
 }
 
@@ -57,7 +51,6 @@ func Clean(path string) string {
 func (fs *FS) Write(path, content string) {
 	p := Clean(path)
 	fs.files[p] = content
-	fs.hashes.Delete(p)
 	fs.clearDerived()
 }
 
@@ -84,7 +77,6 @@ func (fs *FS) Remove(path string) error {
 		return fmt.Errorf("vfs: no such file: %s", path)
 	}
 	delete(fs.files, p)
-	fs.hashes.Delete(p)
 	fs.clearDerived()
 	return nil
 }
@@ -97,30 +89,12 @@ func (fs *FS) clearDerived() {
 }
 
 // DerivedGet returns a value previously stored with DerivedPut, if the tree
-// has not been written to since.
-func (fs *FS) DerivedGet(key string) (any, bool) { return fs.derived.Load(key) }
+// has not been written to since. Callers key with a type of their own, as
+// with context values, so their keys never collide.
+func (fs *FS) DerivedGet(key any) (any, bool) { return fs.derived.Load(key) }
 
 // DerivedPut memoizes a value derived from the tree's current contents.
-func (fs *FS) DerivedPut(key string, v any) { fs.derived.Store(key, v) }
-
-// ContentHash returns a hex digest of a file's content, memoized until the
-// path is rewritten. The debloater's oracle fingerprints every module file
-// on every isolated run; hashing each file once per image instead of once
-// per run keeps that off the hot path.
-func (fs *FS) ContentHash(path string) (string, bool) {
-	p := Clean(path)
-	if h, ok := fs.hashes.Load(p); ok {
-		return h.(string), true
-	}
-	c, ok := fs.files[p]
-	if !ok {
-		return "", false
-	}
-	sum := sha256.Sum256([]byte(c))
-	h := hex.EncodeToString(sum[:16])
-	fs.hashes.Store(p, h)
-	return h, true
-}
+func (fs *FS) DerivedPut(key, v any) { fs.derived.Store(key, v) }
 
 // List returns all paths in sorted order.
 func (fs *FS) List() []string {
