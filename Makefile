@@ -16,12 +16,15 @@ check: fmt vet build test bench-smoke fuzz-smoke
 # after a primer app filled the cache), and on the four fast paths that
 # must equal their definitions (trace.Source against math/rand's generator,
 # the arrival thinning's squeeze test against its math.Sin comparison, the
-# histogram's bucket table against its log form, and FuzzNamespace: fresh,
-# presized and replayed namespaces against an ordered-map model). Seeds
-# alone run in the normal test pass; this also explores.
+# histogram's bucket table against its log form, FuzzNamespace: fresh,
+# presized and replayed namespaces against an ordered-map model, and
+# FuzzStoreReset: a time-series store that Reset emptied, its rings reused,
+# against a fresh store fed the same samples). Seeds alone run in the
+# normal test pass; this also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
+	$(GO) test -fuzz FuzzStoreReset -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run xxx ./internal/pyparser
 	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime

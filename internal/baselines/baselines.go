@@ -142,13 +142,9 @@ func FaaSLight(app *appspec.App, k int) (*Result, error) {
 // fixpoint: removing an attribute may orphan others, but conservatism goes
 // the other way — anything referenced stays.
 func reachabilityTrim(app *appspec.App, module string, protected map[string]bool) ([]string, error) {
-	path, ok := moduleFile(app, module)
+	path, src, ok := moduleFile(app, module)
 	if !ok {
 		return nil, errNotLibrary
-	}
-	src, err := app.Image.Read(path)
-	if err != nil {
-		return nil, err
 	}
 	ast, err := pyparser.Parse(module, src)
 	if err != nil {
@@ -260,7 +256,13 @@ func Vulture(app *appspec.App) (*Result, error) {
 		if !strings.HasPrefix(path, pyruntime.SitePackages) || !strings.HasSuffix(path, ".py") {
 			continue
 		}
-		src, _ := optimized.Image.Read(path)
+		// A file the importer never loads for its module name (an
+		// image-root file shadows it) is not the app's library.
+		module := pathToModule(path)
+		loaded, src, ok := moduleFile(optimized, module)
+		if !ok || loaded != path {
+			continue
+		}
 		ast, err := pyparser.Parse(path, src)
 		if err != nil {
 			continue
@@ -287,7 +289,6 @@ func Vulture(app *appspec.App) (*Result, error) {
 			}
 		}
 		if len(removed) > 0 {
-			module := pathToModule(path)
 			res.RemovedPerModule[module] = removed
 			optimized.Image.Write(path, pylang.PrintStmts(kept))
 		}
@@ -326,17 +327,12 @@ func referencedNames(s pylang.Stmt) []string {
 	return out
 }
 
-func moduleFile(app *appspec.App, name string) (string, bool) {
-	rel := strings.ReplaceAll(name, ".", "/")
-	for _, candidate := range []string{
-		pyruntime.SitePackages + rel + ".py",
-		pyruntime.SitePackages + rel + "/__init__.py",
-	} {
-		if app.Image.Exists(candidate) {
-			return candidate, true
-		}
-	}
-	return "", false
+// moduleFile returns the file the importer loads for a module name from the
+// app image, and its source, when that file is under site-packages: an
+// image-root file that shadows a library is application code.
+func moduleFile(app *appspec.App, name string) (path, src string, ok bool) {
+	path, src, ok = pyruntime.ModuleFile(app.Image, name)
+	return path, src, ok && strings.HasPrefix(path, pyruntime.SitePackages)
 }
 
 func pathToModule(path string) string {

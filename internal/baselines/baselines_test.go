@@ -169,6 +169,56 @@ def _deeper():
 	}
 }
 
+// TestShadowedLibraryIsSkipped: the importer searches the image root before
+// site-packages, so a root lib.py shadows site-packages/lib.py and lib is
+// application code. Neither baseline may rewrite the site-packages copy,
+// which the app never loads.
+func TestShadowedLibraryIsSkipped(t *testing.T) {
+	lib := `
+load_native(40, 20)
+
+def work(x):
+    return x * 2
+
+def extra():
+    return load_native(30, 10)
+`
+	shadowApp := func() *appspec.App {
+		fs := vfs.New()
+		fs.Write("handler.py", `
+import lib
+
+def handler(event, context):
+    return lib.work(event.get("x", 1))
+`)
+		fs.Write("lib.py", lib)
+		fs.Write("site-packages/lib.py", lib)
+		return &appspec.App{Name: "shadow", Image: fs, Entry: "handler", Handler: "handler",
+			Oracle: []appspec.TestCase{{Name: "t", Event: map[string]any{"x": 3}}}}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*appspec.App) (*Result, error)
+	}{
+		{"FaaSLight", func(app *appspec.App) (*Result, error) { return FaaSLight(app, 20) }},
+		{"Vulture", Vulture},
+	} {
+		res, err := tc.run(shadowApp())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.RemovedPerModule) != 0 {
+			t.Errorf("%s removed %v from a library the app never loads", tc.name, res.RemovedPerModule)
+		}
+		if got, _ := res.App.Image.Read("site-packages/lib.py"); got != lib {
+			t.Errorf("%s rewrote the site-packages copy the app never loads:\n%s", tc.name, got)
+		}
+		if !VerifyBehaviour(res) {
+			t.Errorf("%s broke the app", tc.name)
+		}
+	}
+}
+
 func TestPathToModule(t *testing.T) {
 	cases := map[string]string{
 		pyruntime.SitePackages + "numpy/__init__.py":    "numpy",

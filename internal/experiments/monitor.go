@@ -47,10 +47,6 @@ type MonitorConfig struct {
 	// entirely (e.g. parsed from a -slo flag). Both deployments still
 	// share the same set.
 	SLOs []monitor.SLO
-	// FleetWorkers shards the fleet replay across worker goroutines via
-	// the fleet engine (0 or 1 replays sequentially). The rendered output
-	// is byte-identical at any worker count.
-	FleetWorkers int
 }
 
 // DefaultMonitorConfig studies lightgbm at seed 7.
@@ -75,16 +71,13 @@ const (
 	latencyBudget, costBudget, errorBudget = 0.05, 0.05, 0.02
 
 	// monitorFleetFunctions and monitorFleetPeriod shape the fleet trace;
-	// monitorFleetKeepAlive is the pool policy, monitorFleetColdInit the
-	// modeled init latency of a fleet cold start, monitorFleetColdBudget
-	// the fleet cold-fraction SLO budget and monitorFleetResolution the
-	// fleet monitor's TSDB window size.
+	// monitorFleetColdInit is the modeled init latency of a fleet cold
+	// start and monitorFleetColdBudget the fleet cold-fraction SLO budget.
+	// The pool keep-alive and the window size are the fleet engine's.
 	monitorFleetFunctions  = 60
 	monitorFleetPeriod     = 2 * time.Hour
-	monitorFleetKeepAlive  = 15 * time.Minute
 	monitorFleetColdInit   = 400 * time.Millisecond
 	monitorFleetColdBudget = 0.30
-	monitorFleetResolution = time.Minute
 )
 
 // MonitorVariantRow is one deployment's monitored outcome.
@@ -256,7 +249,7 @@ func MonitorCompare(orig, trim *appspec.App, profile *profiler.Profile, platform
 		}
 	}
 
-	out.Fleet, err = replayFleet(platform.Pricing, cfg.Seed, cfg.FleetWorkers)
+	out.Fleet, err = replayFleet(platform.Pricing, cfg.Seed, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -287,17 +280,11 @@ func replayFleet(pricing faas.Pricing, seed int64, workers int) (FleetSummary, e
 			Arrivals: f.SortedArrivals(),
 		})
 	}
-	if workers <= 0 {
-		workers = 1
-	}
 	res, err := fleet.Replay(fleet.Config{
-		Workers:    workers,
-		Period:     monitorFleetPeriod,
-		Resolution: monitorFleetResolution,
-		Windows:    monitor.DefaultWindows,
-		KeepAlive:  monitorFleetKeepAlive,
-		Pricing:    pricing,
-		Seed:       seed,
+		Workers: workers,
+		Period:  monitorFleetPeriod,
+		Pricing: pricing,
+		Seed:    seed,
 		SLOs: []monitor.SLO{
 			{Name: "fleet-cold-fraction", Kind: monitor.KindColdFraction, Budget: monitorFleetColdBudget},
 		},
@@ -412,7 +399,7 @@ func (r *MonitorResult) Render() string {
 // section) against the pre-engine output byte-for-byte.
 func renderFleetSection(b *strings.Builder, f FleetSummary) {
 	fmt.Fprintf(b, "fleet replay: %d functions over %s, keep-alive %s\n",
-		f.Functions, monitorFleetPeriod, monitorFleetKeepAlive)
+		f.Functions, monitorFleetPeriod, fleet.KeepAlive)
 	coldPct := 0.0
 	if f.Invocations > 0 {
 		coldPct = 100 * float64(f.ColdStarts) / float64(f.Invocations)

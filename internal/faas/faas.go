@@ -113,15 +113,22 @@ func (p Pricing) ConfigureMemory(peakMB float64) int {
 // instance (CPython ~35 MB on Lambda).
 const baseRuntimeMB = 35
 
+// The platform's fixed policy.
+const (
+	// KeepAlive is how long an idle instance survives (AWS: up to
+	// ~45-60 min; GCP: <15 min). Paper experiments assume 15 min.
+	KeepAlive = 15 * time.Minute
+	// RoutingOverhead models request routing/queueing on every invocation
+	// (present in E2E, never billed).
+	RoutingOverhead = 40 * time.Millisecond
+	// FallbackSetup is the wrapper's overhead when the fallback path
+	// triggers (~50 ms in §8.7).
+	FallbackSetup = 50 * time.Millisecond
+)
+
 // Config parameterizes the platform simulator.
 type Config struct {
 	Pricing Pricing
-	// KeepAlive is how long an idle instance survives (AWS: up to
-	// ~45-60 min; GCP: <15 min). Paper experiments assume 15 min.
-	KeepAlive time.Duration
-	// RoutingOverhead models request routing/queueing on every invocation
-	// (present in E2E, never billed).
-	RoutingOverhead time.Duration
 	// InstanceInit and TransferRateMBps model the provider-side cold path
 	// when UseAppSetupDelay is false: instance init plus image
 	// transmission at the given rate (Figure 1's unbilled phases).
@@ -130,9 +137,6 @@ type Config struct {
 	// UseAppSetupDelay, when true, uses each app's calibrated
 	// SetupDelayMS instead of the image model (matches Table 1 E2E).
 	UseAppSetupDelay bool
-	// FallbackSetup is the wrapper's overhead when the fallback path
-	// triggers (~50 ms in §8.7).
-	FallbackSetup time.Duration
 
 	// EnforceMemory, when true, kills any invocation whose footprint
 	// exceeds the configured memory with an OOM error, billing the partial
@@ -168,12 +172,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Pricing:          AWSPricing(),
-		KeepAlive:        15 * time.Minute,
-		RoutingOverhead:  40 * time.Millisecond,
 		InstanceInit:     350 * time.Millisecond,
 		TransferRateMBps: 600,
 		UseAppSetupDelay: true,
-		FallbackSetup:    50 * time.Millisecond,
 	}
 }
 
@@ -457,7 +458,7 @@ func (p *Platform) invokeNamed(name string, event map[string]any, advanceClock b
 		total.FallbackKind = fbInv.Kind
 		total.Kind = inv.Kind
 		// E2E: failed primary attempt + wrapper setup + fallback E2E.
-		total.E2E = inv.E2E + p.cfg.FallbackSetup + fbInv.E2E
+		total.E2E = inv.E2E + FallbackSetup + fbInv.E2E
 		// The user pays for both attempts.
 		total.CostUSD = inv.CostUSD + fbInv.CostUSD
 		total.BilledDuration = inv.BilledDuration + fbInv.BilledDuration
@@ -489,7 +490,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 			inv.Class = FailureThrottle
 			inv.Err = &FailureError{Class: FailureThrottle, Function: d.app.Name,
 				Detail: fmt.Sprintf("concurrency limit %d reached", lim)}
-			inv.E2E = p.cfg.RoutingOverhead
+			inv.E2E = RoutingOverhead
 			if advanceClock {
 				p.now += inv.E2E
 			}
@@ -534,7 +535,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 		if perr != nil {
 			inv.Err = perr
 			inv.Class = FailureHandler
-			inv.E2E = p.cfg.RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + (interp.Clock.Now() - t0)
+			inv.E2E = RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + (interp.Clock.Now() - t0)
 			p.recordInvocation(parent, start, inv)
 			return inv, nil
 		}
@@ -560,7 +561,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 			inv.PeakMB = simtime.MBf(interp.Alloc.Peak()) + baseRuntimeMB
 			inv.BilledDuration = p.cfg.Pricing.BillDuration(inv.Init)
 			inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB)
-			inv.E2E = p.cfg.RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init
+			inv.E2E = RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init
 			if advanceClock {
 				p.now += inv.E2E
 			}
@@ -656,7 +657,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 	inv.BilledDuration = p.cfg.Pricing.BillDuration(billed)
 	inv.CostUSD = p.cfg.Pricing.Cost(inv.BilledDuration, inv.MemoryMB)
 
-	inv.E2E = p.cfg.RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init + inv.Exec
+	inv.E2E = RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + inv.Init + inv.Exec
 
 	if instanceDied {
 		if !coldInstance {
@@ -725,7 +726,7 @@ func (p *Platform) warmInstance(d *deployment) *instance {
 	live := d.instances[:0]
 	var found *instance
 	for _, inst := range d.instances {
-		if inst.busyUntil <= p.now && p.now-inst.lastUsed > p.cfg.KeepAlive {
+		if inst.busyUntil <= p.now && p.now-inst.lastUsed > KeepAlive {
 			inst.expired = true
 			continue
 		}

@@ -93,15 +93,13 @@ func TestColdThenWarm(t *testing.T) {
 }
 
 func TestKeepAliveExpiry(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KeepAlive = 1 * time.Minute
-	p := New(cfg)
+	p := New(DefaultConfig())
 	p.Deploy(testApp("fn"))
 
 	if _, err := p.Invoke("fn", nil); err != nil {
 		t.Fatal(err)
 	}
-	p.Advance(2 * time.Minute) // exceed keep-alive
+	p.Advance(KeepAlive + time.Minute) // exceed keep-alive
 	inv, err := p.Invoke("fn", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +205,7 @@ func TestFallbackOnAttributeError(t *testing.T) {
 		t.Error("first fallback invocation should be cold")
 	}
 	// E2E includes the failed attempt, wrapper setup, and the fallback.
-	if inv.E2E < cfg.FallbackSetup {
+	if inv.E2E < FallbackSetup {
 		t.Error("fallback E2E too small")
 	}
 

@@ -245,7 +245,7 @@ func TestThrottleUnderConcurrencyLimit(t *testing.T) {
 			if inv.CostUSD != 0 || inv.BilledDuration != 0 {
 				t.Error("throttled requests are never billed")
 			}
-			if inv.E2E != cfg.RoutingOverhead {
+			if inv.E2E != RoutingOverhead {
 				t.Errorf("throttle E2E = %v, want routing overhead only", inv.E2E)
 			}
 		}

@@ -66,7 +66,7 @@ func (p *Platform) recordInvocation(parent *obs.Span, start time.Duration, inv *
 		tr.StartChild(sp, name, "faas", cur).Finish(cur + d)
 		cur += d
 	}
-	phase("routing", p.cfg.RoutingOverhead)
+	phase("routing", RoutingOverhead)
 	if inv.Class == FailureThrottle {
 		// Rejected up front: no instance, no further phases.
 		sp.Finish(end)
@@ -83,7 +83,7 @@ func (p *Platform) recordInvocation(parent *obs.Span, start time.Duration, inv *
 		if initDur == 0 && inv.Exec == 0 && inv.Class == FailureHandler {
 			// The entry import itself raised: the record keeps no Init,
 			// but E2E embeds the partial import time — recover it.
-			initDur = inv.E2E - p.cfg.RoutingOverhead - inv.InstanceInit - inv.ImageTransfer
+			initDur = inv.E2E - RoutingOverhead - inv.InstanceInit - inv.ImageTransfer
 			importCrash = true
 		}
 		phase("init", initDur)

@@ -14,15 +14,9 @@ import (
 // stores; one allocation per served invocation would blow it fourfold.
 func TestReplayAllocsPerInvocation(t *testing.T) {
 	const maxAllocsPerInv = 0.25
-	pop := GeneratePopulation(PopConfig{
-		Functions: 500, Period: 6 * time.Hour, Seed: 5,
-		RateMedian: 120, RateSigma: 1.8, RateCap: 20000,
-		ArmMix: []ArmShare{
-			{Arm: chaos.ArmDebloated, Frac: 0.25},
-			{Arm: chaos.ArmFallback, Frac: 0.25},
-			{Arm: chaos.ArmBreaker, Frac: 0.25},
-		},
-	}, testArchetypes())
+	pop := scaleRates(GeneratePopulation(PopConfig{
+		Functions: 500, Period: 6 * time.Hour, Seed: 5, ArmMix: ChaosArmMix(),
+	}, testArchetypes()), 10)
 
 	plain := testConfig(1)
 	plain.LabelSeries = false

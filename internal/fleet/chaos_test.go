@@ -26,13 +26,7 @@ func testIncidents(t *testing.T) []chaos.Incident {
 
 func chaosTestPopulation() []Function {
 	return GeneratePopulation(PopConfig{
-		Functions: 600, Period: 6 * time.Hour, Seed: 3,
-		RateMedian: 30, RateSigma: 1.8, RateCap: 20000,
-		ArmMix: []ArmShare{
-			{Arm: chaos.ArmDebloated, Frac: 0.25},
-			{Arm: chaos.ArmFallback, Frac: 0.25},
-			{Arm: chaos.ArmBreaker, Frac: 0.25},
-		},
+		Functions: 600, Period: 6 * time.Hour, Seed: 3, ArmMix: ChaosArmMix(),
 	}, testArchetypes())
 }
 
@@ -181,19 +175,15 @@ func TestChaosMitigationsReduceUnavailability(t *testing.T) {
 }
 
 // TestArmMixMatchesDebloatedFraction: an ArmMix of {debloated: 0.5} is
-// the same population as DebloatedFraction 0.5 — the mix path must not
+// the same population as the default two-arm draw — the mix path must not
 // perturb any per-member draw.
 func TestArmMixMatchesDebloatedFraction(t *testing.T) {
-	pc := PopConfig{
-		Functions: 300, Period: 6 * time.Hour, Seed: 9,
-		DebloatedFraction: 0.5, RateMedian: 30, RateSigma: 1.8, RateCap: 20000,
-	}
+	pc := PopConfig{Functions: 300, Period: 6 * time.Hour, Seed: 9}
 	frac := GeneratePopulation(pc, testArchetypes())
-	pc.DebloatedFraction = 0
-	pc.ArmMix = []ArmShare{{Arm: "debloated", Frac: 0.5}}
+	pc.ArmMix = []ArmShare{{Arm: "debloated", Frac: debloatedFraction}}
 	mix := GeneratePopulation(pc, testArchetypes())
 	if !reflect.DeepEqual(frac, mix) {
-		t.Fatal("ArmMix{debloated:0.5} population differs from DebloatedFraction 0.5")
+		t.Fatal("ArmMix{debloated:0.5} population differs from the default two-arm draw")
 	}
 }
 

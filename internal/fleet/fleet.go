@@ -12,17 +12,19 @@
 // functions fold sequentially in ID order within their block, and blocks
 // merge in index order — so the net floating-point fold order is function
 // ID order no matter how many workers ran or how the OS scheduled them.
-// The number of blocks (not workers) is what pins the partition, and it
-// is part of the replay configuration.
+// The number of blocks (not workers) is what pins the partition; it is a
+// package constant, like the rest of the replay's geometry.
 //
 // Telemetry is streaming: no per-invocation record is ever materialized.
 // Arrivals come from seeded per-function Poisson streams
 // (trace.ArrivalStreamFrom), pool state is bounded by peak concurrency
 // (trace.SimulatePoolGated), and every observation lands in mergeable
 // rollups (monitor.Store windows), phase ledgers, log-scale histograms,
-// and small fixed-size exemplar sets. Resident memory is therefore
-// proportional to blocks × windows, flat in the invocation count — a day
-// of millions of arrivals replays in seconds within a few tens of MB.
+// and small fixed-size exemplar sets. The shards record into 2×workers
+// stores that the merge empties and hands back, so resident memory is
+// bounded by those stores plus the merged result whatever the schedule,
+// and flat in the invocation count: a day of millions of arrivals replays
+// in seconds within a few tens of MB.
 //
 // SLO alerting over the merged result is exact, not approximate: a
 // monitor boundary at T reads only windows strictly before T and windows
@@ -82,25 +84,31 @@ type Function struct {
 	Seed int64
 }
 
-// Config parameterizes a fleet replay.
+// The replay's geometry. Every caller replays with these values, so they
+// are constants rather than options.
+const (
+	// blockCount is the merge-partition count, capped at the function
+	// count. It is part of the replay's identity: the block count, not the
+	// worker count, fixes every fold order, so any worker count yields the
+	// same bits.
+	blockCount = 64
+	// KeepAlive is the pool keep-alive policy: the paper's fixed 15
+	// minutes.
+	KeepAlive = 15 * time.Minute
+	// completionTail is how far past the last arrival the shard rings
+	// reach, so no completion slides out of a ring and post-hoc SLO
+	// evaluation stays exact.
+	completionTail = 6 * time.Hour
+)
+
+// Config parameterizes a fleet replay. Stores use monitor.DefaultResolution
+// windows, and their rings cover the replay horizon plus completionTail.
 type Config struct {
 	// Workers is the worker-goroutine count. It affects wall-clock time
 	// only — never any byte of the result (default GOMAXPROCS).
 	Workers int
-	// Blocks is the merge-partition count. It is part of the replay's
-	// identity: the same Blocks value yields bit-identical results at any
-	// worker count, while changing it may perturb last-bit floating-point
-	// rollup sums (default 64, clamped to the function count).
-	Blocks int
 	// Period is the replay horizon for streamed arrivals.
 	Period time.Duration
-	// Resolution and Windows size the per-shard stores. Windows defaults
-	// to cover Period plus six hours of completion tail so nothing slides
-	// out of the ring and post-hoc SLO evaluation stays exact.
-	Resolution time.Duration
-	Windows    int
-	// KeepAlive is the pool keep-alive policy (default 15 minutes).
-	KeepAlive time.Duration
 	// SLOs are evaluated over the merged store after the replay.
 	SLOs []monitor.SLO
 	// DashboardEvery renders a dashboard frame at this virtual interval
@@ -143,29 +151,14 @@ type Config struct {
 	chaosEngine *chaos.Engine
 
 	// blockDone, when set, runs on the merge goroutine after each block
-	// has been folded and released (test hook for memory-flatness
+	// has been folded and its store reset (test hook for memory-flatness
 	// assertions).
 	blockDone func(merged int)
-	// blockStart, when set, runs on a worker before it replays block b
-	// (test hook that paces the workers against the merge).
-	blockStart func(b int)
 }
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Blocks <= 0 {
-		cfg.Blocks = 64
-	}
-	if cfg.Resolution <= 0 {
-		cfg.Resolution = monitor.DefaultResolution
-	}
-	if cfg.Windows <= 0 {
-		cfg.Windows = int(cfg.Period/cfg.Resolution) + int(6*time.Hour/cfg.Resolution) + 1
-	}
-	if cfg.KeepAlive <= 0 {
-		cfg.KeepAlive = 15 * time.Minute
 	}
 	if cfg.Pricing == (faas.Pricing{}) {
 		cfg.Pricing = faas.AWSPricing()
@@ -231,7 +224,9 @@ type partial struct {
 	chaosArms map[string]*chaos.ArmStats
 }
 
-func newPartial(cfg *Config) *partial {
+// newPartial builds a shard over st, an empty store (nil with telemetry
+// off).
+func newPartial(cfg *Config, st *monitor.Store) *partial {
 	p := &partial{armFns: make(map[string]int)}
 	if cfg.chaosEngine != nil {
 		p.chaosArms = make(map[string]*chaos.ArmStats)
@@ -239,7 +234,7 @@ func newPartial(cfg *Config) *partial {
 	if cfg.DisableTelemetry {
 		return p
 	}
-	p.store = monitor.NewStore(cfg.Resolution, cfg.Windows)
+	p.store = st
 	p.ledger = monitor.NewLedger()
 	p.arms = monitor.NewLedger()
 	p.arch = monitor.NewLedger()
@@ -259,7 +254,9 @@ func newPartial(cfg *Config) *partial {
 
 // merge folds o into p. Call order across partials must be block-index
 // order: that is the only scheduling-independent total order, and it is
-// what makes every floating-point sum reproducible.
+// what makes every floating-point sum reproducible. The store merge fails
+// only on a ring-geometry mismatch, which stores from one constructor
+// cannot have.
 func (p *partial) merge(o *partial) error {
 	if err := p.store.Merge(o.store); err != nil {
 		return err
@@ -401,7 +398,7 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 	if p.rng == nil && fn.Arrivals == nil {
 		p.rng = rand.New(trace.NewSource(0))
 	}
-	res := trace.SimulatePoolGated(fn.arrivalSource(p.rng, cfg.Period), fn.Exec, cfg.KeepAlive, gate,
+	res := trace.SimulatePoolGated(fn.arrivalSource(p.rng, cfg.Period), fn.Exec, KeepAlive, gate,
 		func(ev trace.PoolEvent) { p.serve(cfg, r, ev) })
 	if res.MaxInstances > p.peakLive {
 		p.peakLive = res.MaxInstances
@@ -529,6 +526,19 @@ func (fn *Function) arrivalSource(rng *rand.Rand, period time.Duration) func() (
 	return trace.ArrivalStreamFrom(rng, fn.Seed, fn.Rate, period)
 }
 
+// ringWindows sizes the shard rings: the replay horizon (Period, or the
+// last explicit arrival when that is later) plus completionTail, in
+// monitor.DefaultResolution windows.
+func ringWindows(period time.Duration, fns []Function) int {
+	horizon := period
+	for i := range fns {
+		if a := fns[i].Arrivals; len(a) > 0 && a[len(a)-1] > horizon {
+			horizon = a[len(a)-1]
+		}
+	}
+	return int(horizon/monitor.DefaultResolution) + int(completionTail/monitor.DefaultResolution) + 1
+}
+
 func validate(cfg *Config, fns []Function) error {
 	if cfg.Period <= 0 {
 		streamed := false
@@ -591,40 +601,49 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 	// same idempotent defaults again.
 	slos := make([]monitor.SLO, 0, len(cfg.SLOs))
 	for _, def := range cfg.SLOs {
-		slos = append(slos, def.WithDefaults(cfg.Resolution))
+		slos = append(slos, def.WithDefaults(monitor.DefaultResolution))
 	}
 	cfg.SLOs = slos
 
 	n := len(fns)
-	blocks := cfg.Blocks
-	if blocks > n {
-		blocks = n
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	workers := cfg.Workers
-	if workers > blocks {
-		workers = blocks
+	blocks := min(blockCount, max(n, 1))
+	workers := min(cfg.Workers, blocks)
+	windows := ringWindows(cfg.Period, fns)
+	newStore := func() *monitor.Store {
+		if cfg.DisableTelemetry {
+			return nil
+		}
+		return monitor.NewStore(monitor.DefaultResolution, windows)
 	}
 
 	// Contiguous ID-ordered block ranges: block b replays fns[b*n/B,
-	// (b+1)*n/B). The partition depends only on (n, Blocks), never on
-	// Workers.
+	// (b+1)*n/B). The partition depends only on n, never on Workers.
+	//
+	// Shards record into 2×workers stores. The dispatcher hands them out
+	// in block order, and the merge empties each folded shard's store and
+	// hands it back, so at most that many shards exist however far the
+	// merge lags. Because stores go out in block order, the block the merge
+	// waits for always holds one.
+	type job struct {
+		b     int
+		store *monitor.Store
+	}
+	// free holds every store, so handing one back never blocks.
+	free := make(chan *monitor.Store, 2*workers)
+	for i := 0; i < cap(free); i++ {
+		free <- newStore()
+	}
 	parts := make([]*partial, blocks)
 	done := make([]chan struct{}, blocks)
 	for b := range done {
 		done[b] = make(chan struct{})
 	}
-	jobs := make(chan int)
+	jobs := make(chan job)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for b := range jobs {
-				if cfg.blockStart != nil {
-					cfg.blockStart(b)
-				}
-				p := newPartial(&cfg)
-				lo, hi := b*n/blocks, (b+1)*n/blocks
+			for j := range jobs {
+				p := newPartial(&cfg, j.store)
+				lo, hi := j.b*n/blocks, (j.b+1)*n/blocks
 				for i := lo; i < hi; i++ {
 					replayFunction(&cfg, &fns[i], p)
 				}
@@ -639,33 +658,37 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 				if len(cfg.Rules) > 0 && !cfg.DisableTelemetry {
 					query.EvalRules(p.store, cfg.Rules, p.latest)
 				}
-				parts[b] = p
-				close(done[b])
+				parts[j.b] = p
+				close(done[j.b])
 			}
 		}()
 	}
 	go func() {
 		for b := 0; b < blocks; b++ {
-			jobs <- b
+			jobs <- job{b, <-free}
 		}
 		close(jobs)
 	}()
 
-	// Fold shards in block-index order as they complete, releasing each
-	// one immediately — live telemetry is bounded by the merged result
-	// plus the shards still in flight, regardless of invocation volume.
-	// A folded shard's store rings go to the shards still to start.
-	final := newPartial(&cfg)
+	// Fold shards in block-index order as they complete. Every shard's
+	// store goes back even after a merge error, so neither a worker nor
+	// the dispatcher is left waiting for one.
+	final := newPartial(&cfg, newStore())
+	var err error
 	for b := 0; b < blocks; b++ {
 		<-done[b]
-		if err := final.merge(parts[b]); err != nil {
-			return nil, err
+		if err == nil {
+			err = final.merge(parts[b])
 		}
-		parts[b].store.Release()
+		parts[b].store.Reset()
+		free <- parts[b].store
 		parts[b] = nil
 		if cfg.blockDone != nil {
 			cfg.blockDone(b + 1)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -673,8 +696,8 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		Workers:     workers,
 		Blocks:      blocks,
 		Period:      cfg.Period,
-		Resolution:  cfg.Resolution,
-		KeepAlive:   cfg.KeepAlive,
+		Resolution:  monitor.DefaultResolution,
+		KeepAlive:   KeepAlive,
 		Seed:        cfg.Seed,
 		Invocations: final.invocations,
 		ColdStarts:  final.coldStarts,

@@ -40,10 +40,7 @@ func testConfig(workers int) Config {
 	}
 	return Config{
 		Workers:        workers,
-		Blocks:         16,
 		Period:         6 * time.Hour,
-		Resolution:     time.Minute,
-		KeepAlive:      10 * time.Minute,
 		DashboardEvery: time.Hour,
 		Seed:           42,
 		LabelSeries:    true,
@@ -53,6 +50,15 @@ func testConfig(workers int) Config {
 			{Name: "cost-burn", Kind: monitor.KindCostRate, BudgetUSD: 0.02},
 		},
 	}
+}
+
+// scaleRates multiplies every member's expected arrival count by k: how a
+// test asks for more or less traffic than the default rate shape draws.
+func scaleRates(pop []Function, k float64) []Function {
+	for i := range pop {
+		pop[i].Rate *= k
+	}
+	return pop
 }
 
 func artifacts(t *testing.T, r *Result) map[string]string {
@@ -90,10 +96,7 @@ func artifacts(t *testing.T, r *Result) map[string]string {
 // every artifact — report, exposition, alert log, dashboard, per-function
 // ledger, flamegraph span tree — is byte-identical at workers 1, 2, and 8.
 func TestReplayByteIdenticalAcrossWorkers(t *testing.T) {
-	pop := GeneratePopulation(PopConfig{
-		Functions: 700, Period: 6 * time.Hour, Seed: 3,
-		DebloatedFraction: 0.5, RateMedian: 30, RateSigma: 1.8, RateCap: 20000,
-	}, testArchetypes())
+	pop := GeneratePopulation(PopConfig{Functions: 700, Period: 6 * time.Hour, Seed: 3}, testArchetypes())
 
 	var base map[string]string
 	var baseSpans string
@@ -140,10 +143,7 @@ func renderSpans(spans []*obs.Span, depth int) string {
 // FindSpan on a tracer that received EmitSpans, to a real span in the
 // trace tree (and survive the Chrome trace export).
 func TestExemplarSpanResolves(t *testing.T) {
-	pop := GeneratePopulation(PopConfig{
-		Functions: 200, Period: 2 * time.Hour, Seed: 7,
-		DebloatedFraction: 0.5, RateMedian: 30, RateSigma: 1.8, RateCap: 20000,
-	}, testArchetypes())
+	pop := GeneratePopulation(PopConfig{Functions: 200, Period: 2 * time.Hour, Seed: 7}, testArchetypes())
 	res, err := Replay(testConfig(4), pop)
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +207,6 @@ func TestReplayFullScale(t *testing.T) {
 	}
 	cfg := Config{
 		Period:         24 * time.Hour,
-		Resolution:     time.Minute,
-		KeepAlive:      15 * time.Minute,
 		DashboardEvery: 4 * time.Hour,
 		Seed:           1,
 		SLOs: []monitor.SLO{
@@ -252,7 +250,6 @@ func TestReplayFullScale(t *testing.T) {
 func TestReplayMatchesLiveMonitor(t *testing.T) {
 	pricing := faas.AWSPricing()
 	gen := trace.Generate(trace.GenConfig{Functions: 24, Period: 2 * time.Hour, Seed: 9})
-	keepAlive := 12 * time.Minute
 	coldInit := 350 * time.Millisecond
 	slos := []monitor.SLO{{Name: "cold-fraction", Kind: monitor.KindColdFraction, Budget: 0.30}}
 
@@ -269,11 +266,7 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 		})
 	}
 
-	res, err := Replay(Config{
-		Workers: 4, Blocks: 5, Period: 2 * time.Hour,
-		Resolution: time.Minute, Windows: monitor.DefaultWindows,
-		KeepAlive: keepAlive, Pricing: pricing, SLOs: slos,
-	}, fns)
+	res, err := Replay(Config{Workers: 4, Period: 2 * time.Hour, Pricing: pricing, SLOs: slos}, fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +280,7 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 	var events []event
 	for i := range fns {
 		fn := &fns[i]
-		trace.SimulatePoolStream(trace.Slice(fn.Arrivals), fn.Exec, keepAlive, func(ev trace.PoolEvent) {
+		trace.SimulatePoolStream(trace.Slice(fn.Arrivals), fn.Exec, KeepAlive, func(ev trace.PoolEvent) {
 			var init time.Duration
 			if ev.Cold {
 				init = coldInit
@@ -341,9 +334,25 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 	}
 }
 
+// TestRingCoversExplicitArrivals: the shard rings reach the last explicit
+// arrival even past Period, so a block whose samples land long before
+// another block's still merges into readable windows.
+func TestRingCoversExplicitArrivals(t *testing.T) {
+	fns := []Function{
+		{ID: 0, Name: "late", Exec: time.Second, MemoryMB: 128, Arrivals: []time.Duration{20 * time.Hour}},
+		{ID: 1, Name: "early", Exec: time.Second, MemoryMB: 128, Arrivals: []time.Duration{time.Hour}},
+	}
+	res, err := Replay(Config{Workers: 1}, fns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Store.Range("req.total", 0, 2*time.Hour).Count; got != 1 {
+		t.Fatalf("the early block's window holds %d requests, want 1", got)
+	}
+}
+
 func TestGeneratePopulationDeterministicAndShaped(t *testing.T) {
-	pc := PopConfig{Functions: 500, Period: 24 * time.Hour, Seed: 11,
-		DebloatedFraction: 0.5, RateMedian: 12, RateSigma: 2.2, RateCap: 40000}
+	pc := PopConfig{Functions: 500, Period: 24 * time.Hour, Seed: 11}
 	a := GeneratePopulation(pc, testArchetypes())
 	b := GeneratePopulation(pc, testArchetypes())
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -358,7 +367,7 @@ func TestGeneratePopulationDeterministicAndShaped(t *testing.T) {
 		}
 		arms[fn.Arm]++
 		archs[fn.Archetype] = true
-		if fn.Rate > pc.RateCap {
+		if fn.Rate > rateCap {
 			t.Fatalf("fn %d rate %.1f exceeds cap", i, fn.Rate)
 		}
 		if fn.Exec <= 0 || fn.ColdInit <= 0 || fn.MemoryMB < 128 {
@@ -433,11 +442,8 @@ func TestExemplarSetsOrderIndependent(t *testing.T) {
 }
 
 func TestTopSpendersMatchesFullSort(t *testing.T) {
-	pop := GeneratePopulation(PopConfig{
-		Functions: 120, Period: 2 * time.Hour, Seed: 8,
-		DebloatedFraction: 0.4, RateMedian: 40, RateSigma: 1.5, RateCap: 5000,
-	}, testArchetypes())
-	res, err := Replay(Config{Workers: 3, Blocks: 7, Period: 2 * time.Hour}, pop)
+	pop := GeneratePopulation(PopConfig{Functions: 120, Period: 2 * time.Hour, Seed: 8}, testArchetypes())
+	res, err := Replay(Config{Workers: 3, Period: 2 * time.Hour}, pop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -23,11 +22,9 @@ func replayPeakGrowth(t *testing.T, pop []Function) (uint64, uint64) {
 	peak := base.HeapAlloc
 
 	cfg := Config{
-		Workers:    2,
-		Blocks:     32,
-		Period:     24 * time.Hour,
-		Resolution: time.Minute,
-		Seed:       1,
+		Workers: 2,
+		Period:  24 * time.Hour,
+		Seed:    1,
 		blockDone: func(merged int) {
 			if merged%4 != 0 {
 				return // a GC per merge would dominate the test's runtime
@@ -55,21 +52,20 @@ func replayPeakGrowth(t *testing.T, pop []Function) (uint64, uint64) {
 
 // TestReplayMemoryFlat pins the streaming contract: a replay with ~10x
 // the arrivals may not grow the peak resident heap meaningfully beyond
-// the smaller run's — memory is bounded by blocks × windows (plus the
-// merged result), not by invocation volume. A per-invocation leak of even
-// 16 bytes would add ~14 MB at the large scale and fail the bound.
+// the smaller run's — memory is bounded by 2×workers shard stores (plus
+// the merged result), not by invocation volume. A per-invocation leak of
+// even 16 bytes would add ~14 MB at the large scale and fail the bound.
 func TestReplayMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory-flatness run skipped under -short")
 	}
-	mkPop := func(median float64) []Function {
-		return GeneratePopulation(PopConfig{
+	mkPop := func(scale float64) []Function {
+		return scaleRates(GeneratePopulation(PopConfig{
 			Functions: 2000, Period: 24 * time.Hour, Seed: 6,
-			DebloatedFraction: 0.5, RateMedian: median, RateSigma: 2.0, RateCap: 30000,
-		}, testArchetypes())
+		}, testArchetypes()), scale)
 	}
-	smallGrowth, smallInv := replayPeakGrowth(t, mkPop(6))
-	largeGrowth, largeInv := replayPeakGrowth(t, mkPop(60))
+	smallGrowth, smallInv := replayPeakGrowth(t, mkPop(0.5))
+	largeGrowth, largeInv := replayPeakGrowth(t, mkPop(5))
 	t.Logf("small: %d invocations, peak growth %.1f MB", smallInv, float64(smallGrowth)/(1<<20))
 	t.Logf("large: %d invocations, peak growth %.1f MB", largeInv, float64(largeGrowth)/(1<<20))
 
@@ -79,7 +75,7 @@ func TestReplayMemoryFlat(t *testing.T) {
 	if largeInv < 8*smallInv {
 		t.Fatalf("large run not large enough: %d vs %d invocations", largeInv, smallInv)
 	}
-	// Identical blocks/windows/population size → near-identical footprint.
+	// Identical stores/windows/population size → near-identical footprint.
 	// The slack absorbs GC timing noise, nothing more: it stays far below
 	// what any per-invocation retention would cost.
 	limit := smallGrowth + smallGrowth/2 + 8<<20
@@ -89,45 +85,21 @@ func TestReplayMemoryFlat(t *testing.T) {
 	}
 }
 
-// TestReplayReusesShardRings pins the ring free list: a 700-function,
+// TestReplayReusesShardRings pins the shard-store bound: a 700-function,
 // 64-block chaos replay with labeled series allocates, in all, less than
-// half the ring bytes 64 fresh shard stores would take. Each shard's
-// store is released once merged, and the shards after it record into its
-// rings. The bound still holds when the free list drops a quarter of its
-// items, as sync.Pool does under -race.
-//
-// The workers may run ahead of the merge, and a shard started before the
-// merge released an earlier one takes fresh rings. On a loaded machine the
-// merge lags: the replay allocated 17 MB with 25 shards in flight against
-// 7 MB with 6, and up to 21 MB with the collector held off, so the
-// schedule, not the collector, moves the number. The test paces the
-// workers: one starts a block only while fewer than two blocks per worker
-// wait to be merged.
+// half the ring bytes 64 fresh shard stores would take. The shards record
+// into 2×workers stores, each emptied by Store.Reset once merged, so the
+// bound holds however far the workers run ahead of the merge. It runs
+// under GOMAXPROCS 1, where the merge lags the most, so a replay whose
+// shards could outrun the stores fails it.
 func TestReplayReusesShardRings(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pop := GeneratePopulation(PopConfig{
-		Functions: 700, Period: 6 * time.Hour, Seed: 4,
-		RateMedian: 30, RateSigma: 1.8, RateCap: 20000, ArmMix: ChaosArmMix(),
+		Functions: 700, Period: 6 * time.Hour, Seed: 4, ArmMix: ChaosArmMix(),
 	}, testArchetypes())
 	cfg := testConfig(2)
-	cfg.Blocks = 64
 	cfg.SLOs = DefaultChaosSLOs()
 	cfg.Chaos = &chaos.Config{Incidents: testIncidents(t), Mitigations: chaos.AllMitigations()}
-	var mu sync.Mutex
-	merge := sync.NewCond(&mu)
-	merged := 0
-	cfg.blockDone = func(m int) {
-		mu.Lock()
-		merged = m
-		mu.Unlock()
-		merge.Broadcast()
-	}
-	cfg.blockStart = func(b int) {
-		mu.Lock()
-		for b-merged >= 2*cfg.Workers {
-			merge.Wait()
-		}
-		mu.Unlock()
-	}
 
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -138,9 +110,9 @@ func TestReplayReusesShardRings(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
-	windows := cfg.withDefaults().Windows
+	windows := ringWindows(cfg.Period, pop)
 	ring := uint64(windows) * uint64(unsafe.Sizeof(monitor.Rollup{}))
-	fresh := uint64(cfg.Blocks) * uint64(len(res.Store.Names())) * ring
+	fresh := uint64(blockCount) * uint64(len(res.Store.Names())) * ring
 	t.Logf("%d series of %d windows: 64 fresh shard stores hold %.1f MB of rings; the replay allocated %.1f MB",
 		len(res.Store.Names()), windows, float64(fresh)/(1<<20), float64(allocated)/(1<<20))
 	if allocated >= fresh/2 {

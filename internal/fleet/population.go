@@ -53,6 +53,20 @@ func Archetypes() []Archetype {
 	return out
 }
 
+// The population's shape: a member deploys the debloated arm of its
+// archetype with probability debloatedFraction (unless PopConfig.ArmMix
+// says otherwise), and its daily invocation rate is log-normal with median
+// rateMedian and sigma rateSigma, capped at rateCap (the Azure trace's
+// heavy tail: most functions fire a handful of times, a few carry most of
+// the volume). Callers that need more or less traffic scale the members'
+// Rate after generation.
+const (
+	debloatedFraction = 0.5
+	rateMedian        = 12
+	rateSigma         = 2.2
+	rateCap           = 40000
+)
+
 // PopConfig shapes a synthetic fleet population.
 type PopConfig struct {
 	// Functions is the fleet size; Period the replay day.
@@ -61,40 +75,26 @@ type PopConfig struct {
 	// Seed keys every per-function draw; function i's parameters depend
 	// only on (Seed, i), so populations are stable under resizing.
 	Seed int64
-	// DebloatedFraction is the probability a member deploys the debloated
-	// arm of its archetype.
-	DebloatedFraction float64
-	// ArmMix, when non-empty, replaces DebloatedFraction with an explicit
-	// arm distribution (shares summing to at most 1; the remainder
-	// deploys "original"). The chaos experiment uses it to field the
-	// fallback and breaker wrapper arms alongside the paper's two. Any
+	// ArmMix, when non-empty, replaces the debloatedFraction draw with an
+	// explicit arm distribution (shares summing to at most 1; the
+	// remainder deploys "original"). The chaos experiment uses it to field
+	// the fallback and breaker wrapper arms alongside the paper's two. Any
 	// arm other than "original" uses the archetype's debloated init and
 	// memory; "fallback" and "breaker" additionally carry FallbackInit,
 	// the original image's cold init paid on uncovered paths.
 	ArmMix []ArmShare
-	// RateMedian and RateSigma shape the log-normal per-function daily
-	// invocation rate (the Azure trace's heavy tail: most functions fire
-	// a handful of times, a few carry most of the volume). RateCap bounds
-	// the hottest function's expected daily count.
-	RateMedian float64
-	RateSigma  float64
-	RateCap    float64
 	// Pricing rounds memory configurations.
 	Pricing faas.Pricing
 }
 
 // DefaultPopConfig is a 10k-function day: with the heavy-tailed rate
-// shape below it expects on the order of 1-2 million arrivals.
+// shape above it expects on the order of 1-2 million arrivals.
 func DefaultPopConfig() PopConfig {
 	return PopConfig{
-		Functions:         10000,
-		Period:            24 * time.Hour,
-		Seed:              1,
-		DebloatedFraction: 0.5,
-		RateMedian:        12,
-		RateSigma:         2.2,
-		RateCap:           40000,
-		Pricing:           faas.AWSPricing(),
+		Functions: 10000,
+		Period:    24 * time.Hour,
+		Seed:      1,
+		Pricing:   faas.AWSPricing(),
 	}
 }
 
@@ -119,24 +119,24 @@ func GeneratePopulation(pc PopConfig, archs []Archetype) []Function {
 		h := exemplarFnKey(pc.Seed, id)
 		rng.Seed(int64(h >> 1))
 		a := archs[rng.Intn(len(archs))]
-		// One arm draw regardless of mix shape, so switching between
-		// DebloatedFraction and an equivalent ArmMix leaves every other
+		// One arm draw regardless of mix shape, so switching between the
+		// default two-arm draw and an equivalent ArmMix leaves every other
 		// per-member parameter untouched (and the default two-arm path is
 		// byte-identical to the pre-ArmMix generator).
 		arm := "original"
 		armDraw := rng.Float64()
 		if len(pc.ArmMix) > 0 {
 			arm = armFromMix(pc.ArmMix, armDraw)
-		} else if armDraw < pc.DebloatedFraction {
+		} else if armDraw < debloatedFraction {
 			arm = "debloated"
 		}
 		init, mem := a.InitOriginal, a.MemOriginalMB
 		if arm != "original" {
 			init, mem = a.InitDebloated, a.MemDebloatedMB
 		}
-		daily := math.Exp(rng.NormFloat64()*pc.RateSigma + math.Log(pc.RateMedian))
-		if pc.RateCap > 0 && daily > pc.RateCap {
-			daily = pc.RateCap
+		daily := math.Exp(rng.NormFloat64()*rateSigma + math.Log(rateMedian))
+		if daily > rateCap {
+			daily = rateCap
 		}
 		if daily < 0.2 {
 			daily = 0.2

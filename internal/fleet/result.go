@@ -160,7 +160,7 @@ func (r *Result) TopSpenders(k int) []Spender {
 // transitions: a boundary tick at T precedes a frame at T (the live
 // monitor's tie order), so transitions with At <= T are in effect.
 func renderFrames(cfg *Config, p *partial, alerts []monitor.AlertEvent) []string {
-	res := cfg.Resolution
+	res := monitor.DefaultResolution
 	end := (p.latest/res + 1) * res
 	var frames []string
 	var req, errs, cold monitor.Rollup

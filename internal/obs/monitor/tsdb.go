@@ -69,7 +69,7 @@ func (r Rollup) Mean() float64 {
 // read: Range, Scan and Merge clip to them. A series starts at latest −1,
 // and record and Merge zero every window they advance latest over before
 // writing it. So a ring holds no readable window it did not write, and a
-// series may start on a ring another series left dirty (Store.Release).
+// series may start on a ring another series left dirty (Store.Reset).
 type series struct {
 	ring    []Rollup
 	latest  int64 // highest absolute window index written; -1 when empty
@@ -96,6 +96,8 @@ type Store struct {
 	res    time.Duration
 	cap    int
 	series map[string]*series
+	// free holds the series Reset emptied; new series take their rings.
+	free []*series
 }
 
 // DefaultResolution and DefaultWindows keep a day of one-minute windows.
@@ -142,36 +144,32 @@ func (s *Store) windowIndex(at time.Duration) int64 {
 func (s *Store) getSeries(name string) *series {
 	se, ok := s.series[name]
 	if !ok {
-		se, _ = freeSeries.Get().(*series)
-		if se == nil || len(se.ring) != s.cap {
-			se = &series{ring: make([]Rollup, s.cap)}
+		if n := len(s.free); n > 0 {
+			se, s.free = s.free[n-1], s.free[:n-1]
+			*se = series{ring: se.ring, latest: -1}
+		} else {
+			se = &series{ring: make([]Rollup, s.cap), latest: -1}
 		}
-		*se = series{ring: se.ring, latest: -1}
 		s.series[name] = se
 	}
 	return se
 }
 
-// freeSeries holds the series of released stores; a new series takes one
-// with a ring of its store's capacity instead of allocating a ring. The
-// ring's stale windows need no clearing (see series).
-var freeSeries sync.Pool
-
-// Release ends the store's use: its series go to a free list whose rings
-// later stores' new series reuse, and the store holds nothing afterwards.
-// Neither the store nor any Handle or SampleSeries of it may be used
-// after Release. A replay shard's store is released once the merger has
-// folded it; a store whose data is read later is never released.
-func (s *Store) Release() {
+// Reset empties the store: afterwards it reads like a fresh store of the
+// same geometry, and its next series reuse the emptied series' rings
+// without clearing them (see series). No Handle or SampleSeries taken
+// before Reset may be used after it. A replay shard's store is reset once
+// the merger has folded it, and the next shard records into it.
+func (s *Store) Reset() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, se := range s.series {
-		freeSeries.Put(se)
+		s.free = append(s.free, se)
 	}
-	s.series = nil
+	clear(s.series)
 }
 
 // Record lands one sample in the window containing `at`. Samples newer

@@ -68,7 +68,10 @@ type breakerSample struct {
 	fallback bool
 }
 
-type breaker struct {
+// Breaker is the fallback-storm circuit breaker. The canary controller
+// drives one per function, and the chaos engine wires one in front of each
+// breaker-arm function as a storm dampener.
+type Breaker struct {
 	cfg      BreakerConfig
 	state    breakerState
 	window   []breakerSample
@@ -82,15 +85,20 @@ type breaker struct {
 	count int
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg}
+// NewBreaker builds a closed breaker with the given config (zero fields
+// are not defaulted; use DefaultBreakerConfig as the base).
+func NewBreaker(cfg BreakerConfig) *Breaker {
+	return &Breaker{cfg: cfg}
 }
+
+// State reports the current state: "CLOSED", "OPEN", or "HALF_OPEN".
+func (b *Breaker) State() string { return b.state.String() }
 
 // prune drops window samples older than Window. Samples arrive in time
 // order, so expiry is a prefix cut, compacted to the front of the backing
 // array: re-slicing past the prefix would shrink the capacity and make
 // every later append reallocate.
-func (b *breaker) prune(now time.Duration) {
+func (b *Breaker) prune(now time.Duration) {
 	cut := now - b.cfg.Window
 	i := 0
 	for i < len(b.window) && b.window[i].at <= cut {
@@ -101,9 +109,9 @@ func (b *breaker) prune(now time.Duration) {
 	}
 }
 
-// observe records one request served by the debloated artifact and returns
+// Observe records one request served by the debloated artifact and returns
 // the transition it caused: "open", "reopen", "close", or "".
-func (b *breaker) observe(at time.Duration, fallback bool) string {
+func (b *Breaker) Observe(at time.Duration, fallback bool) string {
 	switch b.state {
 	case breakerOpen:
 		// Shouldn't happen (open routes away from the artifact), but a
@@ -157,8 +165,9 @@ func (b *breaker) observe(at time.Duration, fallback bool) string {
 	return ""
 }
 
-// tryHalfOpen moves open → half-open once the cooldown has elapsed.
-func (b *breaker) tryHalfOpen(now time.Duration) bool {
+// TryHalfOpen moves open → half-open once the cooldown has elapsed,
+// reporting whether it did.
+func (b *Breaker) TryHalfOpen(now time.Duration) bool {
 	if b.state != breakerOpen || now < b.openedAt+b.cfg.Cooldown {
 		return false
 	}

@@ -70,7 +70,7 @@ type fnState struct {
 	gate       *monitor.Monitor
 	gateSeen   int // alerts already consumed from the gate
 
-	breaker *breaker
+	breaker *Breaker
 	opens   int // opens carried over from retired breakers
 
 	healing     bool
@@ -126,7 +126,7 @@ func (c *Controller) Manage(res *debloat.Result) error {
 	}
 	st := &fnState{
 		name:     name,
-		breaker:  newBreaker(c.cfg.Breaker),
+		breaker:  NewBreaker(c.cfg.Breaker),
 		healSeen: make(map[string]bool),
 	}
 	st.orig = c.p.DeployVersion(name, "orig", res.Original)
@@ -220,7 +220,7 @@ func (c *Controller) step(st *fnState) {
 		st.active = ""
 		st.activeRes = nil
 		st.opens += st.breaker.opens
-		st.breaker = newBreaker(c.cfg.Breaker)
+		st.breaker = NewBreaker(c.cfg.Breaker)
 		st.heals++
 		c.eventf(st, "heal deploy oracle=%d cases", len(res.Original.Oracle))
 		c.emit(st, "rollout.heal.deploy")
@@ -230,7 +230,7 @@ func (c *Controller) step(st *fnState) {
 
 	// Open breakers cool down into probing — unless a heal is in flight,
 	// in which case the replacement artifact supersedes the probe.
-	if !st.healing && st.breaker.tryHalfOpen(now) {
+	if !st.healing && st.breaker.TryHalfOpen(now) {
 		c.eventf(st, "breaker HALF_OPEN probes=%d", c.cfg.Breaker.Probes)
 		c.emit(st, "rollout.breaker.half_open")
 	}
@@ -341,7 +341,7 @@ func (c *Controller) observe(st *fnState, event map[string]any, inv *faas.Invoca
 	if st.candidate != "" && served == st.candidate {
 		st.gate.Observe(at, faas.SampleOf(inv))
 	}
-	switch st.breaker.observe(at, inv.FallbackUsed) {
+	switch st.breaker.Observe(at, inv.FallbackUsed) {
 	case "open":
 		c.eventf(st, "breaker OPEN %s fallback_rate=%.2f window_n=%d",
 			served, st.breaker.rate, st.breaker.count)

@@ -79,38 +79,38 @@ func TestFormatStages(t *testing.T) {
 func TestBreakerStateMachine(t *testing.T) {
 	cfg := BreakerConfig{Window: time.Minute, MinRequests: 4, FallbackRate: 0.5,
 		Consecutive: 3, Cooldown: 2 * time.Minute, Probes: 2}
-	b := newBreaker(cfg)
+	b := NewBreaker(cfg)
 
 	// Consecutive trip.
 	at := time.Second
 	for i := 0; i < 2; i++ {
-		if tr := b.observe(at, true); tr != "" {
+		if tr := b.Observe(at, true); tr != "" {
 			t.Fatalf("tripped early: %s", tr)
 		}
 		at += time.Second
 	}
-	if tr := b.observe(at, true); tr != "open" {
+	if tr := b.Observe(at, true); tr != "open" {
 		t.Fatalf("3rd consecutive fallback: %s, state %s", tr, b.state)
 	}
 	// Cooldown must elapse before probing.
-	if b.tryHalfOpen(at + time.Minute) {
+	if b.TryHalfOpen(at + time.Minute) {
 		t.Error("half-open before cooldown")
 	}
-	if !b.tryHalfOpen(at + 3*time.Minute) {
+	if !b.TryHalfOpen(at + 3*time.Minute) {
 		t.Error("half-open after cooldown refused")
 	}
 	// A failed probe re-opens.
-	if tr := b.observe(at+3*time.Minute, true); tr != "reopen" {
+	if tr := b.Observe(at+3*time.Minute, true); tr != "reopen" {
 		t.Errorf("failed probe: %s", tr)
 	}
-	if !b.tryHalfOpen(at + 6*time.Minute) {
+	if !b.TryHalfOpen(at + 6*time.Minute) {
 		t.Error("second half-open refused")
 	}
 	// Clean probes close.
-	if tr := b.observe(at+6*time.Minute, false); tr != "" {
+	if tr := b.Observe(at+6*time.Minute, false); tr != "" {
 		t.Errorf("1st probe: %s", tr)
 	}
-	if tr := b.observe(at+6*time.Minute+time.Second, false); tr != "close" {
+	if tr := b.Observe(at+6*time.Minute+time.Second, false); tr != "close" {
 		t.Errorf("2nd probe: %s", tr)
 	}
 	if b.opens != 2 {
@@ -118,12 +118,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Rate trip: mixed traffic, over threshold within the window.
-	b2 := newBreaker(cfg)
+	b2 := NewBreaker(cfg)
 	at = time.Second
 	seq := []bool{true, false, true, false} // 50% of 4 >= MinRequests
 	tripped := ""
 	for _, fb := range seq {
-		tripped = b2.observe(at, fb)
+		tripped = b2.Observe(at, fb)
 		at += time.Second
 	}
 	if tripped != "open" {
@@ -133,12 +133,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Samples outside the window roll off: old fallbacks can't feed the
 	// rate rule once they age out (a clean request first breaks the
 	// consecutive run, which deliberately ignores the window).
-	b3 := newBreaker(cfg)
-	b3.observe(0, true)
-	b3.observe(1*time.Second, true)
+	b3 := NewBreaker(cfg)
+	b3.Observe(0, true)
+	b3.Observe(1*time.Second, true)
 	at = 2 * time.Minute // both samples aged out
 	for i := 0; i < 6; i++ {
-		if tr := b3.observe(at, i == 1); tr != "" {
+		if tr := b3.Observe(at, i == 1); tr != "" {
 			t.Errorf("stale samples tripped breaker: %s", tr)
 		}
 		at += time.Second
