@@ -20,20 +20,24 @@ check: fmt vet build test bench-smoke fuzz-smoke
 # presized and replayed namespaces against an ordered-map model, and
 # FuzzStoreReset: a time-series store that Reset emptied, its rings reused,
 # against a fresh store fed the same samples). Seeds alone run in the
-# normal test pass; this also explores.
+# normal test pass; this also explores. Go minimizes each new interesting
+# input for up to 60 s by default and runs no other input meanwhile, so one
+# find used to end a target's exploration for the rest of its budget;
+# FUZZMINIMIZETIME bounds each minimization.
 FUZZTIME ?= 5s
+FUZZMINIMIZETIME = 250ms
 fuzz-smoke:
-	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
-	$(GO) test -fuzz FuzzStoreReset -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
-	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run xxx ./internal/pyparser
-	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
-	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
-	$(GO) test -fuzz FuzzNamespace -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
-	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
-	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
-	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -run xxx ./internal/trace
-	$(GO) test -fuzz FuzzThinningSqueeze -fuzztime $(FUZZTIME) -run xxx ./internal/trace
-	$(GO) test -fuzz FuzzHistBucket -fuzztime $(FUZZTIME) -run xxx ./internal/stats
+	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/monitor
+	$(GO) test -fuzz FuzzStoreReset -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/monitor
+	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyparser
+	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
+	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
+	$(GO) test -fuzz FuzzNamespace -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
+	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/query
+	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/chaos
+	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
+	$(GO) test -fuzz FuzzThinningSqueeze -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
+	$(GO) test -fuzz FuzzHistBucket -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/stats
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -3,7 +3,6 @@ package debloat
 import (
 	"repro/internal/appspec"
 	"repro/internal/pylang"
-	"repro/internal/pyparser"
 )
 
 // Rerun implements the continuous debloating pipeline the paper sketches
@@ -38,7 +37,7 @@ func reuseReduction(run *runner, prev *Result, name string) (ModuleResult, bool)
 		if m.Skipped != "" || len(m.Removed) == 0 {
 			return ModuleResult{}, false
 		}
-		candidate, ok := previousReduction(prev, name)
+		candidate, ok := previousReduction(run, prev, name)
 		if !ok || !run.test(name, candidate) {
 			return ModuleResult{}, false
 		}
@@ -48,13 +47,16 @@ func reuseReduction(run *runner, prev *Result, name string) (ModuleResult, bool)
 	return ModuleResult{}, false
 }
 
-// previousReduction parses the prior optimized image's version of module.
-func previousReduction(prev *Result, name string) (*pylang.Module, bool) {
-	_, src, ok := moduleFile(prev.App, name)
+// previousReduction returns the module's file in prev's optimized image,
+// parsed through the run's parse cache. When the reduction is accepted
+// again, the new image holds the same text at the same path, so the final
+// verification finds this parse in the cache.
+func previousReduction(run *runner, prev *Result, name string) (*pylang.Module, bool) {
+	path, src, ok := moduleFile(prev.App, name)
 	if !ok {
 		return nil, false
 	}
-	ast, perr := pyparser.Parse(name, src)
+	ast, perr := run.astCache.Parse(path, name, src)
 	if perr != nil {
 		return nil, false
 	}

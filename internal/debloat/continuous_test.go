@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/appcorpus"
 	"repro/internal/appspec"
+	"repro/internal/pyruntime"
 )
 
 // TestFuzzFindsAdvancedModeDivergence: the corpus Table-4 apps have a
@@ -63,7 +64,7 @@ func TestRerunRepairsFallbackInput(t *testing.T) {
 	advanced := appspec.TestCase{Name: "advanced", Event: map[string]any{
 		"dna": "ATGC", "mode": "advanced",
 	}}
-	if executeForFuzz(first.Original, advanced.Event) == executeForFuzz(first.App, advanced.Event) {
+	if executeForFuzz(first.Original, advanced.Event, nil) == executeForFuzz(first.App, advanced.Event, nil) {
 		t.Fatal("expected the advanced input to diverge before the rerun")
 	}
 
@@ -71,7 +72,7 @@ func TestRerunRepairsFallbackInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executeForFuzz(second.Original, advanced.Event) != executeForFuzz(second.App, advanced.Event) {
+	if executeForFuzz(second.Original, advanced.Event, nil) != executeForFuzz(second.App, advanced.Event, nil) {
 		t.Error("rerun did not repair the advanced input")
 	}
 
@@ -107,5 +108,38 @@ func TestRerunFastPathReusesPriorReductions(t *testing.T) {
 	}
 	if second.TotalRemoved() < first.TotalRemoved() {
 		t.Errorf("rerun lost reductions: %d vs %d", second.TotalRemoved(), first.TotalRemoved())
+	}
+}
+
+// TestPreviousReductionParsesThroughRunCache: a previous reduction is the
+// run's cached parse of the previous image's file, so when Rerun accepts it
+// again the final verification finds the same text already parsed.
+func TestPreviousReductionParsesThroughRunCache(t *testing.T) {
+	first, err := Run(appcorpus.MustBuild("markdown"), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &runner{astCache: pyruntime.NewASTCache()}
+	reduced := 0
+	for _, m := range first.Modules {
+		if len(m.Removed) == 0 {
+			continue
+		}
+		reduced++
+		got, ok := previousReduction(run, first, m.Module)
+		if !ok {
+			t.Fatalf("%s: no previous reduction", m.Module)
+		}
+		path, src, _ := moduleFile(first.App, m.Module)
+		want, err := run.astCache.Parse(path, m.Module, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: previousReduction parsed outside the run's cache", m.Module)
+		}
+	}
+	if reduced == 0 {
+		t.Fatal("the first run reduced no module")
 	}
 }

@@ -144,7 +144,7 @@ func pipeline(app *appspec.App, prev *Result, cfg Config) (*Result, error) {
 	tr.StartChild(root, "analyze", "pipeline", 0).Finish(0)
 
 	prof, err := profiler.Run(app.Image, app.Entry, profiler.Options{
-		Scoring: cfg.Scoring, Seed: cfg.Seed, Tracer: tr,
+		Scoring: cfg.Scoring, Seed: cfg.Seed, Tracer: tr, ASTCache: astc,
 	})
 	if err != nil {
 		tr.End(root, 0)

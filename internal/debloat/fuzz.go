@@ -34,6 +34,9 @@ func Fuzz(original, optimized *appspec.App, trials int, seed int64) (*FuzzReport
 	rng := rand.New(rand.NewSource(seed))
 	dict := sourceStrings(original)
 	report := &FuzzReport{}
+	// One parse cache serves every trial of both apps: their images do not
+	// change during the campaign.
+	asts := pyruntime.NewASTCache()
 
 	seen := make(map[string]bool)
 	for trial := 0; trial < trials; trial++ {
@@ -46,8 +49,8 @@ func Fuzz(original, optimized *appspec.App, trials int, seed int64) (*FuzzReport
 		seen[key] = true
 		report.Trials++
 
-		origRec := executeForFuzz(original, event)
-		optRec := executeForFuzz(optimized, event)
+		origRec := executeForFuzz(original, event, asts)
+		optRec := executeForFuzz(optimized, event, asts)
 		if origRec != optRec {
 			report.Failing = append(report.Failing, appspec.TestCase{
 				Name:  "fuzz-" + key,
@@ -67,9 +70,11 @@ type fuzzRecord struct {
 }
 
 // executeForFuzz runs one invocation of app on event in a fresh
-// interpreter and records what it observed.
-func executeForFuzz(app *appspec.App, event map[string]any) fuzzRecord {
+// interpreter that parses through asts (nil keeps no parse), and records
+// what it observed.
+func executeForFuzz(app *appspec.App, event map[string]any, asts *pyruntime.ASTCache) fuzzRecord {
 	in := pyruntime.New(app.Image)
+	in.SetASTCache(asts)
 	result, errCls := invoke(in, app, event, "fuzz")
 	rec := fuzzRecord{stdout: in.OutputString(), errCls: errCls}
 	if errCls != "" {

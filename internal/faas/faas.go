@@ -263,6 +263,10 @@ type deployment struct {
 	app       *appspec.App
 	fallback  string // name of the fallback function, if any
 	instances []*instance
+	// asts is the image's parse cache: the deploy profile fills it and
+	// every cold start reads it, so each module of the image is parsed once
+	// per deployment. Parsing consumes no virtual time.
+	asts *pyruntime.ASTCache
 	// configuredMB is fixed at Deploy time — from the appspec's explicit
 	// MemoryMB or from a profiling invocation, as operators do with AWS
 	// Lambda Power Tuning. It never changes with invocation order.
@@ -328,7 +332,7 @@ func (p *Platform) Deploy(app *appspec.App) {
 	if _, exists := p.fns[app.Name]; !exists {
 		p.order = append(p.order, app.Name)
 	}
-	d := &deployment{app: app}
+	d := &deployment{app: app, asts: pyruntime.NewASTCache()}
 	if prev, exists := p.fns[app.Name]; exists {
 		// Redeploying replaces the code but keeps routing config: the
 		// fallback wiring survives a code update (on real platforms alias
@@ -340,7 +344,7 @@ func (p *Platform) Deploy(app *appspec.App) {
 	if app.MemoryMB > 0 {
 		d.configuredMB = p.cfg.Pricing.ConfigureMemory(float64(app.MemoryMB))
 	} else {
-		d.configuredMB = p.cfg.Pricing.ConfigureMemory(p.profilePeakMB(app))
+		d.configuredMB = p.cfg.Pricing.ConfigureMemory(d.profilePeakMB())
 	}
 	p.fns[app.Name] = d
 	if tr := p.cfg.Tracer; tr != nil {
@@ -355,8 +359,10 @@ func (p *Platform) Deploy(app *appspec.App) {
 // by importing the entry module and running the handler once with the
 // first oracle event on a throwaway interpreter. Errors are tolerated:
 // whatever peak was reached before the failure is what gets provisioned.
-func (p *Platform) profilePeakMB(app *appspec.App) float64 {
+func (d *deployment) profilePeakMB() float64 {
+	app := d.app
 	interp := pyruntime.New(app.Image)
+	interp.SetASTCache(d.asts)
 	mod, perr := interp.Import(app.Entry)
 	if perr == nil {
 		if handler, ok := mod.Dict.Get(app.Handler); ok {
@@ -529,6 +535,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 
 		// Function Initialization: import the entry module.
 		interp := pyruntime.New(d.app.Image)
+		interp.SetASTCache(d.asts)
 		t0 := interp.Clock.Now()
 		m0 := interp.Alloc.Used()
 		mod, perr := interp.Import(d.app.Entry)

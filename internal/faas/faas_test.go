@@ -1,11 +1,14 @@
 package faas
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/appcorpus"
 	"repro/internal/appspec"
+	"repro/internal/pyparser"
 	"repro/internal/vfs"
 )
 
@@ -89,6 +92,71 @@ func TestColdThenWarm(t *testing.T) {
 	// Warm starts bill only execution.
 	if inv2.BilledDuration >= inv1.BilledDuration {
 		t.Error("warm billed duration should be smaller")
+	}
+}
+
+// TestDeploymentParsesEachModuleOnce: Deploy's profile fills the
+// deployment's parse cache with every module of the image (markdown's
+// handler imports them all), so a cold start parses nothing and allocates
+// less than one without the cache; and the cache changes no observable: a
+// cold start equals one on a deployment without it.
+func TestDeploymentParsesEachModuleOnce(t *testing.T) {
+	app := appcorpus.MustBuild("markdown")
+	p := New(DefaultConfig())
+	p.Deploy(app)
+	asts := p.fns[app.Name].asts
+	for _, path := range app.Image.List() {
+		src, err := app.Image.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun's warm-up call would fill the cache itself, so it
+		// does nothing and the one measured call is the first lookup.
+		warm := true
+		lookup := testing.AllocsPerRun(1, func() {
+			if warm {
+				warm = false
+				return
+			}
+			if _, err := asts.Parse(path, path, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		parse := testing.AllocsPerRun(1, func() {
+			if _, err := pyparser.Parse(path, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lookup*10 >= parse {
+			t.Errorf("%s: first cache lookup after Deploy made %.0f allocations, a parse %.0f: the deploy profile did not parse through the deployment's cache", path, lookup, parse)
+		}
+	}
+
+	event := app.Oracle[0].Event
+	cached, err := p.Invoke(app.Name, event)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := New(DefaultConfig())
+	bare.Deploy(app.Clone())
+	bare.fns[app.Name].asts = nil
+	uncached, err := bare.Invoke(app.Name, event)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Kind != ColdStart || !reflect.DeepEqual(cached, uncached) {
+		t.Errorf("cold start with the deployment's cache = %+v, without = %+v", cached, uncached)
+	}
+	coldAllocs := func(p *Platform) float64 {
+		return testing.AllocsPerRun(3, func() {
+			p.InvalidateWarm(app.Name)
+			if _, err := p.Invoke(app.Name, event); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if c, u := coldAllocs(p), coldAllocs(bare); c >= u {
+		t.Errorf("a cold start made %.0f allocations with the deployment's cache, %.0f without", c, u)
 	}
 }
 

@@ -160,6 +160,13 @@ type Options struct {
 	// span per module execution, nested by import structure, each
 	// carrying its marginal time and memory.
 	Tracer *obs.Tracer
+	// ASTCache, when non-nil, is the parse cache the profiling interpreter
+	// reads and fills: the debloater passes its run's cache, so the golden
+	// runs, the probes' live imports and the final verification reuse the
+	// profiler's parses. Nil parses every module without keeping anything.
+	// Parsing consumes no virtual time, so the profile is the same either
+	// way.
+	ASTCache *pyruntime.ASTCache
 }
 
 // Run imports the entry module in a fresh, isolated interpreter (the
@@ -167,6 +174,7 @@ type Options struct {
 // ranked profile.
 func Run(image *vfs.FS, entry string, opts Options) (*Profile, error) {
 	in := pyruntime.New(image)
+	in.SetASTCache(opts.ASTCache)
 	hook := &importHook{
 		clock: in.Clock,
 		alloc: in.Alloc,

@@ -1,10 +1,14 @@
 package profiler
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/appcorpus"
+	"repro/internal/pyparser"
+	"repro/internal/pyruntime"
 	"repro/internal/vfs"
 )
 
@@ -162,6 +166,56 @@ func TestRandomScoringDeterministicBySeed(t *testing.T) {
 	}
 	if same && len(a.Modules) > 2 {
 		t.Log("warning: different seeds produced identical ranking (possible but unlikely)")
+	}
+}
+
+// TestRunParsesThroughCache: a profile taken with a parse cache equals one
+// taken without, and afterwards every module it imported, the entry
+// included, is in the cache: the first lookup of each module's file
+// allocates less than a tenth of what parsing its source does.
+func TestRunParsesThroughCache(t *testing.T) {
+	app := appcorpus.MustBuild("markdown")
+	want, err := Run(app.Image, app.Entry, Options{Scoring: Combined})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asts := pyruntime.NewASTCache()
+	got, err := Run(app.Image, app.Entry, Options{Scoring: Combined, ASTCache: asts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile with a cache = %+v, without = %+v", got, want)
+	}
+	names := []string{app.Entry}
+	for _, m := range got.Modules {
+		names = append(names, m.Name)
+	}
+	for _, name := range names {
+		path, src, ok := pyruntime.ModuleFile(app.Image, name)
+		if !ok {
+			t.Fatalf("%s: no file", name)
+		}
+		// AllocsPerRun's warm-up call would fill the cache itself, so it
+		// does nothing and the one measured call is the first lookup.
+		warm := true
+		lookup := testing.AllocsPerRun(1, func() {
+			if warm {
+				warm = false
+				return
+			}
+			if _, err := asts.Parse(path, name, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		parse := testing.AllocsPerRun(1, func() {
+			if _, err := pyparser.Parse(name, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lookup*10 >= parse {
+			t.Errorf("%s: first cache lookup made %.0f allocations, a parse %.0f: the profile did not parse through the cache", name, lookup, parse)
+		}
 	}
 }
 
