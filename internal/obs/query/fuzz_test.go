@@ -1,6 +1,7 @@
 package query
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +28,9 @@ func FuzzParseQuery(f *testing.F) {
 		`x{k="v"} + y{}`,
 		"((((1))))",
 		"-(-(-1))",
+		// The deepest canonical form: a chain of negations maxDepth deep
+		// opens 2(maxDepth-1) parentheses and negations.
+		strings.Repeat("(-", maxDepth-1) + "1" + strings.Repeat(")", maxDepth-1),
 	} {
 		f.Add(seed)
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -114,5 +115,34 @@ func TestParseErrorMentionsOffset(t *testing.T) {
 	_, err := Parse("sum(req.total[5m]) + frob(x[1m])")
 	if err == nil || !strings.Contains(err.Error(), "frob") {
 		t.Fatalf("err = %v, want mention of the unknown function", err)
+	}
+}
+
+// TestParseNestingBound: Parse accepts a tree exactly maxDepth deep and
+// maxNest open parentheses, and rejects one level more of each with an
+// error naming the bound, however the nesting is written. Every accepted
+// tree's canonical form parses again.
+func TestParseNestingBound(t *testing.T) {
+	parens := func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }
+	negations := func(n int) string { return strings.Repeat("-", n) + "1" }
+	chain := func(n int) string { return strings.TrimSuffix(strings.Repeat("a + ", n), " + ") }
+	for _, c := range []struct {
+		name     string
+		at, past string
+		bound    int
+	}{
+		{"parentheses", parens(maxNest), parens(maxNest + 1), maxNest},
+		{"negations", negations(maxDepth - 1), negations(maxDepth), maxDepth},
+		{"operator chain", chain(maxDepth), chain(maxDepth + 1), maxDepth},
+	} {
+		x, err := Parse(c.at)
+		if err != nil {
+			t.Errorf("%s at the bound: %v", c.name, err)
+		} else if y, err := Parse(x.String()); err != nil || y.String() != x.String() {
+			t.Errorf("%s at the bound: canonical form does not re-parse to itself: %v", c.name, err)
+		}
+		if _, err := Parse(c.past); err == nil || !strings.Contains(err.Error(), strconv.Itoa(c.bound)) {
+			t.Errorf("%s one past the bound: err = %.80v, want one naming %d", c.name, err, c.bound)
+		}
 	}
 }
