@@ -13,13 +13,15 @@ check: fmt vet build test bench-smoke fuzz-smoke
 # (an imported library must observe byte-for-byte the same without the memo,
 # while it records, and when it replays; so must an app over a package, its
 # submodule and a second library that import and write into each other,
-# after a primer app filled the cache), and on the four fast paths that
-# must equal their definitions (trace.Source against math/rand's generator,
+# after a primer app filled the cache), and on the fast paths that must
+# equal their definitions (trace.Source against math/rand's generator,
 # the arrival thinning's squeeze test against its math.Sin comparison, the
 # histogram's bucket table against its log form, FuzzNamespace: fresh,
-# presized and replayed namespaces against an ordered-map model, and
+# presized and replayed namespaces against an ordered-map model,
 # FuzzStoreReset: a time-series store that Reset emptied, its rings reused,
-# against a fresh store fed the same samples). Seeds alone run in the
+# against a fresh store fed the same samples, and FuzzRangeSweep: an mql
+# range query's one ascending sweep, bit for bit, against evaluating each
+# of its boundaries alone). Seeds alone run in the
 # normal test pass; this also explores. Go minimizes each new interesting
 # input for up to 60 s by default and runs no other input meanwhile, so one
 # find used to end a target's exploration for the rest of its budget;
@@ -34,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzNamespace -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/query
+	$(GO) test -fuzz FuzzRangeSweep -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/chaos
 	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
 	$(GO) test -fuzz FuzzThinningSqueeze -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace

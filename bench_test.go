@@ -627,10 +627,11 @@ func BenchmarkReliability_FaultedReplay(b *testing.B) {
 }
 
 // BenchmarkQuery_RangeEval measures the mql engine sweeping a day of
-// fleet telemetry: a ratio of rates (two trailing-window scans per
-// boundary) and a quantile (a scan plus a sort) evaluated at every
-// resolution boundary. The metric is boundary evaluations per second —
-// the server's /query?step= cost model.
+// fleet telemetry at every resolution boundary: a ratio of cumulative
+// sums (two reads the sweep carries from boundary to boundary, folding
+// one window each), a ratio of rates (two trailing-window scans per
+// boundary), a labeled trailing sum, and a quantile (a scan plus a sort).
+// The metric is boundary evaluations per second.
 func BenchmarkQuery_RangeEval(b *testing.B) {
 	pc := fleet.DefaultPopConfig()
 	pc.Functions = 1000
@@ -646,6 +647,7 @@ func BenchmarkQuery_RangeEval(b *testing.B) {
 	}
 	eng := res.QueryEngine()
 	for _, bench := range []struct{ name, q string }{
+		{"cumulative_ratio", `cost.usd / req.total`},
 		{"rate_ratio", `rate(cost.usd[1h]) / rate(req.total[1h])`},
 		{"labeled_sum", `sum(cost.usd{phase="init"}[1h])`},
 		{"p95", `p95(req.total[1h])`},

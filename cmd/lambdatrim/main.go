@@ -32,10 +32,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"runtime"
 	"strings"
 	"time"
@@ -596,10 +598,14 @@ func runFleet(o *options, stdout, stderr io.Writer) int {
 			FindSpan:    tr.FindSpan,
 			FrameDelay:  o.frameDelay,
 		}
-		fmt.Fprintf(stderr, "serving fleet replay on %s (/metrics /query /alerts /dashboard /span)\n", o.serve)
-		if err := site.ListenAndServe(o.serve); err != nil {
+		// Ctrl-C shuts the server down and ends the run with exit 0.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		fmt.Fprintf(stderr, "serving fleet replay on %s (/metrics /query /alerts /dashboard /span); Ctrl-C stops\n", o.serve)
+		if err := site.ListenAndServe(ctx, o.serve); err != nil {
 			return runError(stderr, "%v", err)
 		}
+		fmt.Fprintln(stderr, "server shut down")
 	}
 	return 0
 }

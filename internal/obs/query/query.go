@@ -33,6 +33,8 @@
 //
 // Expr.String() renders a canonical, fully parenthesized form; parsing
 // that form yields the same tree, which is what FuzzParseQuery pins.
+// Parse bounds how deeply a tree nests (maxDepth), so String, eval and
+// every other walk over a parsed tree recurse a bounded number of times.
 package query
 
 import (
@@ -51,8 +53,11 @@ type Expr interface {
 	// String renders the canonical form (fully parenthesized, labels in
 	// canonical order); Parse(x.String()) reproduces the tree.
 	String() string
-	// eval computes the expression at boundary time `at` against a store.
-	eval(st *monitor.Store, at time.Duration) float64
+	// eval computes the expression at boundary time `at`, reading the
+	// store's windows through src. It is the one definition of a value:
+	// an instant query and a recording rule read through point, a range
+	// query through a sweep (see source.go).
+	eval(src source, at time.Duration) float64
 }
 
 // Number is a literal scalar.
@@ -60,7 +65,7 @@ type Number float64
 
 func (n Number) String() string { return strconv.FormatFloat(float64(n), 'g', -1, 64) }
 
-func (n Number) eval(*monitor.Store, time.Duration) float64 { return float64(n) }
+func (n Number) eval(source, time.Duration) float64 { return float64(n) }
 
 // Selector names one store series by its canonical (label-encoded) name.
 // At boundary T it evaluates to the cumulative sum over [0, T).
@@ -111,8 +116,8 @@ func (s Selector) String() string {
 	return b.String()
 }
 
-func (s Selector) eval(st *monitor.Store, at time.Duration) float64 {
-	return st.Range(s.Name, 0, at).Sum
+func (s Selector) eval(src source, at time.Duration) float64 {
+	return src.rollup(s.Name, 0, at).Sum
 }
 
 // Call is a range aggregation: Fn over the selector's trailing Window.
@@ -126,38 +131,32 @@ func (c Call) String() string {
 	return c.Fn + "(" + c.Sel.String() + "[" + c.Window.String() + "])"
 }
 
-func (c Call) eval(st *monitor.Store, at time.Duration) float64 {
+func (c Call) eval(src source, at time.Duration) float64 {
 	from := at - c.Window
 	if from < 0 {
 		from = 0
 	}
 	switch c.Fn {
 	case "sum":
-		return st.Range(c.Sel.Name, from, at).Sum
+		return src.rollup(c.Sel.Name, from, at).Sum
 	case "count":
-		return float64(st.Range(c.Sel.Name, from, at).Count)
+		return float64(src.rollup(c.Sel.Name, from, at).Count)
 	case "max":
-		return st.Range(c.Sel.Name, from, at).Max
+		return src.rollup(c.Sel.Name, from, at).Max
 	case "mean":
-		return st.Range(c.Sel.Name, from, at).Mean()
+		return src.rollup(c.Sel.Name, from, at).Mean()
 	case "rate":
 		secs := (at - from).Seconds()
 		if secs <= 0 {
 			return 0
 		}
-		return st.Range(c.Sel.Name, from, at).Sum / secs
+		return src.rollup(c.Sel.Name, from, at).Sum / secs
 	default: // pNN quantiles over per-window means
 		q, ok := quantiles[c.Fn]
 		if !ok {
 			return 0 // unreachable: the parser rejects unknown functions
 		}
-		var means []float64
-		st.Scan(c.Sel.Name, from, at, func(_ time.Duration, r monitor.Rollup) {
-			if r.Count > 0 {
-				means = append(means, r.Mean())
-			}
-		})
-		return nearestRank(means, q)
+		return nearestRank(src.means(c.Sel.Name, from, at), q)
 	}
 }
 
@@ -185,9 +184,9 @@ type Unary struct {
 	X Expr
 }
 
-func (u Unary) String() string { return "(-" + u.X.String() + ")" }
+func (u Unary) String() string { return canonical(u) }
 
-func (u Unary) eval(st *monitor.Store, at time.Duration) float64 { return -u.X.eval(st, at) }
+func (u Unary) eval(src source, at time.Duration) float64 { return -u.X.eval(src, at) }
 
 // Binary is one arithmetic operation ('+', '-', '*', '/').
 type Binary struct {
@@ -195,12 +194,37 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b Binary) String() string {
-	return "(" + b.L.String() + " " + string(b.Op) + " " + b.R.String() + ")"
+func (b Binary) String() string { return canonical(b) }
+
+// canonical renders an operation's canonical form into one buffer. Built
+// by concatenation, a tree d deep would copy its text d times.
+func canonical(x Expr) string {
+	var b strings.Builder
+	writeCanonical(&b, x)
+	return b.String()
 }
 
-func (b Binary) eval(st *monitor.Store, at time.Duration) float64 {
-	l, r := b.L.eval(st, at), b.R.eval(st, at)
+func writeCanonical(b *strings.Builder, x Expr) {
+	switch x := x.(type) {
+	case Unary:
+		b.WriteString("(-")
+		writeCanonical(b, x.X)
+		b.WriteByte(')')
+	case Binary:
+		b.WriteByte('(')
+		writeCanonical(b, x.L)
+		b.WriteByte(' ')
+		b.WriteByte(x.Op)
+		b.WriteByte(' ')
+		writeCanonical(b, x.R)
+		b.WriteByte(')')
+	default:
+		b.WriteString(x.String())
+	}
+}
+
+func (b Binary) eval(src source, at time.Duration) float64 {
+	l, r := b.L.eval(src, at), b.R.eval(src, at)
 	switch b.Op {
 	case '+':
 		return l + r

@@ -157,7 +157,7 @@ func EvalRules(st *monitor.Store, rules []Rule, latest time.Duration) {
 	end := (latest/res + 1) * res
 	for T := res; T <= end; T += res {
 		for _, r := range rules {
-			if v := r.Expr.eval(st, T); v != 0 {
+			if v := r.Expr.eval(point{st}, T); v != 0 {
 				st.Record(r.Name, T-res, v)
 			}
 		}

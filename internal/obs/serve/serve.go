@@ -12,6 +12,9 @@
 package serve
 
 import (
+	"context"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -67,15 +70,52 @@ func (s *Site) Handler() http.Handler {
 // forever.
 const readHeaderTimeout = 10 * time.Second
 
-// ListenAndServe serves the site on addr until the server errors. The
-// caller owns process lifetime; there is no graceful-shutdown dance
-// because the server is a read-only viewer over an immutable result.
-func (s *Site) ListenAndServe(addr string) error {
-	return s.server(addr).ListenAndServe()
+// writeTimeout bounds how long writing a response may take, so a client
+// that stops reading cannot hold a goroutine forever. The dashboard
+// stream clears it: it writes for as long as its frames last.
+const writeTimeout = 30 * time.Second
+
+// shutdownGrace bounds how long ListenAndServe waits, once its context is
+// done, for the requests in flight to finish.
+const shutdownGrace = 5 * time.Second
+
+// ListenAndServe serves the site on addr until ctx is done, then shuts the
+// server down: it stops accepting connections and lets the requests in
+// flight finish. Request contexts derive from ctx, so a dashboard stream
+// ends at once. It returns nil once every request has finished, or an
+// error if they outlast shutdownGrace and are cut off.
+func (s *Site) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return serve(ctx, s.server(addr), ln)
 }
 
 func (s *Site) server(addr string) *http.Server {
-	return &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Addr: addr, Handler: s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, WriteTimeout: writeTimeout}
+}
+
+// serve runs srv on ln until ctx is done and then shuts it down, as
+// ListenAndServe describes.
+func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	srv.BaseContext = func(net.Listener) context.Context { return ctx }
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(grace)
+	if err != nil {
+		srv.Close() // the grace ran out: cut the stragglers off
+	}
+	<-done // http.ErrServerClosed
+	return err
 }
 
 func (s *Site) index(w http.ResponseWriter, _ *http.Request) {
@@ -130,7 +170,8 @@ func (s *Site) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte(out + "\n"))
+	io.WriteString(w, out)
+	io.WriteString(w, "\n")
 }
 
 func (s *Site) alerts(w http.ResponseWriter, _ *http.Request) {
@@ -143,6 +184,10 @@ func (s *Site) alerts(w http.ResponseWriter, _ *http.Request) {
 // not contain raw newlines, so multi-line frames become consecutive
 // data: lines (the SSE way to send one multi-line payload).
 func (s *Site) dashboard(w http.ResponseWriter, r *http.Request) {
+	// The stream outlasts the server's write deadline by design; it ends
+	// with its frames, its client or the server's context. A writer with
+	// no deadline to lift (httptest's recorder) returns an error here.
+	http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	fl, _ := w.(http.Flusher)
