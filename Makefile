@@ -15,6 +15,8 @@ check: fmt vet build test bench-smoke fuzz-smoke
 # submodule and a second library that import and write into each other,
 # after a primer app filled the cache), and on the fast paths that must
 # equal their definitions (trace.Source against math/rand's generator,
+# FuzzSourceReseed: a trace.Source reseeded after any number of draws,
+# inside its lazy register fill or past it, against math/rand's generator,
 # the arrival thinning's squeeze test against its math.Sin comparison, the
 # histogram's bucket table against its log form, FuzzNamespace: fresh,
 # presized and replayed namespaces against an ordered-map model,
@@ -39,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRangeSweep -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/chaos
 	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
+	$(GO) test -fuzz FuzzSourceReseed -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
 	$(GO) test -fuzz FuzzThinningSqueeze -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
 	$(GO) test -fuzz FuzzHistBucket -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/stats
 

@@ -211,6 +211,10 @@ type partial struct {
 	// rng draws from a trace.Source, reseeded for each streamed function
 	// (trace.ArrivalStreamFrom).
 	rng *rand.Rand
+	// warm and cold are the replaying function's served samples outside a
+	// chaos replay, which depend only on the function and on whether the
+	// request started cold. replayFunction sets them before the pool runs.
+	warm, cold served
 
 	invocations uint64
 	coldStarts  uint64
@@ -328,6 +332,44 @@ type fnReplay struct {
 	as *chaos.ArmStats
 }
 
+// served is one served sample with what the fold derives from it: its
+// ledger contribution and its latency in seconds.
+type served struct {
+	s    monitor.Sample
+	c    monitor.Phase
+	secs float64
+}
+
+// derive sets the sample's ledger contribution and latency in seconds.
+func (sv *served) derive() {
+	sv.c = monitor.PhaseOf(&sv.s)
+	sv.secs = sv.s.E2E.Seconds()
+}
+
+// nominal sets sv to the sample every served request of fn is outside a
+// chaos replay: a cold start pays ColdInit before the handler, and the
+// bill is Eq. 1 over the rounded end-to-end time. A replay without
+// telemetry reads only E2E.
+func (sv *served) nominal(cfg *Config, fn *Function, cold bool) {
+	var init time.Duration
+	if cold {
+		init = fn.ColdInit
+	}
+	e2e := init + fn.Exec
+	if cfg.DisableTelemetry {
+		sv.s.E2E = e2e
+		return
+	}
+	billed := cfg.Pricing.BillDuration(e2e)
+	sv.s = monitor.Sample{
+		Function: fn.Name, Cold: cold, Class: "ok",
+		Init: init, Exec: fn.Exec, E2E: e2e,
+		BilledInit: init, BilledExec: fn.Exec, Billed: billed,
+		MemoryMB: fn.MemoryMB, CostUSD: cfg.Pricing.Cost(billed, fn.MemoryMB),
+	}
+	sv.derive()
+}
+
 // function resolves a function's fold context on its shard.
 func (p *partial) function(cfg *Config, fn *Function) *fnReplay {
 	r := &fnReplay{fn: fn, fnKey: exemplarFnKey(cfg.Seed, fn.ID)}
@@ -398,6 +440,10 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 	if p.rng == nil && fn.Arrivals == nil {
 		p.rng = rand.New(trace.NewSource(0))
 	}
+	if r.st == nil {
+		p.warm.nominal(cfg, fn, false)
+		p.cold.nominal(cfg, fn, true)
+	}
 	res := trace.SimulatePoolGated(fn.arrivalSource(p.rng, cfg.Period), fn.Exec, KeepAlive, gate,
 		func(ev trace.PoolEvent) { p.serve(cfg, r, ev) })
 	if res.MaxInstances > p.peakLive {
@@ -410,34 +456,34 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 
 // serve folds one served invocation into the shard: counters always, and
 // with telemetry on the store series, ledger rows, latency histogram, and
-// exemplar sets. Samples land at completion time. The sample is filled in
-// place, its ledger contribution is computed once for the three rows and
-// the phase series, and an exemplar is built only when it could enter a
-// set.
+// exemplar sets. Samples land at completion time. Outside chaos the
+// request folds the function's fixed warm or cold sample; under chaos the
+// engine's outcome for this request builds the sample, whose ledger
+// contribution is then computed once for the three rows and the phase
+// series. An exemplar is built only when it could enter a set.
 func (p *partial) serve(cfg *Config, r *fnReplay, ev trace.PoolEvent) {
 	fn := r.fn
-	var s monitor.Sample
-	s.Function = fn.Name
-	s.Cold = ev.Cold
-	s.Class = "ok"
-	s.MemoryMB = fn.MemoryMB
+	var sv *served
 	var out *chaos.Outcome
-	if r.st != nil {
+	if r.st == nil {
+		sv = &p.warm
+		if ev.Cold {
+			sv = &p.cold
+		}
+	} else {
 		out = r.st.Outcome()
 		r.as.AddServed(out)
-		s.Init, s.Exec, s.E2E = out.Init, out.Exec, out.E2E
-		s.BilledInit, s.BilledExec, s.Billed = out.BilledInit, out.BilledExec, out.Billed
-		s.CostUSD = out.CostUSD
-	} else {
-		if ev.Cold {
-			s.Init = fn.ColdInit
+		sv = &served{s: monitor.Sample{
+			Function: fn.Name, Cold: ev.Cold, Class: "ok",
+			Init: out.Init, Exec: out.Exec, E2E: out.E2E,
+			BilledInit: out.BilledInit, BilledExec: out.BilledExec, Billed: out.Billed,
+			MemoryMB: fn.MemoryMB, CostUSD: out.CostUSD,
+		}}
+		if !cfg.DisableTelemetry {
+			sv.derive()
 		}
-		s.Exec = fn.Exec
-		s.E2E = s.Init + fn.Exec
-		s.BilledInit, s.BilledExec = s.Init, fn.Exec
-		s.Billed = cfg.Pricing.BillDuration(s.E2E)
-		s.CostUSD = cfg.Pricing.Cost(s.Billed, fn.MemoryMB)
 	}
+	s := &sv.s
 	at := ev.At + s.E2E
 	p.invocations++
 	if ev.Cold {
@@ -450,9 +496,9 @@ func (p *partial) serve(cfg *Config, r *fnReplay, ev trace.PoolEvent) {
 		r.seq++
 		return
 	}
-	p.series.Fold(at, &s)
-	r.arm.Fold(at, &s)
-	c := monitor.PhaseOf(&s)
+	p.series.Fold(at, s)
+	r.arm.Fold(at, s)
+	c := &sv.c
 	// The ledger's init/handler dollars as series mql can window and ratio
 	// (LabelSeries; the handles are zero otherwise).
 	if cfg.LabelSeries && s.Billed > 0 && s.CostUSD > 0 {
@@ -466,10 +512,10 @@ func (p *partial) serve(cfg *Config, r *fnReplay, ev trace.PoolEvent) {
 	if out != nil {
 		p.chaos.Served(at, out)
 	}
-	r.row.Add(&c)
-	r.armRow.Add(&c)
-	r.archRow.Add(&c)
-	p.hist.Observe(s.E2E.Seconds())
+	r.row.Add(c)
+	r.armRow.Add(c)
+	r.archRow.Add(c)
+	p.hist.Observe(sv.secs)
 	key := exemplarSampleKey(r.fnKey, r.seq)
 	if p.ex.admits(s.E2E, s.CostUSD, key) {
 		e := Exemplar{

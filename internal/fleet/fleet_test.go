@@ -246,27 +246,46 @@ func TestReplayFullScale(t *testing.T) {
 
 // TestReplayMatchesLiveMonitor checks the sharded engine against the
 // reference implementation: every pool event globally sorted by
-// (completion, function ID) and fed to one live Monitor.
+// (completion, function ID) and fed to one live Monitor. The 200 functions
+// share the 64 blocks, several to a shard, and each has its own cold init,
+// handler time and memory, so a served sample left over from an earlier
+// function of the block shows. Every other function streams its arrivals;
+// the reference draws them through math/rand's own generator.
 func TestReplayMatchesLiveMonitor(t *testing.T) {
+	const period = 2 * time.Hour
 	pricing := faas.AWSPricing()
-	gen := trace.Generate(trace.GenConfig{Functions: 24, Period: 2 * time.Hour, Seed: 9})
-	coldInit := 350 * time.Millisecond
+	gen := trace.Generate(trace.GenConfig{Functions: 100, Period: period, Seed: 9})
 	slos := []monitor.SLO{{Name: "cold-fraction", Kind: monitor.KindColdFraction, Budget: 0.30}}
 
-	fns := make([]Function, 0, len(gen.Functions))
+	fns := make([]Function, 0, 2*len(gen.Functions))
 	for i := range gen.Functions {
 		f := &gen.Functions[i]
-		fns = append(fns, Function{
-			ID:       f.ID,
-			Name:     fmt.Sprintf("fn-%03d", f.ID),
-			ColdInit: coldInit,
+		fn := Function{
+			ID:       len(fns),
+			Name:     fmt.Sprintf("fn-%03d", len(fns)),
+			ColdInit: 350*time.Millisecond + time.Duration(i)*7*time.Millisecond,
 			Exec:     time.Duration(f.DurationMS * float64(time.Millisecond)),
 			MemoryMB: pricing.ConfigureMemory(f.MemoryMB),
-			Arrivals: f.Arrivals,
-		})
+			// The hottest generated functions draw tens of thousands of
+			// arrivals; their first 300 keep the reference quick.
+			Arrivals: f.Arrivals[:min(len(f.Arrivals), 300)],
+		}
+		fns = append(fns, fn)
+		fn.ID++
+		fn.Name = fmt.Sprintf("fn-%03d", fn.ID)
+		fn.ColdInit += 3 * time.Millisecond
+		fn.Exec = fn.Exec/2 + time.Millisecond
+		fn.MemoryMB = 128 + 64*(i%12)
+		fn.Arrivals = nil
+		fn.Rate = float64(1 + i%40)
+		fn.Seed = int64(7919*i + 3)
+		fns = append(fns, fn)
+	}
+	if len(fns) <= 2*blockCount {
+		t.Fatalf("%d functions leave fewer than two functions per block", len(fns))
 	}
 
-	res, err := Replay(Config{Workers: 4, Period: 2 * time.Hour, Pricing: pricing, SLOs: slos}, fns)
+	res, err := Replay(Config{Workers: 4, Period: period, Pricing: pricing, SLOs: slos}, fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +297,17 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 		s  monitor.Sample
 	}
 	var events []event
+	rng := rand.New(rand.NewSource(0))
 	for i := range fns {
 		fn := &fns[i]
-		trace.SimulatePoolStream(trace.Slice(fn.Arrivals), fn.Exec, KeepAlive, func(ev trace.PoolEvent) {
+		next := trace.Slice(fn.Arrivals)
+		if fn.Arrivals == nil {
+			next = trace.ArrivalStreamFrom(rng, fn.Seed, fn.Rate, period)
+		}
+		trace.SimulatePoolStream(next, fn.Exec, KeepAlive, func(ev trace.PoolEvent) {
 			var init time.Duration
 			if ev.Cold {
-				init = coldInit
+				init = fn.ColdInit
 			}
 			e2e := init + fn.Exec
 			billed := pricing.BillDuration(e2e)
@@ -331,6 +355,21 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 		if diff := math.Abs(g.Sum - w.Sum); diff > 1e-9*math.Abs(w.Sum) {
 			t.Errorf("series %s: sum %v, want %v", name, g.Sum, w.Sum)
 		}
+	}
+	// The latency histogram's buckets are exact; its sum, like a series
+	// sum, depends on the fold order.
+	g, w := res.Latency, mon.Latency()
+	if g.Count() != w.Count() || g.Min() != w.Min() || g.Max() != w.Max() {
+		t.Errorf("latency count/min/max %d/%v/%v, want %d/%v/%v",
+			g.Count(), g.Min(), g.Max(), w.Count(), w.Min(), w.Max())
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if gq, wq := g.Quantile(q), w.Quantile(q); gq != wq {
+			t.Errorf("latency p%v = %v, want %v", 100*q, gq, wq)
+		}
+	}
+	if diff := math.Abs(g.Sum() - w.Sum()); diff > 1e-9*math.Abs(w.Sum()) {
+		t.Errorf("latency sum %v, want %v", g.Sum(), w.Sum())
 	}
 }
 

@@ -112,8 +112,9 @@ func GeneratePopulation(pc PopConfig, archs []Archetype) []Function {
 	}
 	fns := make([]Function, 0, pc.Functions)
 	// One generator, reseeded per member: a trace.Source reproduces
-	// math/rand's sequence for every seed and reseeds several times
-	// faster than allocating a fresh rand.NewSource.
+	// math/rand's sequence for every seed, and a member's handful of
+	// draws fills only the register words they read, where a fresh
+	// rand.NewSource seeds all 607.
 	rng := rand.New(trace.NewSource(0))
 	for id := 0; id < pc.Functions; id++ {
 		h := exemplarFnKey(pc.Seed, id)

@@ -60,6 +60,52 @@ func TestStoreRingEviction(t *testing.T) {
 	}
 }
 
+// TestStoreRingAdvance advances a series whose ring is written all round,
+// by every step from one window to past the ring and from every ring slot,
+// and checks each window in reach against a model that keeps every window
+// ever written: a skipped window reads empty, and the new window holds
+// only its own sample. The same advances go through Merge into a store
+// with the same history.
+func TestStoreRingAdvance(t *testing.T) {
+	const windows = 7
+	at := func(w int64) time.Duration { return time.Duration(w) * time.Second }
+	for step := int64(1); step <= 2*windows+1; step++ {
+		for phase := int64(0); phase < windows; phase++ {
+			st, dst := NewStore(time.Second, windows), NewStore(time.Second, windows)
+			model := map[int64]Rollup{}
+			record := func(w int64, v float64) {
+				st.Record("x", at(w), v)
+				r := model[w]
+				r.add(v)
+				model[w] = r
+			}
+			w := int64(0)
+			for ; w < 2*windows+phase; w++ {
+				record(w, float64(w+1))
+				dst.Record("x", at(w), float64(w+1))
+			}
+			for k := 0; k < 2; k++ {
+				w += step - 1
+				record(w, float64(100+w))
+				src := NewStore(time.Second, windows)
+				src.Record("x", at(w), float64(100+w))
+				if err := dst.Merge(src); err != nil {
+					t.Fatal(err)
+				}
+				for x := w - windows + 1; x <= w; x++ {
+					for name, s := range map[string]*Store{"record": st, "merge": dst} {
+						if got, want := s.Range("x", at(x), at(x+1)), model[x]; got != want {
+							t.Fatalf("step %d from slot %d, advance %d (%s): window %d = %+v, want %+v",
+								step, phase, k, name, x, got, want)
+						}
+					}
+				}
+				w++
+			}
+		}
+	}
+}
+
 func TestStoreMergeMatchesSequential(t *testing.T) {
 	seq := NewStore(time.Second, 8)
 	a := NewStore(time.Second, 8)

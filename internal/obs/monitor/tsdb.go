@@ -68,11 +68,13 @@ func (r Rollup) Mean() float64 {
 // Only the windows [latest−cap+1, latest] (those at or above 0) are ever
 // read: Range, Scan and Merge clip to them. A series starts at latest −1,
 // and record and Merge zero every window they advance latest over before
-// writing it. So a ring holds no readable window it did not write, and a
-// series may start on a ring another series left dirty (Store.Reset).
+// writing it (Store.advance). So a ring holds no readable window it did
+// not write, and a series may start on a ring another series left dirty
+// (Store.Reset).
 type series struct {
 	ring    []Rollup
 	latest  int64 // highest absolute window index written; -1 when empty
+	slot    int   // latest's ring index, latest mod cap (when latest ≥ 0)
 	total   Rollup
 	dropped uint64 // samples older than the ring reach at write time
 }
@@ -191,23 +193,35 @@ func (s *Store) Record(name string, at time.Duration, v float64) {
 func (s *Store) record(se *series, at time.Duration, v float64) {
 	se.total.add(v)
 	w := s.windowIndex(at)
-	if se.latest >= 0 && w <= se.latest-int64(s.cap) {
+	if w > se.latest {
+		s.advance(se, w)
+	} else if w <= se.latest-int64(s.cap) {
 		se.dropped++
 		return
 	}
-	if w > se.latest {
-		// Zero the windows the timeline skipped over (ring slots are
-		// reused, so stale rollups must not leak into new windows).
-		from := se.latest + 1
-		if w-from >= int64(s.cap) {
-			from = w - int64(s.cap) + 1
-		}
-		for i := from; i <= w; i++ {
-			se.ring[i%int64(s.cap)] = Rollup{}
-		}
-		se.latest = w
+	// w is within cap windows of latest, so one wrap finds its slot.
+	i := se.slot - int(se.latest-w)
+	if i < 0 {
+		i += s.cap
 	}
-	se.ring[w%int64(s.cap)].add(v)
+	se.ring[i].add(v)
+}
+
+// advance moves a series' latest window up to w > se.latest. It zeroes
+// the slots of the windows latest+1 through w (ring slots are reused, so
+// stale rollups must not leak into new windows): the whole ring when that
+// is cap windows or more, else one run of slots that wraps at most once.
+func (s *Store) advance(se *series, w int64) {
+	slot := int(w % int64(s.cap))
+	if n := w - se.latest; n >= int64(s.cap) {
+		clear(se.ring)
+	} else if from := slot - int(n) + 1; from >= 0 {
+		clear(se.ring[from : slot+1])
+	} else {
+		clear(se.ring[from+s.cap:])
+		clear(se.ring[:slot+1])
+	}
+	se.latest, se.slot = w, slot
 }
 
 // Handle is a single-owner write handle to one series: the first Record
@@ -394,14 +408,7 @@ func (s *Store) Merge(o *Store) error {
 			continue
 		}
 		if src.latest > dst.latest {
-			from := dst.latest + 1
-			if src.latest-from >= int64(s.cap) {
-				from = src.latest - int64(s.cap) + 1
-			}
-			for i := from; i <= src.latest; i++ {
-				dst.ring[i%int64(s.cap)] = Rollup{}
-			}
-			dst.latest = src.latest
+			s.advance(dst, src.latest)
 		}
 		lo := src.latest - int64(s.cap) + 1
 		if min := dst.latest - int64(s.cap) + 1; lo < min {
@@ -410,8 +417,23 @@ func (s *Store) Merge(o *Store) error {
 		if lo < 0 {
 			lo = 0
 		}
+		// Both rings hold lo within cap windows of their latest, so each
+		// walk from lo's slot wraps at most once.
+		si, di := src.slot-int(src.latest-lo), dst.slot-int(dst.latest-lo)
+		if si < 0 {
+			si += s.cap
+		}
+		if di < 0 {
+			di += s.cap
+		}
 		for w := lo; w <= src.latest; w++ {
-			dst.ring[w%int64(s.cap)].merge(src.ring[w%int64(s.cap)])
+			dst.ring[di].merge(src.ring[si])
+			if si++; si == s.cap {
+				si = 0
+			}
+			if di++; di == s.cap {
+				di = 0
+			}
 		}
 	}
 	return nil

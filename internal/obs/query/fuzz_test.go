@@ -8,8 +8,9 @@ import (
 	"repro/internal/obs/monitor"
 )
 
-// FuzzParseQuery pins the parser's two hard guarantees: it never panics on
-// arbitrary input, and accepted input has a stable canonical form —
+// FuzzParseQuery pins the parser's hard guarantees: it never panics on
+// arbitrary input, an error stays under maxErrLen bytes whatever the
+// input's length, and accepted input has a stable canonical form —
 // Parse(x.String()) succeeds and re-renders to the same string (the
 // fixpoint the grammar's quoting/label-canonicalization rules exist for).
 // Accepted expressions are also evaluated to check the engine is total.
@@ -31,6 +32,8 @@ func FuzzParseQuery(f *testing.F) {
 		// The deepest canonical form: a chain of negations maxDepth deep
 		// opens 2(maxDepth-1) parentheses and negations.
 		strings.Repeat("(-", maxDepth-1) + "1" + strings.Repeat(")", maxDepth-1),
+		// Trailing input an error once quoted in full, twice over.
+		"1 " + strings.Repeat("\x01", 100),
 	} {
 		f.Add(seed)
 	}
@@ -40,6 +43,9 @@ func FuzzParseQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, q string) {
 		x, err := Parse(q)
 		if err != nil {
+			if len(err.Error()) >= maxErrLen {
+				t.Fatalf("%d-byte error for a %d-byte query: %.120s", len(err.Error()), len(q), err)
+			}
 			return
 		}
 		once := x.String()

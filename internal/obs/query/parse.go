@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs/monitor"
 )
@@ -24,7 +25,7 @@ func Parse(q string) (Expr, error) {
 	}
 	p.ws()
 	if p.i < len(p.s) {
-		return nil, p.errf("unexpected %q", p.s[p.i:])
+		return nil, p.errf("unexpected %s", excerpt(p.s[p.i:]))
 	}
 	return x.x, nil
 }
@@ -82,8 +83,27 @@ type parser struct {
 	open int // parentheses and negations entered and not yet left
 }
 
+// errf reports a parse error at the current offset. An error names the
+// offset and the query's length and quotes user text only through
+// excerpt, so its size is bounded whatever the query's.
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("mql: %s (at offset %d of %q)", fmt.Sprintf(format, args...), p.i, p.s)
+	return fmt.Errorf("mql: %s (at offset %d of a %d-byte query)", fmt.Sprintf(format, args...), p.i, len(p.s))
+}
+
+// excerptLen bounds the bytes of user text one error quotes.
+const excerptLen = 32
+
+// excerpt quotes s, cut to at most excerptLen bytes at a rune boundary
+// with "..." marking the cut.
+func excerpt(s string) string {
+	if len(s) <= excerptLen {
+		return strconv.Quote(s)
+	}
+	n := excerptLen
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return strconv.Quote(s[:n]) + "..."
 }
 
 func (p *parser) ws() {
@@ -244,7 +264,7 @@ func (p *parser) leaf() (Expr, error) {
 		p.ws()
 		if p.peek() == '(' {
 			if !functions[name] {
-				return nil, p.errf("unknown function %q", name)
+				return nil, p.errf("unknown function %s", excerpt(name))
 			}
 			return p.call(name)
 		}
@@ -273,7 +293,7 @@ func (p *parser) number() (Expr, error) {
 	}
 	v, err := strconv.ParseFloat(p.s[start:p.i], 64)
 	if err != nil {
-		return nil, p.errf("bad number %q", p.s[start:p.i])
+		return nil, p.errf("bad number %s", excerpt(p.s[start:p.i]))
 	}
 	return Number(v), nil
 }
@@ -296,7 +316,7 @@ func (p *parser) call(fn string) (Expr, error) {
 	raw := strings.TrimSpace(p.s[p.i : p.i+end])
 	d, derr := time.ParseDuration(raw)
 	if derr != nil || d <= 0 {
-		return nil, p.errf("bad window %q (want a positive Go duration)", raw)
+		return nil, p.errf("bad window %s (want a positive Go duration)", excerpt(raw))
 	}
 	p.i += end + 1
 	if err := p.expect(')'); err != nil {
@@ -318,7 +338,7 @@ func (p *parser) selector() (Selector, error) {
 		// label encoding and with label blocks; reject rather than
 		// produce a selector that cannot round-trip.
 		if strings.ContainsAny(v, "{}") {
-			return Selector{}, p.errf("series name %q must not contain braces", v)
+			return Selector{}, p.errf("series name %s must not contain braces", excerpt(v))
 		}
 		fam = v
 	case isIdentStart(c):
@@ -358,7 +378,7 @@ func (p *parser) selector() (Selector, error) {
 				return Selector{}, err
 			}
 			if strings.ContainsAny(val, "{},") {
-				return Selector{}, p.errf("label value %q must not contain braces or commas", val)
+				return Selector{}, p.errf("label value %s must not contain braces or commas", excerpt(val))
 			}
 			labels = append(labels, monitor.Label{Key: key, Val: val})
 		}

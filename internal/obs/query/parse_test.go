@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,6 +116,50 @@ func TestParseErrorMentionsOffset(t *testing.T) {
 	_, err := Parse("sum(req.total[5m]) + frob(x[1m])")
 	if err == nil || !strings.Contains(err.Error(), "frob") {
 		t.Fatalf("err = %v, want mention of the unknown function", err)
+	}
+}
+
+// maxErrLen bounds a parse error's length whatever the query's.
+const maxErrLen = 256
+
+// TestParseErrorsBounded: an error names its offset and the query's length
+// and quotes a bounded excerpt of user text, however long the text is.
+// Each error used to quote the whole query, and some quoted the offending
+// text or the rest of the query once more: 200 000 bytes of 0x01 gave an
+// 800 042-byte error, and "1 " before them a 1 600 040-byte one.
+func TestParseErrorsBounded(t *testing.T) {
+	const n = 100_000
+	ctl := strings.Repeat("\x01", 200_000)
+	for _, c := range []struct {
+		name, q string
+		at      int
+	}{
+		{"control bytes", ctl, 0},
+		{"trailing control bytes", "1 " + ctl, 2},
+		{"unknown function", strings.Repeat("f", n) + "(x[1m])", n},
+		{"number", strings.Repeat("1.", n/2), n},
+		{"window", "sum(x[" + strings.Repeat("z", n) + "])", len("sum(x[")},
+		{"braced series name", `"{` + strings.Repeat("a", n) + `"`, n + 3},
+		{"label value", `x{k="` + strings.Repeat(",", n) + `"}`, n + 6},
+		{"unterminated string", `"` + strings.Repeat("a", n), n + 1},
+		{"multi-byte runes", strings.Repeat("é", n), 0},
+	} {
+		_, err := Parse(c.q)
+		if err == nil {
+			t.Errorf("%s: no error", c.name)
+			continue
+		}
+		msg := err.Error()
+		if len(msg) >= maxErrLen {
+			t.Errorf("%s: %d-byte error for a %d-byte query: %.120s", c.name, len(msg), len(c.q), msg)
+		}
+		if want := fmt.Sprintf("at offset %d of a %d-byte query", c.at, len(c.q)); !strings.Contains(msg, want) {
+			t.Errorf("%s: error %q does not say %q", c.name, msg, want)
+		}
+	}
+	// Short text is quoted whole, as before.
+	if _, err := Parse("bad((x"); err == nil || !strings.Contains(err.Error(), `mql: unknown function "bad"`) {
+		t.Errorf("err = %v, want the unknown function quoted whole", err)
 	}
 }
 

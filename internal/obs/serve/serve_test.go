@@ -252,6 +252,17 @@ func TestQueryEndpointBoundsNesting(t *testing.T) {
 	}
 }
 
+// A parse error quotes a bounded excerpt of the query, so a long query's
+// 400 body stays short. It used to quote the whole query: 200 000 bytes of
+// 0x01 got an 800 043-byte body.
+func TestQueryEndpointBoundsErrors(t *testing.T) {
+	q := strings.Repeat("\x01", 200_000)
+	code, body, _ := get(t, testSite(), "/query?q="+url.QueryEscape(q))
+	if code != http.StatusBadRequest || len(body) > 256 || !strings.Contains(body, "of a 200000-byte query") {
+		t.Fatalf("code=%d, %d-byte body %.120q, want a 400 under 256 bytes naming the query's length", code, len(body), body)
+	}
+}
+
 // start serves srv on a loopback listener until ctx is done, as
 // ListenAndServe does, and returns the base URL and serve's result.
 func start(t *testing.T, ctx context.Context, srv *http.Server) (string, <-chan error) {

@@ -10,31 +10,54 @@ import "math/rand"
 // The generator is an additive lagged-Fibonacci register of 607 words.
 // Seeding fills the register from 3·607 steps of the Lehmer generator
 // x → 48271x mod (2³¹−1), after 20 discarded steps, XOR-ed with a fixed
-// table. The standard library runs those steps as one dependent chain of
-// Schrage divisions; Seed runs them as three independent chains (one per
-// word part) with multiplier 48271³ and a division-free Mersenne fold, so
-// the CPU overlaps them. A Source is not safe for concurrent use.
+// table: word i takes steps 21+3i, 22+3i and 23+3i. The standard library
+// runs all those steps at Seed. A Source fills the register lazily
+// instead: Seed only positions two Lehmer chains, at words 333 and 606,
+// and each of the first 334 outputs writes just the words it reads,
+// stepping the chains back one word at a time with a division-free
+// Mersenne fold. A stream that draws a few dozen outputs before the next
+// reseed computes a few dozen words, not 607. A Source is not safe for
+// concurrent use.
 type Source struct {
 	tap  int
 	feed int
-	vec  [srcLen]int64
+	// unfilled counts the register words below srcFeed that no output has
+	// read yet: output k (k ≤ srcFeed) reads word srcFeed−k, which the
+	// fill writes just before. Every word is written once it reaches 0.
+	unfilled int
+	// lo and hi are the Lehmer states (step 21+3i) of the next words the
+	// fill writes: word unfilled−1 and word unfilled−1+srcTap.
+	lo, hi uint64
+	vec    [srcLen]int64
 }
 
 const (
 	srcLen  = 607
 	srcTap  = 273
+	srcFeed = srcLen - srcTap // the feed index Seed starts at
 	srcMask = 1<<63 - 1
 
 	lehmerMod  = 1<<31 - 1
 	lehmerMul  = 48271
-	lehmerMul3 = lehmerMul * lehmerMul % lehmerMod * lehmerMul % lehmerMod
+	lehmerMul2 = lehmerMul * lehmerMul % lehmerMod
+	lehmerMul3 = lehmerMul2 * lehmerMul % lehmerMod
 	// zeroSeed replaces a seed that is 0 modulo lehmerMod, whose Lehmer
 	// chain would be all zeros.
 	zeroSeed = 89482311
 )
 
-// srcCooked is the table each register word is XOR-ed with at Seed.
-var srcCooked = recoverCooked()
+var (
+	// srcCooked is the table each register word is XOR-ed with at Seed.
+	srcCooked = recoverCooked()
+	// lehmerBack steps a word's Lehmer state to the word below it:
+	// 48271⁻³ mod (2³¹−1), which Fermat's little theorem gives as
+	// 48271^(2³¹−1−4).
+	lehmerBack = lehmerPow(lehmerMod - 4)
+	// lehmerLo and lehmerHi take a seed to the Lehmer states of the words
+	// the first output reads, srcFeed−1 and srcLen−1.
+	lehmerLo = lehmerPow(21 + 3*(srcFeed-1))
+	lehmerHi = lehmerPow(21 + 3*(srcLen-1))
+)
 
 // NewSource returns a Source seeded with seed.
 func NewSource(seed int64) *Source {
@@ -53,10 +76,27 @@ func lehmerStep(x, m uint64) uint64 {
 	return y&lehmerMod + y>>31
 }
 
-// seedWords writes the 607 Lehmer words of seed, normalized the way
-// math/rand normalizes it, each XOR-ed with the matching word of mask,
-// into w.
-func seedWords(seed int64, mask, w *[srcLen]int64) {
+// lehmerPow returns 48271ⁿ mod (2³¹−1).
+func lehmerPow(n int) uint64 {
+	r, b := uint64(1), uint64(lehmerMul)
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			r = lehmerStep(r, b)
+		}
+		b = lehmerStep(b, b)
+	}
+	return r
+}
+
+// lehmerWord is the uncooked register word whose first Lehmer step is a:
+// that step and the two after it, at bits 40, 20 and 0.
+func lehmerWord(a uint64) int64 {
+	return int64(a<<40 ^ lehmerStep(a, lehmerMul)<<20 ^ lehmerStep(a, lehmerMul2))
+}
+
+// Seed resets the generator to the state rand.NewSource(seed) starts in.
+// The seed is normalized as math/rand normalizes it.
+func (s *Source) Seed(seed int64) {
 	seed %= lehmerMod
 	if seed < 0 {
 		seed += lehmerMod
@@ -64,33 +104,46 @@ func seedWords(seed int64, mask, w *[srcLen]int64) {
 	if seed == 0 {
 		seed = zeroSeed
 	}
-	// Word i takes steps 21+3i, 22+3i and 23+3i of the chain.
-	a := uint64(seed)
-	for i := 0; i < 21; i++ {
-		a = lehmerStep(a, lehmerMul)
-	}
-	b := lehmerStep(a, lehmerMul)
-	c := lehmerStep(b, lehmerMul)
-	for i := range w {
-		w[i] = int64(a<<40^b<<20^c) ^ mask[i]
-		a = lehmerStep(a, lehmerMul3)
-		b = lehmerStep(b, lehmerMul3)
-		c = lehmerStep(c, lehmerMul3)
-	}
+	s.tap = 0
+	s.feed = srcFeed
+	s.unfilled = srcFeed
+	s.lo = lehmerStep(uint64(seed), lehmerLo)
+	s.hi = lehmerStep(uint64(seed), lehmerHi)
 }
 
-// Seed resets the generator to the state rand.NewSource(seed) starts in.
-func (s *Source) Seed(seed int64) {
-	s.tap = 0
-	s.feed = srcLen - srcTap
-	seedWords(seed, &srcCooked, &s.vec)
+// fill writes the register words the next output reads before any output
+// has: its feed word, and, among the first srcTap outputs, its tap word.
+func (s *Source) fill() {
+	s.unfilled--
+	i := s.unfilled
+	s.vec[i] = lehmerWord(s.lo) ^ srcCooked[i]
+	s.lo = lehmerStep(s.lo, lehmerBack)
+	if j := i + srcTap; j >= srcFeed {
+		s.vec[j] = lehmerWord(s.hi) ^ srcCooked[j]
+		s.hi = lehmerStep(s.hi, lehmerBack)
+	}
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 { return int64(s.Uint64() & srcMask) }
+func (s *Source) Int63() int64 {
+	if s.unfilled > 0 {
+		s.fill()
+	}
+	return int64(s.step() & srcMask)
+}
 
-// Uint64 returns a pseudo-random 64-bit integer: one lagged-Fibonacci step.
+// Uint64 returns a pseudo-random 64-bit integer.
 func (s *Source) Uint64() uint64 {
+	if s.unfilled > 0 {
+		s.fill()
+	}
+	return s.step()
+}
+
+// step is one lagged-Fibonacci step over a register whose next words are
+// written. It is small enough to inline into Int63 and Uint64, so the
+// fill check is the only cost a drained register adds.
+func (s *Source) step() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += srcLen
@@ -114,15 +167,15 @@ func recoverCooked() [srcLen]int64 {
 	src := rand.NewSource(1).(rand.Source64)
 	var reg [srcLen]int64
 	for k := 1; k <= srcLen; k++ {
-		reg[(srcLen-srcTap-k+srcLen)%srcLen] = int64(src.Uint64())
+		reg[(srcFeed-k+srcLen)%srcLen] = int64(src.Uint64())
 	}
 	for k := srcLen; k >= 1; k-- {
-		reg[(srcLen-srcTap-k+srcLen)%srcLen] -= reg[srcLen-k]
+		reg[(srcFeed-k+srcLen)%srcLen] -= reg[srcLen-k]
 	}
-	var w [srcLen]int64
-	seedWords(1, new([srcLen]int64), &w)
+	a := lehmerPow(21)
 	for i := range reg {
-		reg[i] ^= w[i]
+		reg[i] ^= lehmerWord(a)
+		a = lehmerStep(a, lehmerMul3)
 	}
 	return reg
 }

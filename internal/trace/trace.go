@@ -148,8 +148,8 @@ func ArrivalStream(seed int64, expected float64, period time.Duration) func() (t
 // reuse one generator across its functions instead of allocating a source
 // per function. The offsets are exactly ArrivalStream(seed, expected,
 // period)'s when rng draws from a Source or from math/rand's own source;
-// a Source reseeds several times faster. The stream owns rng until it
-// is drained or abandoned.
+// a Source reseeds in nanoseconds and fills only the register words the
+// stream reads. The stream owns rng until it is drained or abandoned.
 func ArrivalStreamFrom(rng *rand.Rand, seed int64, expected float64, period time.Duration) func() (time.Duration, bool) {
 	rng.Seed(seed)
 	return poissonStream(rng, expected, period)
