@@ -7,43 +7,57 @@ GO ?= go
 ## benchmarks, and a short fuzz pass over the config parsers and the memo
 check: fmt vet build test bench-smoke fuzz-smoke
 
-# fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
-# take operator-written specs (SLOs, queries, incidents), on the Python
-# parser (no panic, print round-trips, a lexing error wins), on the import memo
-# (an imported library must observe byte-for-byte the same without the memo,
-# while it records, and when it replays; so must an app over a package, its
-# submodule and a second library that import and write into each other,
-# after a primer app filled the cache), and on the fast paths that must
-# equal their definitions (trace.Source against math/rand's generator,
-# FuzzSourceReseed: a trace.Source reseeded after any number of draws,
-# inside its lazy register fill or past it, against math/rand's generator,
-# the arrival thinning's squeeze test against its math.Sin comparison, the
-# histogram's bucket table against its log form, FuzzNamespace: fresh,
-# presized and replayed namespaces against an ordered-map model,
-# FuzzStoreReset: a time-series store that Reset emptied, its rings reused,
-# against a fresh store fed the same samples, and FuzzRangeSweep: an mql
-# range query's one ascending sweep, bit for bit, against evaluating each
-# of its boundaries alone). Seeds alone run in the
-# normal test pass; this also explores. Go minimizes each new interesting
-# input for up to 60 s by default and runs no other input meanwhile, so one
-# find used to end a target's exploration for the rest of its budget;
-# FUZZMINIMIZETIME bounds each minimization.
+# fuzz-smoke: a few seconds of coverage-guided fuzzing per target, in list
+# order, stopping at the first failure. Seeds alone run in the normal test
+# pass; this also explores. Go minimizes each new interesting input for up
+# to 60 s by default and runs no other input meanwhile, so one find used to
+# end a target's exploration for the rest of its budget; FUZZMINIMIZETIME
+# bounds each minimization. Each entry is package:target, the package under
+# internal/:
+#   obs/monitor:FuzzParseSLOs         the SLO spec parser
+#   obs/monitor:FuzzStoreReset        a time-series store that Reset emptied,
+#                                     its rings reused, against a fresh store
+#                                     fed the same samples
+#   pyparser:FuzzParse                the Python parser: no panic, print
+#                                     round-trips, a lexing error wins
+#   pyruntime:FuzzSnapshotReplay      the import memo: an imported library
+#                                     observes byte-for-byte the same without
+#                                     the memo, while it records, and when it
+#                                     replays
+#   pyruntime:FuzzSnapshotCrossModule the same for an app over a package, its
+#                                     submodule and a second library that
+#                                     import and write into each other, after
+#                                     a primer app filled the cache
+#   pyruntime:FuzzNamespace           fresh, presized and replayed namespaces
+#                                     against an ordered-map model
+#   obs/query:FuzzParseQuery          the mql parser
+#   obs/query:FuzzRangeSweep          a range query's one ascending sweep, bit
+#                                     for bit, against evaluating each of its
+#                                     boundaries alone
+#   chaos:FuzzParseIncidents          the incident spec parser
+#   trace:FuzzSourceSeed              trace.Source against math/rand's
+#                                     generator
+#   trace:FuzzSourceReseed            a trace.Source reseeded after any number
+#                                     of draws, inside its lazy register fill
+#                                     or past it, against math/rand's generator
+#   trace:FuzzThinningSqueeze         the arrival thinning's squeeze test
+#                                     against its math.Sin comparison
+#   stats:FuzzHistBucket              the histogram's bucket table against its
+#                                     log form
 FUZZTIME ?= 5s
 FUZZMINIMIZETIME = 250ms
+FUZZ_TARGETS = obs/monitor:FuzzParseSLOs obs/monitor:FuzzStoreReset \
+	pyparser:FuzzParse pyruntime:FuzzSnapshotReplay \
+	pyruntime:FuzzSnapshotCrossModule pyruntime:FuzzNamespace \
+	obs/query:FuzzParseQuery obs/query:FuzzRangeSweep chaos:FuzzParseIncidents \
+	trace:FuzzSourceSeed trace:FuzzSourceReseed trace:FuzzThinningSqueeze \
+	stats:FuzzHistBucket
 fuzz-smoke:
-	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/monitor
-	$(GO) test -fuzz FuzzStoreReset -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/monitor
-	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyparser
-	$(GO) test -fuzz FuzzSnapshotReplay -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
-	$(GO) test -fuzz FuzzSnapshotCrossModule -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
-	$(GO) test -fuzz FuzzNamespace -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/pyruntime
-	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/query
-	$(GO) test -fuzz FuzzRangeSweep -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/obs/query
-	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/chaos
-	$(GO) test -fuzz FuzzSourceSeed -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
-	$(GO) test -fuzz FuzzSourceReseed -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
-	$(GO) test -fuzz FuzzThinningSqueeze -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/trace
-	$(GO) test -fuzz FuzzHistBucket -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) -run xxx ./internal/stats
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $$t"; \
+		$(GO) test -fuzz "$${t#*:}" -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) \
+			-run xxx "./internal/$${t%%:*}" || exit 1; \
+	done
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

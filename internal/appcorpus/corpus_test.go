@@ -16,34 +16,17 @@ func runOnce(t *testing.T, app *appspec.App, tc appspec.TestCase) (time.Duration
 	in := pyruntime.New(app.Image)
 	t0 := in.Clock.Now()
 	m0 := in.Alloc.Used()
-	mod, perr := in.Import(app.Entry)
-	if perr != nil {
-		t.Fatalf("%s: import failed: %v", app.Name, perr)
+	handler, err := in.LoadHandler(app)
+	if err != nil {
+		t.Fatalf("%s: import failed: %v", app.Name, err)
 	}
 	initTime := in.Clock.Now() - t0
 	initMem := simtime.MBf(in.Alloc.Used() - m0)
-	handler, ok := mod.Dict.Get(app.Handler)
-	if !ok {
-		t.Fatalf("%s: handler missing", app.Name)
-	}
-	event, err := pyruntime.FromGo(anyMapOrEmpty(tc.Event))
-	if err != nil {
-		t.Fatalf("%s: bad event: %v", app.Name, err)
-	}
-	ctx := pyruntime.NewDict()
-	ctx.SetStr("function_name", pyruntime.StrV(app.Name))
 	e0 := in.Clock.Now()
-	if _, perr := in.CallFunction(handler, []pyruntime.Value{event, ctx}); perr != nil {
-		t.Fatalf("%s: handler raised: %v", app.Name, perr)
+	if _, err := in.CallHandler(handler, app, tc.Event, tc.Name); err != nil {
+		t.Fatalf("%s: handler raised: %v", app.Name, err)
 	}
 	return initTime, initMem, in.Clock.Now() - e0, in.OutputString()
-}
-
-func anyMapOrEmpty(m map[string]any) map[string]any {
-	if m == nil {
-		return map[string]any{}
-	}
-	return m
 }
 
 func TestCatalogComplete(t *testing.T) {

@@ -46,11 +46,6 @@ type App struct {
 	// at deploy time" (the platform rounds either choice up to a billable
 	// configuration).
 	MemoryMB int
-	// TimeoutMS, when positive, bounds an invocation's billed window
-	// (Function Initialization + Execution); the platform kills and bills
-	// the partial duration when it is exceeded. Zero defers to the
-	// platform's default timeout (which may itself be disabled).
-	TimeoutMS float64
 	// Tags carries corpus metadata (source benchmark suite, etc.).
 	Tags map[string]string
 }

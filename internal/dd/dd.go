@@ -5,16 +5,18 @@
 // Given a list of components A and an oracle O, DD finds a 1-minimal subset
 // A* such that O(A*) = true: removing any single component from A* makes
 // the oracle fail. Finding the true minimum is NP-complete, so 1-minimality
-// is the practical target.
+// is the practical target. Components are named by their indices; the
+// caller maps an index to whatever it stands for.
 package dd
 
 import "encoding/binary"
 
-// Oracle tests whether a candidate subset of components satisfies the
-// target property (for debloating: "the program still behaves correctly
-// with only these components present"). Minimize reuses keep's storage for
-// the next test, so an oracle must not keep the slice after it returns.
-type Oracle[T any] func(keep []T) bool
+// Oracle tests whether a candidate subset of components, given as their
+// ascending indices, satisfies the target property (for debloating: "the
+// program still behaves correctly with only these components present").
+// keep is Minimize's own working storage: an oracle must not modify it,
+// nor keep it after it returns.
+type Oracle func(keep []int) bool
 
 // Stats reports the work performed by one minimization.
 type Stats struct {
@@ -30,22 +32,19 @@ type Stats struct {
 	MaxGranularity int
 }
 
-// Minimize runs DD over items and returns a 1-minimal subset, along with
-// statistics. The oracle must accept the full set; if it does not, the full
-// set is returned unchanged with Stats.Tests == 1 (nothing can be proven
-// removable against a broken baseline). opts optionally traces the run
-// over the caller's simulated clock.
-//
-// Indices into the original item list are used internally so memoization
-// keys are stable and the returned subset preserves original order.
-func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
+// Minimize runs DD over the components 0..count-1 and returns the ascending
+// indices of a 1-minimal subset, along with statistics. The oracle must
+// accept the full set; if it does not, the full set is returned with
+// Stats.Tests == 1 (nothing can be proven removable against a broken
+// baseline). opts optionally traces the run over the caller's simulated
+// clock.
+func Minimize(count int, oracle Oracle, opts Options) ([]int, Stats) {
 	var stats Stats
 	memo := make(map[string]bool)
-	t := newTrace(opts, len(items))
+	t := newTrace(opts, count)
 
-	// Tests run one at a time, so each reuses the key and subset storage.
+	// Tests run one at a time, so each reuses the key storage.
 	var key []byte
-	var subset []T
 	test := func(keep []int) bool {
 		key = appendIndexKey(key[:0], keep)
 		if v, ok := memo[string(key)]; ok {
@@ -53,29 +52,25 @@ func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 			t.cacheHit()
 			return v
 		}
-		subset = subset[:0]
-		for _, idx := range keep {
-			subset = append(subset, items[idx])
-		}
 		stats.Tests++
-		v := t.oracleCall(len(keep), func() bool { return oracle(subset) })
+		v := t.oracleCall(len(keep), func() bool { return oracle(keep) })
 		memo[string(key)] = v
 		return v
 	}
 
-	all := make([]int, len(items))
+	all := make([]int, count)
 	for i := range all {
 		all[i] = i
 	}
 
 	// Degenerate cases.
-	if len(items) == 0 {
+	if count == 0 {
 		t.finish(0, stats)
 		return nil, stats
 	}
 	if !test(all) {
-		t.finish(len(items), stats)
-		return items, stats
+		t.finish(count, stats)
+		return all, stats
 	}
 	// Fast path: if the empty set passes, everything is removable.
 	if test(nil) {
@@ -152,12 +147,8 @@ func Minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 		}
 	}
 
-	out := make([]T, len(current))
-	for i, idx := range current {
-		out[i] = items[idx]
-	}
-	t.finish(len(out), stats)
-	return out, stats
+	t.finish(len(current), stats)
+	return current, stats
 }
 
 // split divides idxs into n contiguous, near-equal partitions.

@@ -8,7 +8,7 @@ import (
 
 // subsetOracle builds an oracle that passes iff all of `needed` are present
 // in the candidate.
-func subsetOracle(needed []int) Oracle[int] {
+func subsetOracle(needed []int) Oracle {
 	return func(keep []int) bool {
 		have := make(map[int]bool, len(keep))
 		for _, k := range keep {
@@ -31,6 +31,24 @@ func seq(n int) []int {
 	return out
 }
 
+// minimizeItems runs Minimize over items: the oracle sees, and the result
+// holds, the items that Minimize's indices stand for.
+func minimizeItems[T any](items []T, oracle func(keep []T) bool) []T {
+	var subset []T
+	keep, _ := Minimize(len(items), func(keep []int) bool {
+		subset = subset[:0]
+		for _, i := range keep {
+			subset = append(subset, items[i])
+		}
+		return oracle(subset)
+	}, Options{})
+	out := make([]T, len(keep))
+	for i, k := range keep {
+		out[i] = items[k]
+	}
+	return out
+}
+
 func TestMinimizeFindsExactNeededSet(t *testing.T) {
 	cases := [][]int{
 		{},           // everything removable
@@ -42,8 +60,7 @@ func TestMinimizeFindsExactNeededSet(t *testing.T) {
 		{2, 3, 7, 8}, // two clusters
 	}
 	for _, needed := range cases {
-		items := seq(10)
-		min, stats := Minimize(items, subsetOracle(needed), Options{})
+		min, stats := Minimize(10, subsetOracle(needed), Options{})
 		if len(min) != len(needed) {
 			t.Errorf("needed %v: got %v (stats %+v)", needed, min, stats)
 			continue
@@ -61,7 +78,7 @@ func TestMinimizeFindsExactNeededSet(t *testing.T) {
 }
 
 func TestMinimizeEmptyInput(t *testing.T) {
-	min, stats := Minimize(nil, func(keep []string) bool { return true }, Options{})
+	min, stats := Minimize(0, func(keep []int) bool { return true }, Options{})
 	if len(min) != 0 || stats.Tests != 0 {
 		t.Errorf("min=%v stats=%+v", min, stats)
 	}
@@ -69,9 +86,8 @@ func TestMinimizeEmptyInput(t *testing.T) {
 
 func TestMinimizeBrokenBaseline(t *testing.T) {
 	// If even the full set fails, DD returns it unchanged.
-	items := seq(6)
-	min, stats := Minimize(items, func(keep []int) bool { return false }, Options{})
-	if len(min) != len(items) {
+	min, stats := Minimize(6, func(keep []int) bool { return false }, Options{})
+	if len(min) != 6 {
 		t.Errorf("broken baseline should return full set, got %v", min)
 	}
 	if stats.Tests != 1 {
@@ -80,25 +96,23 @@ func TestMinimizeBrokenBaseline(t *testing.T) {
 }
 
 func TestMinimizeSingleItem(t *testing.T) {
-	min, _ := Minimize([]int{7}, subsetOracle([]int{7}), Options{})
-	if len(min) != 1 {
+	if min := minimizeItems([]int{7}, subsetOracle([]int{7})); len(min) != 1 || min[0] != 7 {
 		t.Errorf("needed single item removed: %v", min)
 	}
-	min, _ = Minimize([]int{7}, subsetOracle(nil), Options{})
-	if len(min) != 0 {
+	if min := minimizeItems([]int{7}, subsetOracle(nil)); len(min) != 0 {
 		t.Errorf("removable single item kept: %v", min)
 	}
 }
 
 func TestMinimizePreservesOrder(t *testing.T) {
 	items := []string{"a", "b", "c", "d", "e"}
-	min, _ := Minimize(items, func(keep []string) bool {
+	min := minimizeItems(items, func(keep []string) bool {
 		have := map[string]bool{}
 		for _, k := range keep {
 			have[k] = true
 		}
 		return have["b"] && have["d"]
-	}, Options{})
+	})
 	if len(min) != 2 || min[0] != "b" || min[1] != "d" {
 		t.Errorf("min = %v, want [b d]", min)
 	}
@@ -106,12 +120,11 @@ func TestMinimizePreservesOrder(t *testing.T) {
 
 func TestMinimizeMemoization(t *testing.T) {
 	calls := 0
-	items := seq(8)
 	oracle := func(keep []int) bool {
 		calls++
 		return subsetOracle([]int{1, 6})(keep)
 	}
-	_, stats := Minimize(items, oracle, Options{})
+	_, stats := Minimize(8, oracle, Options{})
 	if stats.Tests != calls {
 		t.Errorf("stats.Tests=%d but oracle called %d times", stats.Tests, calls)
 	}
@@ -129,7 +142,7 @@ func TestQuickMinimizeMonotone(t *testing.T) {
 				needed = append(needed, i)
 			}
 		}
-		min, _ := Minimize(seq(n), subsetOracle(needed), Options{})
+		min, _ := Minimize(n, subsetOracle(needed), Options{})
 		if len(min) != len(needed) {
 			return false
 		}
@@ -176,7 +189,7 @@ func TestQuickMinimizeOneMinimal(t *testing.T) {
 			}
 			return true
 		}
-		min, _ := Minimize(seq(n), oracle, Options{})
+		min, _ := Minimize(n, oracle, Options{})
 		if !oracle(min) {
 			t.Fatalf("trial %d: result %v fails oracle", trial, min)
 		}
@@ -241,8 +254,7 @@ func TestIndexKeyDistinct(t *testing.T) {
 // monotone oracle over n items with k needed should stay well under the
 // quadratic worst case.
 func TestMinimizeStatsReasonable(t *testing.T) {
-	items := seq(200)
-	_, stats := Minimize(items, subsetOracle([]int{10, 100, 190}), Options{})
+	_, stats := Minimize(200, subsetOracle([]int{10, 100, 190}), Options{})
 	if stats.Tests > 600 {
 		t.Errorf("ddmin used %d tests for n=200, k=3 — too many", stats.Tests)
 	}
@@ -252,9 +264,8 @@ func TestMinimizeStatsReasonable(t *testing.T) {
 }
 
 func BenchmarkMinimizeSequential(b *testing.B) {
-	items := seq(150)
 	needed := []int{10, 70, 71, 140}
 	for i := 0; i < b.N; i++ {
-		Minimize(items, subsetOracle(needed), Options{})
+		Minimize(150, subsetOracle(needed), Options{})
 	}
 }

@@ -344,12 +344,8 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 
 // minimize runs DD over the indices 0..n-1 of n candidates, traced on the
 // run's tracer and virtual clock.
-func minimize(run *runner, n int, oracle dd.Oracle[int]) ([]int, dd.Stats) {
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	return dd.Minimize(items, oracle, dd.Options{Tracer: run.tr, Now: run.nowVirtual})
+func minimize(run *runner, n int, oracle dd.Oracle) ([]int, dd.Stats) {
+	return dd.Minimize(n, oracle, dd.Options{Tracer: run.tr, Now: run.nowVirtual})
 }
 
 // debloatModuleStmts is the statement-granularity ablation arm.

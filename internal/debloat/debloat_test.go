@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/appspec"
+	"repro/internal/faas"
 	"repro/internal/profiler"
 	"repro/internal/pyruntime"
 	"repro/internal/vfs"
@@ -212,23 +213,40 @@ func TestDebloatTimeAccounting(t *testing.T) {
 	}
 }
 
-// runApp imports the entry module and calls the handler once, returning
-// stdout + result repr.
+// The oracle and the platform call a handler the same way: an oracle run
+// and a platform invocation hand it a context with the same keys.
+func TestOracleAndPlatformShareContext(t *testing.T) {
+	fs := vfs.New()
+	fs.Write("handler.py", `
+def handler(event, context):
+    return sorted(context.keys())
+`)
+	app := &appspec.App{Name: "ctx", Image: fs, Entry: "handler", Handler: "handler",
+		Oracle: []appspec.TestCase{{Name: "keys"}}}
+	r, err := newRunner(app, nil, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := faas.New(faas.DefaultConfig())
+	p.Deploy(app)
+	inv, err := p.Invoke(app.Name, nil)
+	if err != nil || inv.Err != nil {
+		t.Fatalf("platform invocation: %v %v", err, inv.Err)
+	}
+	want := "['function_name', 'function_version', 'memory_limit_in_mb', 'request_id']"
+	if oracle := r.golden[0].result; oracle != want || inv.Result != want {
+		t.Errorf("context keys: oracle %s, platform %s, want %s", oracle, inv.Result, want)
+	}
+}
+
+// runApp invokes the handler once with an empty event, returning stdout +
+// result repr.
 func runApp(t *testing.T, app *appspec.App) string {
 	t.Helper()
 	in := pyruntime.New(app.Image)
-	mod, perr := in.Import(app.Entry)
-	if perr != nil {
-		t.Fatalf("%s: import: %v", app.Name, perr)
-	}
-	handler, ok := mod.Dict.Get(app.Handler)
-	if !ok {
-		t.Fatalf("%s: no handler", app.Name)
-	}
-	event := pyruntime.MustFromGo(map[string]any{})
-	res, perr := in.CallFunction(handler, []pyruntime.Value{event, NewContext(app, "r")})
-	if perr != nil {
-		t.Fatalf("%s: handler: %v", app.Name, perr)
+	res, err := in.Invoke(app, nil, "r")
+	if err != nil {
+		t.Fatalf("%s: %v", app.Name, err)
 	}
 	return in.OutputString() + "|" + pyruntime.Repr(res)
 }

@@ -167,48 +167,19 @@ func (r *runner) execute(tc appspec.TestCase, extraName string, extraAST *pylang
 	}, true, in.Clock.Now()
 }
 
-// invoke performs one invocation in in, a fresh interpreter over app's
-// image: it imports the entry module, looks up the handler and calls it with
-// event and a lambda context for requestID. errCls is "" on success, else
-// the class of the exception that stopped it, NoHandler or BadEvent. The
-// oracle and the fuzzer each build their own record from in afterwards.
-func invoke(in *pyruntime.Interp, app *appspec.App, event map[string]any, requestID string) (result Value, errCls string) {
-	mod, perr := in.Import(app.Entry)
-	if perr != nil {
+// invoke performs one invocation of app in in, a fresh interpreter over
+// its image, with event and a Lambda context for requestID. errCls is ""
+// on success, else the class of the exception that stopped it, or the
+// harness's error text when the entry module has no handler or the event
+// does not convert. The oracle and the fuzzer each build their own record
+// from in afterwards.
+func invoke(in *pyruntime.Interp, app *appspec.App, event map[string]any, requestID string) (result pyruntime.Value, errCls string) {
+	result, err := in.Invoke(app, event, requestID)
+	if err == nil {
+		return result, ""
+	}
+	if perr, ok := err.(*pyruntime.PyErr); ok {
 		return nil, perr.ClassName()
 	}
-	handler, ok := mod.Dict.Get(app.Handler)
-	if !ok {
-		return nil, "NoHandler"
-	}
-	ev, err := pyruntime.FromGo(anyMap(event))
-	if err != nil {
-		return nil, "BadEvent"
-	}
-	result, perr = in.CallFunction(handler, []Value{ev, NewContext(app, requestID)})
-	if perr != nil {
-		return nil, perr.ClassName()
-	}
-	return result, ""
-}
-
-// Value aliases keep call sites below readable.
-type Value = pyruntime.Value
-
-func anyMap(m map[string]any) map[string]any {
-	if m == nil {
-		return map[string]any{}
-	}
-	return m
-}
-
-// NewContext builds the lambda context object passed as the handler's
-// second argument.
-func NewContext(app *appspec.App, requestID string) Value {
-	ctx := pyruntime.NewDict()
-	ctx.SetStr("function_name", pyruntime.StrV(app.Name))
-	ctx.SetStr("function_version", pyruntime.StrV("$LATEST"))
-	ctx.SetStr("request_id", pyruntime.StrV(requestID))
-	ctx.SetStr("memory_limit_in_mb", pyruntime.IntV(3008))
-	return ctx
+	return nil, err.Error()
 }

@@ -142,14 +142,10 @@ type MonitorResult struct {
 	Fleet       FleetSummary
 }
 
-// Monitor runs the monitored replay with the default configuration.
-func (s *Suite) Monitor() (*MonitorResult, error) {
-	return s.MonitorWith(DefaultMonitorConfig())
-}
-
-// MonitorWith runs the monitored replay with a custom configuration,
+// Monitor runs the monitored replay with the default configuration,
 // reusing the suite's cached debloating result.
-func (s *Suite) MonitorWith(cfg MonitorConfig) (*MonitorResult, error) {
+func (s *Suite) Monitor() (*MonitorResult, error) {
+	cfg := DefaultMonitorConfig()
 	res, err := s.Debloat(cfg.App)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,20 @@ import (
 	"repro/internal/obs/monitor"
 )
 
+// monitorWith replays cfg over the suite's cached debloat of cfg.App.
+func monitorWith(t *testing.T, cfg MonitorConfig) *MonitorResult {
+	t.Helper()
+	res, err := suite.Debloat(cfg.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := MonitorCompare(res.Original, res.App, res.Profile, suite.Platform, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // The headline acceptance scenario: under one probe-derived SLO set shared
 // by both deployments, the original burns its budgets and pages while the
 // debloated deployment stays quiet, and the ledger's phase decomposition
@@ -135,10 +149,7 @@ func TestMonitorGoldenDeterminism(t *testing.T) {
 	// A different seed shifts the workload and therefore the artifacts.
 	cfg := DefaultMonitorConfig()
 	cfg.Seed = 99
-	c, err := suite.MonitorWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := monitorWith(t, cfg)
 	if c.Render() == a.Render() {
 		t.Error("different seeds rendered identically")
 	}
@@ -183,10 +194,7 @@ func TestMonitorSLOOverride(t *testing.T) {
 	}
 	cfg := DefaultMonitorConfig()
 	cfg.SLOs = slos
-	res, err := suite.MonitorWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := monitorWith(t, cfg)
 	if len(res.SLOs) != 1 || res.SLOs[0].Kind != monitor.KindErrorRate {
 		t.Fatalf("SLO set = %+v", res.SLOs)
 	}

@@ -135,14 +135,10 @@ type ReliabilityResult struct {
 	Rows   []ReliabilityRow
 }
 
-// Reliability runs the replay with the default configuration.
+// Reliability runs the replay with the default configuration, reusing the
+// suite's cached debloating result.
 func (s *Suite) Reliability() (*ReliabilityResult, error) {
-	return s.ReliabilityWith(DefaultReliabilityConfig())
-}
-
-// ReliabilityWith runs the replay with a custom configuration, reusing
-// the suite's cached debloating result.
-func (s *Suite) ReliabilityWith(cfg ReliabilityConfig) (*ReliabilityResult, error) {
+	cfg := DefaultReliabilityConfig()
 	res, err := s.Debloat(cfg.App)
 	if err != nil {
 		return nil, err

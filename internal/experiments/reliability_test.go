@@ -6,6 +6,20 @@ import (
 	"time"
 )
 
+// reliabilityWith replays cfg over the suite's cached debloat of cfg.App.
+func reliabilityWith(t *testing.T, cfg ReliabilityConfig) *ReliabilityResult {
+	t.Helper()
+	res, err := suite.Debloat(cfg.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReliabilityCompare(res.Original, res.App, suite.Platform, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestReliabilityExperiment(t *testing.T) {
 	res, err := suite.Reliability()
 	if err != nil {
@@ -104,10 +118,7 @@ func TestReliabilityDeterministic(t *testing.T) {
 
 	cfg := DefaultReliabilityConfig()
 	cfg.Seed = 99
-	c, err := suite.ReliabilityWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := reliabilityWith(t, cfg)
 	if c.Render() == a.Render() {
 		t.Error("different seeds rendered identically")
 	}
@@ -120,10 +131,7 @@ func TestReliabilityDeterministic(t *testing.T) {
 func TestReliabilityTimeoutPressure(t *testing.T) {
 	cfg := DefaultReliabilityConfig()
 	cfg.Timeout = 500 * time.Millisecond
-	res, err := suite.ReliabilityWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := reliabilityWith(t, cfg)
 	var orig, trim ReliabilityRow
 	for _, row := range res.Rows {
 		switch row.Deployment {

@@ -61,35 +61,16 @@ func DefaultRolloutConfig() RolloutConfig {
 	}
 }
 
-// The closed-loop replay's fixed parameters, sized to the seeded trace:
-// second-scale bakes so the initial canary promotes before the storm, and
-// a breaker window matching the storm request rate.
+// The closed-loop replay's fixed parameters. The controller's own policy
+// (canary ramp, gate, breaker) is fixed in the rollout package, sized to
+// this trace.
 const (
 	// rolloutRequests caps replayed arrivals.
 	rolloutRequests = 360
 	// stormFrac and steadyFrac position the storm onset and the
 	// steady-state costing window as fractions of the trace span.
 	stormFrac, steadyFrac = 0.35, 0.80
-	// gateResolution is the health-gate tick.
-	gateResolution = 10 * time.Second
 )
-
-// rolloutStages is the canary ramp.
-var rolloutStages = []rollout.Stage{
-	{Weight: 0.05, Bake: 30 * time.Second},
-	{Weight: 0.25, Bake: 30 * time.Second},
-	{Weight: 1.00, Bake: time.Minute},
-}
-
-// rolloutBreaker tunes the fallback-storm circuit breaker.
-var rolloutBreaker = rollout.BreakerConfig{
-	Window:       time.Minute,
-	MinRequests:  6,
-	FallbackRate: 0.5,
-	Consecutive:  4,
-	Cooldown:     10 * time.Minute,
-	Probes:       3,
-}
 
 // RolloutArmRow is one deployment regime's outcome.
 type RolloutArmRow struct {
@@ -138,14 +119,10 @@ type RolloutResult struct {
 	OpenMetrics []byte
 }
 
-// Rollout runs the closed-loop replay with the default configuration.
-func (s *Suite) Rollout() (*RolloutResult, error) {
-	return s.RolloutWith(DefaultRolloutConfig())
-}
-
-// RolloutWith runs the closed-loop replay with a custom configuration,
+// Rollout runs the closed-loop replay with the default configuration,
 // reusing the suite's cached debloating results.
-func (s *Suite) RolloutWith(cfg RolloutConfig) (*RolloutResult, error) {
+func (s *Suite) Rollout() (*RolloutResult, error) {
+	cfg := DefaultRolloutConfig()
 	var storm, clean []*debloat.Result
 	for _, name := range cfg.StormApps {
 		res, err := s.Debloat(name)
@@ -277,16 +254,7 @@ func RolloutCompare(storm, clean []*debloat.Result, platform faas.Config, dcfg d
 	// Arm 2: the closed-loop controller.
 	{
 		p := faas.New(platform)
-		ctrl := rollout.New(p, rollout.Config{
-			Stages:         rolloutStages,
-			Gate:           []monitor.SLO{{Name: "canary-err", Kind: monitor.KindErrorRate, Budget: 0.05}},
-			GateResolution: gateResolution,
-			Breaker:        rolloutBreaker,
-			SelfHeal:       true,
-			Debloat:        dcfg,
-			Retry:          retry,
-			Tracer:         platform.Tracer,
-		})
+		ctrl := rollout.New(p, rollout.Config{Debloat: dcfg, Tracer: platform.Tracer})
 		for _, m := range members {
 			if err := ctrl.Manage(m.res); err != nil {
 				return nil, fmt.Errorf("rollout: manage %s: %w", m.name, err)
@@ -348,9 +316,7 @@ func (r *RolloutResult) Render() string {
 		strings.Join(names, ", "), r.Groups, r.Span.Round(time.Second))
 	fmt.Fprintf(&b, "storm: advanced-mode traffic to storm members from %s; steady-state window from %s\n",
 		monitor.FmtOffset(r.StormAt), monitor.FmtOffset(r.SteadyAt))
-	br := rolloutBreaker
-	fmt.Fprintf(&b, "canary: %s; breaker: rate ≥%.2f over %s (min %d) or %d consecutive; gate: error burn on %s ticks\n\n",
-		rollout.FormatStages(rolloutStages), br.FallbackRate, br.Window, br.MinRequests, br.Consecutive, gateResolution)
+	b.WriteString(rollout.Policy() + "\n\n")
 
 	b.WriteString("controller events:\n")
 	if r.EventLog == "" {

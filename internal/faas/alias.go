@@ -58,24 +58,6 @@ func (p *Platform) SetAlias(name string, routes ...AliasRoute) error {
 	return nil
 }
 
-// ClearAlias removes an alias. Clearing a name that is not an alias is a
-// no-op.
-func (p *Platform) ClearAlias(name string) {
-	delete(p.aliases, name)
-}
-
-// AliasRoutes returns a copy of the alias's routes, or nil if the name is
-// not an alias.
-func (p *Platform) AliasRoutes(name string) []AliasRoute {
-	e, ok := p.aliases[name]
-	if !ok {
-		return nil
-	}
-	cp := make([]AliasRoute, len(e.routes))
-	copy(cp, e.routes)
-	return cp
-}
-
 // resolveAlias maps an invoked name to the deployment that should serve it.
 // Single-route aliases resolve without consuming a random draw, so a rollout
 // pinned at 0% or 100% replays byte-identically to one with no alias at all.

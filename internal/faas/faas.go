@@ -13,9 +13,11 @@
 package faas
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/appspec"
@@ -144,9 +146,8 @@ type Config struct {
 	// signal: killed" semantics). Off by default so cost-only studies keep
 	// the permissive pre-failure-model behavior.
 	EnforceMemory bool
-	// DefaultTimeout bounds the billed window (Init+Exec) of functions
-	// that do not set their own appspec TimeoutMS. Zero disables the
-	// platform-wide timeout.
+	// DefaultTimeout bounds the billed window (Init+Exec) of every
+	// function. Zero disables the timeout.
 	DefaultTimeout time.Duration
 	// FaultSeed seeds the deterministic fault injector and the retry
 	// jitter. The same seed, config, and invocation sequence reproduce
@@ -221,7 +222,9 @@ type Invocation struct {
 	Result string
 	// Stdout carries printed output.
 	Stdout string
-	// Err is set when the handler raised and no fallback absorbed it.
+	// Err is set when the invocation failed: the platform killed or
+	// rejected it, or the handler raised and no fallback absorbed it. A
+	// fallback attempt's own failure is the invocation's.
 	Err error
 	// Class classifies platform-level failures (OOM, timeout, throttle,
 	// init crash); FailureHandler marks application exceptions and
@@ -251,11 +254,8 @@ type Invocation struct {
 type instance struct {
 	interp    *pyruntime.Interp
 	handler   pyruntime.Value
-	initTime  time.Duration
-	initMemMB float64
 	lastUsed  time.Duration // completion time of the last request served
 	busyUntil time.Duration // instance is serving a request until then
-	expired   bool
 }
 
 // deployment is a registered function.
@@ -356,25 +356,17 @@ func (p *Platform) Deploy(app *appspec.App) {
 }
 
 // profilePeakMB measures the app's peak footprint (runtime base included)
-// by importing the entry module and running the handler once with the
-// first oracle event on a throwaway interpreter. Errors are tolerated:
-// whatever peak was reached before the failure is what gets provisioned.
+// by invoking it once with the first oracle case on a throwaway
+// interpreter. Errors are tolerated: whatever peak was reached before the
+// failure is what gets provisioned.
 func (d *deployment) profilePeakMB() float64 {
-	app := d.app
-	interp := pyruntime.New(app.Image)
+	interp := pyruntime.New(d.app.Image)
 	interp.SetASTCache(d.asts)
-	mod, perr := interp.Import(app.Entry)
-	if perr == nil {
-		if handler, ok := mod.Dict.Get(app.Handler); ok {
-			event := map[string]any{}
-			if len(app.Oracle) > 0 {
-				event = app.Oracle[0].Event
-			}
-			if ev, err := pyruntime.FromGo(asAny(event)); err == nil {
-				interp.CallFunction(handler, []pyruntime.Value{ev, contextValue(app)})
-			}
-		}
+	var tc appspec.TestCase
+	if len(d.app.Oracle) > 0 {
+		tc = d.app.Oracle[0]
 	}
+	interp.Invoke(d.app, tc.Event, tc.Name)
 	return simtime.MBf(interp.Alloc.Peak()) + baseRuntimeMB
 }
 
@@ -387,14 +379,6 @@ func (p *Platform) DeployWithFallback(debloated, original *appspec.App) {
 	p.Deploy(orig)
 	p.Deploy(debloated)
 	p.fns[debloated.Name].fallback = fallbackName
-}
-
-// InvalidateWarm discards all warm instances of a function (the paper
-// triggers this by updating the function description between invocations).
-func (p *Platform) InvalidateWarm(name string) {
-	if d, ok := p.fns[name]; ok {
-		d.instances = nil
-	}
 }
 
 // Stats summarizes a deployment's lifetime counters. Failure counters are
@@ -468,7 +452,9 @@ func (p *Platform) invokeNamed(name string, event map[string]any, advanceClock b
 		// The user pays for both attempts.
 		total.CostUSD = inv.CostUSD + fbInv.CostUSD
 		total.BilledDuration = inv.BilledDuration + fbInv.BilledDuration
-		total.Err = nil
+		// Result, Class and Err are the fallback attempt's own: a fallback
+		// that itself fails reports its failure, and a retrying client
+		// retries it like any other attempt.
 		return &total, nil
 	}
 	return inv, nil
@@ -533,28 +519,25 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 			p.emitFault("slow-cold", d.app.Name)
 		}
 
-		// Function Initialization: import the entry module.
+		// Function Initialization: import the entry module and look the
+		// handler up.
 		interp := pyruntime.New(d.app.Image)
 		interp.SetASTCache(d.asts)
 		t0 := interp.Clock.Now()
-		m0 := interp.Alloc.Used()
-		mod, perr := interp.Import(d.app.Entry)
-		if perr != nil {
-			inv.Err = perr
+		handler, err := interp.LoadHandler(d.app)
+		if errors.Is(err, pyruntime.ErrNoHandler) {
+			return nil, fmt.Errorf("faas: %s: handler %q not found", d.app.Name, d.app.Handler)
+		}
+		if err != nil {
+			inv.Err = err
 			inv.Class = FailureHandler
 			inv.E2E = RoutingOverhead + inv.InstanceInit + inv.ImageTransfer + (interp.Clock.Now() - t0)
 			p.recordInvocation(parent, start, inv)
 			return inv, nil
 		}
-		handler, ok := mod.Dict.Get(d.app.Handler)
-		if !ok {
-			return nil, fmt.Errorf("faas: %s: handler %q not found", d.app.Name, d.app.Handler)
-		}
 		inst.interp = interp
 		inst.handler = handler
-		inst.initTime = interp.Clock.Now() - t0
-		inst.initMemMB = simtime.MBf(interp.Alloc.Used() - m0)
-		inv.Init = inst.initTime
+		inv.Init = interp.Clock.Now() - t0
 		// Fault draw 2 (cold): a transient init crash kills the fresh
 		// environment at the end of initialization. The init duration is
 		// billed (Lambda bills a failed INIT phase) and the instance never
@@ -579,24 +562,23 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 		inv.Kind = WarmStart
 	}
 
-	// Function Execution.
+	// Function Execution, with the deployment's attempt count as the
+	// request ID.
 	interp := inst.interp
-	evValue, err := pyruntime.FromGo(asAny(event))
-	if err != nil {
-		return nil, fmt.Errorf("faas: bad event: %w", err)
-	}
-	ctx := contextValue(d.app)
 	t0 := interp.Clock.Now()
 	out0 := len(interp.OutputString())
-	result, perr := interp.CallFunction(inst.handler, []pyruntime.Value{evValue, ctx})
+	result, err := interp.CallHandler(inst.handler, d.app, event, strconv.Itoa(d.invocations))
+	switch err.(type) {
+	case nil:
+		inv.Result = pyruntime.Repr(result)
+	case *pyruntime.PyErr:
+		inv.Err = err
+		inv.Class = FailureHandler
+	default:
+		return nil, fmt.Errorf("faas: bad event: %w", err)
+	}
 	inv.Exec = interp.Clock.Now() - t0
 	inv.Stdout = interp.OutputString()[out0:]
-	if perr != nil {
-		inv.Err = perr
-		inv.Class = FailureHandler
-	} else {
-		inv.Result = pyruntime.Repr(result)
-	}
 
 	// Footprint. Fault draw 3 (every attempt): an input-dependent memory
 	// spike inflates this invocation's footprint without changing the
@@ -623,7 +605,7 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 		killClass = FailureOOM
 		killDetail = fmt.Sprintf("peak %.1f MB exceeds configured %d MB", inv.PeakMB, inv.MemoryMB)
 	}
-	if timeout := d.timeout(p.cfg); timeout > 0 && window > timeout && timeout < killAt {
+	if timeout := p.cfg.DefaultTimeout; timeout > 0 && window > timeout && timeout < killAt {
 		killAt = timeout
 		killClass = FailureTimeout
 		killDetail = fmt.Sprintf("billed window %v exceeds timeout %v", window, timeout)
@@ -684,15 +666,6 @@ func (p *Platform) invoke(d *deployment, event map[string]any, advanceClock bool
 	return inv, nil
 }
 
-// timeout resolves the effective timeout for this deployment: the app's
-// own TimeoutMS, else the platform default, else none.
-func (d *deployment) timeout(cfg Config) time.Duration {
-	if d.app.TimeoutMS > 0 {
-		return time.Duration(d.app.TimeoutMS * float64(time.Millisecond))
-	}
-	return cfg.DefaultTimeout
-}
-
 // faultFires draws from the seeded injector stream. No draw is consumed
 // when the injector is disabled or the rate is zero, so fault-free runs
 // stay byte-identical to pre-failure-model behavior.
@@ -734,7 +707,6 @@ func (p *Platform) warmInstance(d *deployment) *instance {
 	var found *instance
 	for _, inst := range d.instances {
 		if inst.busyUntil <= p.now && p.now-inst.lastUsed > KeepAlive {
-			inst.expired = true
 			continue
 		}
 		live = append(live, inst)
@@ -747,21 +719,6 @@ func (p *Platform) warmInstance(d *deployment) *instance {
 	}
 	d.instances = live
 	return found
-}
-
-func contextValue(app *appspec.App) pyruntime.Value {
-	ctx := pyruntime.NewDict()
-	ctx.SetStr("function_name", pyruntime.StrV(app.Name))
-	ctx.SetStr("function_version", pyruntime.StrV("$LATEST"))
-	ctx.SetStr("memory_limit_in_mb", pyruntime.IntV(3008))
-	return ctx
-}
-
-func asAny(m map[string]any) map[string]any {
-	if m == nil {
-		return map[string]any{}
-	}
-	return m
 }
 
 // MeasureColdStart deploys the app on a fresh platform and performs one

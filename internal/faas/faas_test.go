@@ -9,6 +9,7 @@ import (
 	"repro/internal/appcorpus"
 	"repro/internal/appspec"
 	"repro/internal/pyparser"
+	"repro/internal/pyruntime"
 	"repro/internal/vfs"
 )
 
@@ -149,7 +150,7 @@ func TestDeploymentParsesEachModuleOnce(t *testing.T) {
 	}
 	coldAllocs := func(p *Platform) float64 {
 		return testing.AllocsPerRun(3, func() {
-			p.InvalidateWarm(app.Name)
+			p.Advance(KeepAlive + time.Second) // the pool expires: a cold start
 			if _, err := p.Invoke(app.Name, event); err != nil {
 				t.Fatal(err)
 			}
@@ -184,26 +185,6 @@ func TestKeepAliveExpiry(t *testing.T) {
 	}
 	if inv.Kind != WarmStart {
 		t.Error("instance should still be warm")
-	}
-}
-
-func TestInvalidateWarmForcesColdStart(t *testing.T) {
-	p := New(DefaultConfig())
-	p.Deploy(testApp("fn"))
-	if _, err := p.Invoke("fn", nil); err != nil {
-		t.Fatal(err)
-	}
-	p.InvalidateWarm("fn") // the paper's "update function description" trick
-	inv, err := p.Invoke("fn", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Kind != ColdStart {
-		t.Error("invalidation should force a cold start")
-	}
-	stats, _ := p.FunctionStats("fn")
-	if stats.Invocations != 2 || stats.ColdStarts != 2 {
-		t.Errorf("stats = %+v", stats)
 	}
 }
 
@@ -318,6 +299,34 @@ def handler(event, context):
 	}
 	if inv.Err != nil {
 		t.Errorf("fallback should absorb the error: %v", inv.Err)
+	}
+}
+
+// A fallback attempt that fails reports its own failure: here the original
+// raises on the path the debloated artifact lacks, so the request ends
+// with the original's exception although the fallback served it.
+func TestFallbackKeepsItsOwnFailure(t *testing.T) {
+	fs := vfs.New()
+	fs.Write("handler.py", `
+def handler(event, context):
+    if event.get("mode", "basic") == "advanced":
+        raise ValueError("advanced mode is broken")
+    return {"ok": True}
+`)
+	original := &appspec.App{Name: "app", Image: fs, Entry: "handler", Handler: "handler", SetupDelayMS: 100}
+	p := New(DefaultConfig())
+	p.DeployWithFallback(fallbackApp("app"), original)
+
+	inv, err := p.Invoke("app", map[string]any{"mode": "advanced"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inv.FallbackUsed {
+		t.Fatal("fallback not used")
+	}
+	perr, ok := inv.Err.(*pyruntime.PyErr)
+	if !ok || perr.ClassName() != "ValueError" || inv.Class != FailureHandler || inv.Result != "" {
+		t.Errorf("err=%v class=%s result=%q, want the original's ValueError as a handler error and no result", inv.Err, inv.Class, inv.Result)
 	}
 }
 

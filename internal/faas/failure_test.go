@@ -168,9 +168,11 @@ def handler(event, context):
 	fs.Write("site-packages/lib/__init__.py", "load_native(200, 20)\n")
 	app := &appspec.App{
 		Name: "slow", Image: fs, Entry: "handler", Handler: "handler",
-		SetupDelayMS: 100, TimeoutMS: 1000,
+		SetupDelayMS: 100,
 	}
-	p := New(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.DefaultTimeout = time.Second
+	p := New(cfg)
 	p.Deploy(app)
 
 	inv, err := p.Invoke("slow", nil)
@@ -211,11 +213,41 @@ def handler(event, context):
 	}
 }
 
+// A fallback attempt killed for memory is retried like any other attempt:
+// every attempt's fallback runs the heavy event into an OOM kill, so the
+// client spends its three attempts and gets the kill.
+func TestRetryRetriesFailedFallback(t *testing.T) {
+	fs := vfs.New()
+	fs.Write("handler.py", `
+import lib
+
+def handler(event, context):
+    return lib.removed_fn()
+`)
+	fs.Write("site-packages/lib/__init__.py", "load_native(50, 10)\n")
+	debloated := &appspec.App{Name: "fn", Image: fs, Entry: "handler", Handler: "handler", SetupDelayMS: 100}
+	cfg := DefaultConfig()
+	cfg.EnforceMemory = true
+	p := New(cfg)
+	p.DeployWithFallback(debloated, memApp("fn"))
+
+	pol := DefaultRetryPolicy()
+	pol.Jitter = 0
+	inv, err := p.InvokeWithRetry("fn", heavyEvent, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inv.FallbackUsed || inv.Class != FailureOOM || inv.Err == nil || inv.Attempts != pol.MaxAttempts {
+		t.Errorf("fallback=%v class=%s err=%v attempts=%d, want %d attempts ending in the fallback's OOM kill",
+			inv.FallbackUsed, inv.Class, inv.Err, inv.Attempts, pol.MaxAttempts)
+	}
+}
+
 func TestTimeoutDuringInitKillsInstance(t *testing.T) {
-	app := memApp("initslow")
-	app.TimeoutMS = 50 // below the 100ms import time
-	p := New(DefaultConfig())
-	p.Deploy(app)
+	cfg := DefaultConfig()
+	cfg.DefaultTimeout = 50 * time.Millisecond // below the 100ms import time
+	p := New(cfg)
+	p.Deploy(memApp("initslow"))
 	inv, err := p.Invoke("initslow", lightEvent)
 	if err != nil {
 		t.Fatal(err)

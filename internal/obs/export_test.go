@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +51,25 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 	}
 	if got := b.Counter("n"); got < 200 {
 		t.Errorf("b.n = %d, want >= 200", got)
+	}
+}
+
+// Counters saturate instead of wrapping. Cross-merging registries doubles
+// their counts each round, and TestRegistryMergeConcurrent's counters used
+// to wrap negative in most runs.
+func TestCounterSaturates(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Inc("n", math.MaxInt64-1)
+	b.Inc("n", 2)
+	a.Merge(b)
+	a.Inc("n", 1)
+	if got := a.Counter("n"); got != math.MaxInt64 {
+		t.Errorf("counter = %d, want %d", got, int64(math.MaxInt64))
+	}
+	a.Inc("m", math.MinInt64)
+	a.Inc("m", -1)
+	if got := a.Counter("m"); got != math.MinInt64 {
+		t.Errorf("counter = %d, want %d", got, int64(math.MinInt64))
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"sort"
 	"sync"
 
@@ -36,7 +37,22 @@ func (r *Registry) Inc(name string, delta int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters[name] += delta
+	r.counters[name] = addCount(r.counters[name], delta)
+}
+
+// addCount adds delta to a counter value, saturating at the int64 limits
+// instead of wrapping: registries that merge into each other repeatedly
+// double their counts each round, and a wrapped counter would turn
+// negative.
+func addCount(c, delta int64) int64 {
+	s := c + delta
+	switch {
+	case delta > 0 && s < c:
+		return math.MaxInt64
+	case delta < 0 && s > c:
+		return math.MinInt64
+	}
+	return s
 }
 
 // SetGauge sets a gauge to v.
@@ -135,7 +151,7 @@ func (r *Registry) Merge(o *Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, v := range counters {
-		r.counters[name] += v
+		r.counters[name] = addCount(r.counters[name], v)
 	}
 	for name, v := range gauges {
 		r.gauges[name] = v

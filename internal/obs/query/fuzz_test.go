@@ -30,7 +30,7 @@ func FuzzParseQuery(f *testing.F) {
 		"((((1))))",
 		"-(-(-1))",
 		// The deepest canonical form: a chain of negations maxDepth deep
-		// opens 2(maxDepth-1) parentheses and negations.
+		// opens maxDepth-1 parentheses and as many negations.
 		strings.Repeat("(-", maxDepth-1) + "1" + strings.Repeat(")", maxDepth-1),
 		// Trailing input an error once quoted in full, twice over.
 		"1 " + strings.Repeat("\x01", 100),

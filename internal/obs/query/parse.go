@@ -16,7 +16,7 @@ import (
 // go through an aggregation function.
 //
 // An expression whose tree nests deeper than maxDepth is rejected, as is
-// one that opens more than maxNest parentheses and negations at once.
+// one that opens more than maxParens parentheses at once.
 func Parse(q string) (Expr, error) {
 	p := &parser{s: q}
 	x, err := p.expr()
@@ -25,7 +25,7 @@ func Parse(q string) (Expr, error) {
 	}
 	p.ws()
 	if p.i < len(p.s) {
-		return nil, p.errf("unexpected %s", excerpt(p.s[p.i:]))
+		return nil, p.errf("unexpected %s", Excerpt(p.s[p.i:]))
 	}
 	return x.x, nil
 }
@@ -39,12 +39,12 @@ func Parse(q string) (Expr, error) {
 // a chain at maxDepth terms.
 const maxDepth = 1 << 14
 
-// maxNest bounds the parentheses and negations open at once while parsing,
-// which the parser's own recursion grows with (parentheses add no depth to
-// the tree). The canonical form of a tree of depth d opens at most 2(d-1),
-// one parenthesis per operation and one minus per negation, so the String
-// of every tree Parse accepts parses again.
-const maxNest = 2 * maxDepth
+// maxParens bounds the parentheses open at once while parsing. Each costs
+// four frames of the parser's own recursion (primary → expr → term →
+// unary) and adds no depth to the tree. The canonical form of a tree of
+// depth d opens at most d−1, one per operation, so the String of every
+// tree Parse accepts parses again.
+const maxParens = maxDepth - 1
 
 // node is a parsed subtree and its depth.
 type node struct {
@@ -61,15 +61,6 @@ func (p *parser) nest(x Expr, sub int) (node, error) {
 	return node{x, sub + 1}, nil
 }
 
-// enter opens a parenthesis or a negation; the caller closes it with
-// p.open-- once the operand is parsed.
-func (p *parser) enter() error {
-	if p.open++; p.open > maxNest {
-		return p.errf("parentheses and negations nest deeper than %d levels", maxNest)
-	}
-	return nil
-}
-
 // functions are the range aggregations; an identifier followed by '(' must
 // be one of these.
 var functions = map[string]bool{
@@ -78,14 +69,15 @@ var functions = map[string]bool{
 }
 
 type parser struct {
-	s    string
-	i    int
-	open int // parentheses and negations entered and not yet left
+	s      string
+	i      int
+	parens int // parentheses entered and not yet left
+	negs   int // negations entered and not yet left
 }
 
 // errf reports a parse error at the current offset. An error names the
 // offset and the query's length and quotes user text only through
-// excerpt, so its size is bounded whatever the query's.
+// Excerpt, so its size is bounded whatever the query's.
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("mql: %s (at offset %d of a %d-byte query)", fmt.Sprintf(format, args...), p.i, len(p.s))
 }
@@ -93,9 +85,9 @@ func (p *parser) errf(format string, args ...any) error {
 // excerptLen bounds the bytes of user text one error quotes.
 const excerptLen = 32
 
-// excerpt quotes s, cut to at most excerptLen bytes at a rune boundary
-// with "..." marking the cut.
-func excerpt(s string) string {
+// Excerpt quotes s, cut to at most excerptLen bytes at a rune boundary
+// with "..." marking the cut: how an error quotes user text.
+func Excerpt(s string) string {
 	if len(s) <= excerptLen {
 		return strconv.Quote(s)
 	}
@@ -217,14 +209,16 @@ func (p *parser) unary() (node, error) {
 	p.ws()
 	if p.peek() == '-' {
 		p.i++
-		if err := p.enter(); err != nil {
-			return node{}, err
+		// k negations open at once make a tree at least k+1 deep, so the
+		// maxDepth-th is rejected here, before the recursion grows.
+		if p.negs++; p.negs >= maxDepth {
+			return node{}, p.errf("expression nests deeper than %d levels", maxDepth)
 		}
 		x, err := p.unary()
 		if err != nil {
 			return node{}, err
 		}
-		p.open--
+		p.negs--
 		return p.nest(Unary{X: x.x}, x.depth)
 	}
 	return p.primary()
@@ -237,8 +231,8 @@ func (p *parser) primary() (node, error) {
 		return node{x, 1}, err
 	}
 	p.i++
-	if err := p.enter(); err != nil {
-		return node{}, err
+	if p.parens++; p.parens > maxParens {
+		return node{}, p.errf("parentheses nest deeper than %d levels", maxParens)
 	}
 	x, err := p.expr()
 	if err != nil {
@@ -247,7 +241,7 @@ func (p *parser) primary() (node, error) {
 	if err := p.expect(')'); err != nil {
 		return node{}, err
 	}
-	p.open--
+	p.parens--
 	return x, nil
 }
 
@@ -264,7 +258,7 @@ func (p *parser) leaf() (Expr, error) {
 		p.ws()
 		if p.peek() == '(' {
 			if !functions[name] {
-				return nil, p.errf("unknown function %s", excerpt(name))
+				return nil, p.errf("unknown function %s", Excerpt(name))
 			}
 			return p.call(name)
 		}
@@ -293,7 +287,7 @@ func (p *parser) number() (Expr, error) {
 	}
 	v, err := strconv.ParseFloat(p.s[start:p.i], 64)
 	if err != nil {
-		return nil, p.errf("bad number %s", excerpt(p.s[start:p.i]))
+		return nil, p.errf("bad number %s", Excerpt(p.s[start:p.i]))
 	}
 	return Number(v), nil
 }
@@ -316,7 +310,7 @@ func (p *parser) call(fn string) (Expr, error) {
 	raw := strings.TrimSpace(p.s[p.i : p.i+end])
 	d, derr := time.ParseDuration(raw)
 	if derr != nil || d <= 0 {
-		return nil, p.errf("bad window %s (want a positive Go duration)", excerpt(raw))
+		return nil, p.errf("bad window %s (want a positive Go duration)", Excerpt(raw))
 	}
 	p.i += end + 1
 	if err := p.expect(')'); err != nil {
@@ -338,7 +332,7 @@ func (p *parser) selector() (Selector, error) {
 		// label encoding and with label blocks; reject rather than
 		// produce a selector that cannot round-trip.
 		if strings.ContainsAny(v, "{}") {
-			return Selector{}, p.errf("series name %s must not contain braces", excerpt(v))
+			return Selector{}, p.errf("series name %s must not contain braces", Excerpt(v))
 		}
 		fam = v
 	case isIdentStart(c):
@@ -378,7 +372,7 @@ func (p *parser) selector() (Selector, error) {
 				return Selector{}, err
 			}
 			if strings.ContainsAny(val, "{},") {
-				return Selector{}, p.errf("label value %s must not contain braces or commas", excerpt(val))
+				return Selector{}, p.errf("label value %s must not contain braces or commas", Excerpt(val))
 			}
 			labels = append(labels, monitor.Label{Key: key, Val: val})
 		}

@@ -164,21 +164,24 @@ func TestParseErrorsBounded(t *testing.T) {
 }
 
 // TestParseNestingBound: Parse accepts a tree exactly maxDepth deep and
-// maxNest open parentheses, and rejects one level more of each with an
+// maxParens open parentheses, and rejects one level more of each with an
 // error naming the bound, however the nesting is written. Every accepted
-// tree's canonical form parses again.
+// tree's canonical form parses again, the deepest among them.
 func TestParseNestingBound(t *testing.T) {
 	parens := func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }
 	negations := func(n int) string { return strings.Repeat("-", n) + "1" }
 	chain := func(n int) string { return strings.TrimSuffix(strings.Repeat("a + ", n), " + ") }
+	// The canonical form of n negations: n parentheses and n minus signs.
+	negParens := func(n int) string { return strings.Repeat("(-", n) + "1" + strings.Repeat(")", n) }
 	for _, c := range []struct {
 		name     string
 		at, past string
 		bound    int
 	}{
-		{"parentheses", parens(maxNest), parens(maxNest + 1), maxNest},
+		{"parentheses", parens(maxParens), parens(maxParens + 1), maxParens},
 		{"negations", negations(maxDepth - 1), negations(maxDepth), maxDepth},
 		{"operator chain", chain(maxDepth), chain(maxDepth + 1), maxDepth},
+		{"negated parentheses", negParens(maxDepth - 1), negParens(maxDepth), maxParens},
 	} {
 		x, err := Parse(c.at)
 		if err != nil {

@@ -150,7 +150,7 @@ func (s *Site) query(w http.ResponseWriter, r *http.Request) {
 		var step time.Duration
 		step, err = time.ParseDuration(stepStr)
 		if err != nil || step <= 0 {
-			http.Error(w, "bad step: "+stepStr, http.StatusBadRequest)
+			badParam(w, http.StatusBadRequest, "bad step: ", stepStr)
 			return
 		}
 		out, err = s.Engine.RangeJSON(q, 0, -1, step)
@@ -159,7 +159,7 @@ func (s *Site) query(w http.ResponseWriter, r *http.Request) {
 		if atStr := r.URL.Query().Get("at"); atStr != "" {
 			at, err = time.ParseDuration(atStr)
 			if err != nil {
-				http.Error(w, "bad at: "+atStr, http.StatusBadRequest)
+				badParam(w, http.StatusBadRequest, "bad at: ", atStr)
 				return
 			}
 		}
@@ -172,6 +172,13 @@ func (s *Site) query(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	io.WriteString(w, out)
 	io.WriteString(w, "\n")
+}
+
+// badParam replies with status and msg followed by the request parameter
+// value, quoted as the query package quotes user text: at most a short
+// excerpt, so the body stays small however long the value is.
+func badParam(w http.ResponseWriter, status int, msg, value string) {
+	http.Error(w, msg+query.Excerpt(value), status)
 }
 
 func (s *Site) alerts(w http.ResponseWriter, _ *http.Request) {
@@ -223,7 +230,7 @@ func (s *Site) span(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := s.FindSpan(id)
 	if sp == nil {
-		http.Error(w, "no span with id "+id, http.StatusNotFound)
+		badParam(w, http.StatusNotFound, "no span with id ", id)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -121,6 +121,30 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
+// boundedEcho checks that a bad parameter's error quotes a bounded excerpt
+// of it: a 200 000-byte step, at or span id used to come back whole, in a
+// 200 000-byte body.
+func boundedEcho(t *testing.T, url string, code int, msg string) {
+	t.Helper()
+	got, body, _ := get(t, testSite(), url)
+	want := msg + `"` + strings.Repeat("9", 32) + `"...`
+	if got != code || len(body) > 256 || !strings.HasPrefix(body, want) {
+		t.Fatalf("code=%d, %d-byte body %.120q, want %d and a body under 256 bytes starting %q", got, len(body), body, code, want)
+	}
+}
+
+func TestQueryEndpointBoundsStepEcho(t *testing.T) {
+	boundedEcho(t, "/query?q=req.total&step="+strings.Repeat("9", 200_000), http.StatusBadRequest, "bad step: ")
+}
+
+func TestQueryEndpointBoundsAtEcho(t *testing.T) {
+	boundedEcho(t, "/query?q=req.total&at="+strings.Repeat("9", 200_000), http.StatusBadRequest, "bad at: ")
+}
+
+func TestSpanEndpointBoundsIDEcho(t *testing.T) {
+	boundedEcho(t, "/span?id="+strings.Repeat("9", 200_000), http.StatusNotFound, "no span with id ")
+}
+
 func TestAlertsEndpoint(t *testing.T) {
 	code, body, _ := get(t, testSite(), "/alerts")
 	if code != 200 || !strings.Contains(body, "FIRING cold-fraction") {
@@ -235,20 +259,27 @@ func TestQueryEndpointBoundsWork(t *testing.T) {
 	}
 }
 
-// A query that nests past the parser's bound gets a 400 naming the bound.
-// At 900 001 bytes it fits under net/http's header limit; before the bound
-// it parsed, and grew the handler's stack by 128 MB.
+// A query that nests past the parser's bounds gets a 400 naming the bound.
+// At 900 001 bytes the negations fit under net/http's header limit; before
+// the bound they parsed, and grew the handler's stack by 128 MB. One
+// parenthesis past its bound used to pass, and grew the stack by 16 MB.
 func TestQueryEndpointBoundsNesting(t *testing.T) {
 	srv := httptest.NewServer(testSite().Handler())
 	defer srv.Close()
-	res, err := http.Get(srv.URL + "/query?q=" + strings.Repeat("-", 900000) + "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	body, _ := io.ReadAll(res.Body)
-	if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nest deeper than") {
-		t.Fatalf("code=%d body=%.100q, want 400 naming the nesting bound", res.StatusCode, body)
+	n := 16384 // one past the parser's bound on open parentheses
+	for q, bound := range map[string]string{
+		strings.Repeat("-", 900000) + "1":                     "nests deeper than 16384 levels",
+		strings.Repeat("(", n) + "1" + strings.Repeat(")", n): "parentheses nest deeper than 16383 levels",
+	} {
+		res, err := http.Get(srv.URL + "/query?q=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), bound) {
+			t.Fatalf("%.10q…: code=%d body=%.100q, want 400 naming %q", q, res.StatusCode, body, bound)
+		}
 	}
 }
 

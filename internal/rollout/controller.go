@@ -1,3 +1,13 @@
+// Package rollout is a closed-loop deployment controller for debloated
+// functions, layered on the faas simulator. It drives the full lifecycle
+// the paper leaves to operators: deploy a debloated artifact as a new
+// version, canary it behind a weighted alias, gate each stage on SLO burn
+// rates over the canary's own traffic, trip a circuit breaker when the
+// §5.4 fallback wrapper turns into a storm, and — when the storm is caused
+// by over-trimming — collect the failing inputs as new oracle cases,
+// re-debloat (§9), and canary the repaired artifact through the same
+// pipeline. Everything runs on virtual time and seeded draws, so a replay
+// is byte-identical across runs and worker counts.
 package rollout
 
 import (
@@ -14,43 +24,66 @@ import (
 	"repro/internal/obs/monitor"
 )
 
-// Config tunes the controller. The zero value is not usable; start from
-// DefaultConfig.
+// Config connects the controller to its run; its policy is fixed (see
+// Policy).
 type Config struct {
-	// Stages is the canary ramp (DefaultStages if empty).
-	Stages []Stage
-	// Gate is the per-stage health gate: SLOs evaluated over the
-	// candidate's own samples. A FIRING gate rolls the canary back.
-	Gate []monitor.SLO
-	// GateResolution is the gate monitor's evaluation tick.
-	GateResolution time.Duration
-	// Breaker tunes the fallback-storm circuit breaker.
-	Breaker BreakerConfig
-	// SelfHeal re-debloats with the storm's failing inputs as new oracle
-	// cases and canaries the repaired artifact.
-	SelfHeal bool
 	// Debloat configures the self-heal Rerun.
 	Debloat debloat.Config
-	// Retry is the client-side retry policy used for managed invokes.
-	Retry faas.RetryPolicy
 	// Tracer receives rollout.* events (nil disables).
 	Tracer *obs.Tracer
 }
 
-// maxHealCases caps collected failing inputs per heal round.
-const maxHealCases = 8
+// stage is one canary step: route weight of the traffic to the candidate
+// and hold for bake of quiet gate time before advancing.
+type stage struct {
+	weight float64 // the candidate's traffic fraction, in (0, 1]
+	bake   time.Duration
+}
 
-// DefaultConfig returns a controller config sized for the experiment
-// traces: second-scale gates, minute-scale bakes.
-func DefaultConfig() Config {
-	return Config{
-		Stages:         DefaultStages(),
-		Gate:           []monitor.SLO{{Name: "canary-err", Kind: monitor.KindErrorRate, Budget: 0.05}},
-		GateResolution: 30 * time.Second,
-		Breaker:        DefaultBreakerConfig(),
-		SelfHeal:       true,
-		Debloat:        debloat.DefaultConfig(),
+// The controller's fixed policy, sized to the rollout experiment's seeded
+// trace: second-scale bakes so a first canary promotes before the storm,
+// and a breaker window matching the storm's request rate. Every storm
+// that opens a breaker starts a self-heal.
+var (
+	// stages is the canary ramp.
+	stages = []stage{
+		{weight: 0.05, bake: 30 * time.Second},
+		{weight: 0.25, bake: 30 * time.Second},
+		{weight: 1.00, bake: time.Minute},
 	}
+	// breakerPolicy tunes each function's fallback-storm breaker.
+	breakerPolicy = BreakerConfig{
+		Window:       time.Minute,
+		MinRequests:  6,
+		FallbackRate: 0.5,
+		Consecutive:  4,
+		Cooldown:     10 * time.Minute,
+		Probes:       3,
+	}
+	// retry is the client-side retry policy of managed invocations.
+	retry = faas.DefaultRetryPolicy()
+)
+
+const (
+	// gateResolution is the health gate's evaluation tick. The gate is
+	// one error-rate SLO, "canary-err", over the candidate's own samples
+	// with a gateBudget error budget; a FIRING gate rolls the canary back.
+	gateResolution = 10 * time.Second
+	gateBudget     = 0.05
+	// maxHealCases caps collected failing inputs per heal round.
+	maxHealCases = 8
+)
+
+// Policy renders the fixed policy in one line: the canary ramp as
+// percent:bake pairs, the breaker's trip rules and the gate's tick.
+func Policy() string {
+	ramp := make([]string, len(stages))
+	for i, s := range stages {
+		ramp[i] = pct(s.weight) + ":" + s.bake.String()
+	}
+	br := breakerPolicy
+	return fmt.Sprintf("canary: %s; breaker: rate ≥%.2f over %s (min %d) or %d consecutive; gate: error burn on %s ticks",
+		strings.Join(ramp, ","), br.FallbackRate, br.Window, br.MinRequests, br.Consecutive, gateResolution)
 }
 
 // fnState is the controller's per-function record.
@@ -98,20 +131,11 @@ type Controller struct {
 
 // New wraps a platform with a rollout controller.
 func New(p *faas.Platform, cfg Config) *Controller {
-	if len(cfg.Stages) == 0 {
-		cfg.Stages = DefaultStages()
-	}
-	if cfg.GateResolution <= 0 {
-		cfg.GateResolution = 30 * time.Second
-	}
-	if cfg.Breaker == (BreakerConfig{}) {
-		cfg.Breaker = DefaultBreakerConfig()
-	}
 	return &Controller{
 		p:     p,
 		cfg:   cfg,
 		fns:   make(map[string]*fnState),
-		store: monitor.NewStore(cfg.GateResolution, 0),
+		store: monitor.NewStore(gateResolution, 0),
 	}
 }
 
@@ -126,7 +150,7 @@ func (c *Controller) Manage(res *debloat.Result) error {
 	}
 	st := &fnState{
 		name:     name,
-		breaker:  NewBreaker(c.cfg.Breaker),
+		breaker:  NewBreaker(breakerPolicy),
 		healSeen: make(map[string]bool),
 	}
 	st.orig = c.p.DeployVersion(name, "orig", res.Original)
@@ -150,48 +174,30 @@ func (c *Controller) startCanary(st *fnState, res *debloat.Result) {
 	st.stage = 0
 	st.stageStart = c.p.Now()
 	st.gate = monitor.New(monitor.Config{
-		Resolution: c.cfg.GateResolution,
-		SLOs:       append([]monitor.SLO(nil), c.cfg.Gate...),
+		Resolution: gateResolution,
+		SLOs:       []monitor.SLO{{Name: "canary-err", Kind: monitor.KindErrorRate, Budget: gateBudget}},
 	})
 	st.gateSeen = 0
-	stage := c.cfg.Stages[0]
+	first := stages[0]
 	c.eventf(st, "canary %s stage 1/%d weight %s bake %s",
-		st.candidate, len(c.cfg.Stages), pct(stage.Weight), stage.Bake)
+		st.candidate, len(stages), pct(first.weight), first.bake)
 	c.emit(st, "rollout.canary.start", obs.String("candidate", st.candidate))
 	c.record(st, "canary_start")
 }
 
-// Invoke routes one request through the rollout state for name. Unmanaged
-// names pass straight through to the platform.
-func (c *Controller) Invoke(name string, event map[string]any) (*faas.Invocation, error) {
-	st, ok := c.fns[name]
-	if !ok {
-		return c.p.InvokeWithRetry(name, event, c.cfg.Retry)
-	}
-	if err := c.stepAndRoute(st); err != nil {
-		return nil, err
-	}
-	start := c.p.Now()
-	inv, err := c.p.InvokeWithRetry(name, event, c.cfg.Retry)
-	if err != nil {
-		return nil, err
-	}
-	c.observe(st, event, inv, start+inv.E2E)
-	return inv, nil
-}
-
 // InvokeGroup delivers a burst concurrently (routing fixed at the burst's
-// start), then observes each outcome.
+// start), then observes each outcome. Unmanaged names pass straight through
+// to the platform.
 func (c *Controller) InvokeGroup(name string, events []map[string]any) ([]*faas.Invocation, error) {
 	st, ok := c.fns[name]
 	if !ok {
-		return c.p.InvokeGroupWithRetry(name, events, c.cfg.Retry)
+		return c.p.InvokeGroupWithRetry(name, events, retry)
 	}
 	if err := c.stepAndRoute(st); err != nil {
 		return nil, err
 	}
 	start := c.p.Now()
-	invs, err := c.p.InvokeGroupWithRetry(name, events, c.cfg.Retry)
+	invs, err := c.p.InvokeGroupWithRetry(name, events, retry)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +226,7 @@ func (c *Controller) step(st *fnState) {
 		st.active = ""
 		st.activeRes = nil
 		st.opens += st.breaker.opens
-		st.breaker = NewBreaker(c.cfg.Breaker)
+		st.breaker = NewBreaker(breakerPolicy)
 		st.heals++
 		c.eventf(st, "heal deploy oracle=%d cases", len(res.Original.Oracle))
 		c.emit(st, "rollout.heal.deploy")
@@ -231,7 +237,7 @@ func (c *Controller) step(st *fnState) {
 	// Open breakers cool down into probing — unless a heal is in flight,
 	// in which case the replacement artifact supersedes the probe.
 	if !st.healing && st.breaker.TryHalfOpen(now) {
-		c.eventf(st, "breaker HALF_OPEN probes=%d", c.cfg.Breaker.Probes)
+		c.eventf(st, "breaker HALF_OPEN probes=%d", breakerPolicy.Probes)
 		c.emit(st, "rollout.breaker.half_open")
 	}
 
@@ -259,12 +265,12 @@ func (c *Controller) step(st *fnState) {
 		st.gate = nil
 		return
 	}
-	if now-st.stageStart < c.cfg.Stages[st.stage].Bake {
+	if now-st.stageStart < stages[st.stage].bake {
 		return
 	}
 	st.stage++
 	st.stageStart = now
-	if st.stage >= len(c.cfg.Stages) {
+	if st.stage >= len(stages) {
 		st.active = st.candidate
 		st.activeRes = st.candRes
 		st.candidate = ""
@@ -275,10 +281,10 @@ func (c *Controller) step(st *fnState) {
 		c.record(st, "promote")
 		return
 	}
-	stage := c.cfg.Stages[st.stage]
+	next := stages[st.stage]
 	c.eventf(st, "canary stage %d/%d weight %s bake %s",
-		st.stage+1, len(c.cfg.Stages), pct(stage.Weight), stage.Bake)
-	c.emit(st, "rollout.canary.advance", obs.String("weight", pct(stage.Weight)))
+		st.stage+1, len(stages), pct(next.weight), next.bake)
+	c.emit(st, "rollout.canary.advance", obs.String("weight", pct(next.weight)))
 }
 
 // route reprograms the alias whenever the desired split changed.
@@ -303,7 +309,7 @@ func (c *Controller) route(st *fnState) error {
 		}
 		routes = []faas.AliasRoute{{Target: probe, Weight: 1}}
 	case st.candidate != "":
-		w := c.cfg.Stages[st.stage].Weight
+		w := stages[st.stage].weight
 		if w >= 1 {
 			routes = []faas.AliasRoute{{Target: st.candidate, Weight: 1}}
 		} else {
@@ -355,7 +361,7 @@ func (c *Controller) observe(st *fnState, event map[string]any, inv *faas.Invoca
 		c.selfHeal(st, at)
 	case "close":
 		st.stageStart = at // a fresh quiet period starts the bake over
-		c.eventf(st, "breaker CLOSED after %d clean probes", c.cfg.Breaker.Probes)
+		c.eventf(st, "breaker CLOSED after %d clean probes", breakerPolicy.Probes)
 		c.emit(st, "rollout.breaker.close")
 		c.record(st, "breaker_close")
 	}
@@ -363,7 +369,7 @@ func (c *Controller) observe(st *fnState, event map[string]any, inv *faas.Invoca
 
 // collectHealCase keeps the failing input as a future oracle case.
 func (c *Controller) collectHealCase(st *fnState, event map[string]any) {
-	if !c.cfg.SelfHeal || len(st.healCases) >= maxHealCases {
+	if len(st.healCases) >= maxHealCases {
 		return
 	}
 	// fmt formats maps with sorted keys, so this key is deterministic.
@@ -382,7 +388,7 @@ func (c *Controller) collectHealCase(st *fnState, event map[string]any) {
 // Rerun models its own simulated duration; the repaired artifact deploys
 // once that much virtual time has passed.
 func (c *Controller) selfHeal(st *fnState, at time.Duration) {
-	if !c.cfg.SelfHeal || st.healing || len(st.healCases) == 0 {
+	if st.healing || len(st.healCases) == 0 {
 		return
 	}
 	base := st.activeRes

@@ -26,21 +26,15 @@ func TestSelfHealLoop(t *testing.T) {
 	basic := res.Original.Oracle[0].Event
 	adv := map[string]any{"mode": "advanced"}
 
-	cfg := DefaultConfig()
-	cfg.Stages = []Stage{{Weight: 1, Bake: 30 * time.Second}}
-	cfg.Breaker = BreakerConfig{Window: time.Minute, MinRequests: 100,
-		FallbackRate: 1, Consecutive: 3, Cooldown: time.Hour, Probes: 2}
 	p := faas.New(faas.DefaultConfig())
-	c := New(p, cfg)
+	c := New(p, Config{Debloat: debloat.DefaultConfig()})
 	if err := c.Manage(res); err != nil {
 		t.Fatal(err)
 	}
 
-	// Quiet basic traffic bakes v1 through its single stage.
-	for i := 0; i < 5; i++ {
-		if _, err := c.Invoke(name, basic); err != nil {
-			t.Fatal(err)
-		}
+	// Quiet basic traffic bakes v1 through the ramp.
+	for i := 0; i < 15; i++ {
+		invoke(t, c, name, basic)
 		p.Advance(10 * time.Second)
 	}
 	s, _ := c.Status(name)
@@ -51,12 +45,8 @@ func TestSelfHealLoop(t *testing.T) {
 	// Advanced-mode storm: v1 lost the dynamically-accessed attribute, so
 	// every request falls back — until the breaker opens and the rerun
 	// starts.
-	for i := 0; i < 3; i++ {
-		inv, err := c.Invoke(name, adv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !inv.FallbackUsed {
+	for i := 0; i < breakerPolicy.Consecutive; i++ {
+		if inv := invoke(t, c, name, adv); !inv.FallbackUsed {
 			t.Fatalf("storm request %d did not fall back (served %s)", i, inv.Function)
 		}
 		p.Advance(time.Second)
@@ -68,25 +58,20 @@ func TestSelfHealLoop(t *testing.T) {
 
 	// While the repair bakes, the breaker serves the original — advanced
 	// mode works, nothing double-bills.
-	inv, err := c.Invoke(name, adv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := invoke(t, c, name, adv)
 	if inv.Function != name+"@orig" || inv.FallbackUsed {
 		t.Fatalf("open-breaker request: served %s fallback=%v", inv.Function, inv.FallbackUsed)
 	}
 
 	// Give the (simulated) rerun time to finish, then bake the healed
-	// canary through with mixed traffic.
-	p.Advance(time.Hour)
-	for i := 0; i < 8; i++ {
+	// canary through the ramp with mixed traffic.
+	p.Advance(5 * time.Minute)
+	for i := 0; i < 15; i++ {
 		ev := basic
 		if i%2 == 1 {
 			ev = adv
 		}
-		if _, err := c.Invoke(name, ev); err != nil {
-			t.Fatal(err)
-		}
+		invoke(t, c, name, ev)
 		p.Advance(10 * time.Second)
 	}
 
@@ -94,10 +79,7 @@ func TestSelfHealLoop(t *testing.T) {
 	if s.Heals != 1 || s.Version != 2 || s.Active != name+"@v2" {
 		t.Fatalf("heal did not promote v2: %+v", s)
 	}
-	inv, err = c.Invoke(name, adv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv = invoke(t, c, name, adv)
 	if inv.Function != name+"@v2" || inv.FallbackUsed {
 		t.Errorf("healed artifact: served %s fallback=%v, want native v2", inv.Function, inv.FallbackUsed)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/appspec"
 	"repro/internal/debloat"
 	"repro/internal/faas"
+	"repro/internal/pyruntime"
 	"repro/internal/vfs"
 )
 
@@ -70,9 +71,22 @@ func fakeResult(orig, deb *appspec.App) *debloat.Result {
 var basicEvent = map[string]any{"id": 1}
 var advEvent = map[string]any{"mode": "advanced"}
 
+// invoke routes one request through the controller.
+func invoke(t *testing.T, c *Controller, name string, event map[string]any) *faas.Invocation {
+	t.Helper()
+	invs, err := c.InvokeGroup(name, []map[string]any{event})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return invs[0]
+}
+
+// Policy formats the canary ramp as percent:bake pairs, then the breaker's
+// trip rules and the gate's tick.
 func TestFormatStages(t *testing.T) {
-	if spec := FormatStages(DefaultStages()); spec != "1%:2m0s,10%:2m0s,50%:5m0s,100%:5m0s" {
-		t.Errorf("FormatStages(DefaultStages()) = %q", spec)
+	want := "canary: 5%:30s,25%:30s,100%:1m0s; breaker: rate ≥0.50 over 1m0s (min 6) or 4 consecutive; gate: error burn on 10s ticks"
+	if got := Policy(); got != want {
+		t.Errorf("Policy() = %q, want %q", got, want)
 	}
 }
 
@@ -145,69 +159,90 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func controllerFor(t *testing.T, cfg Config, orig, deb *appspec.App) (*faas.Platform, *Controller) {
+func controllerFor(t *testing.T, orig, deb *appspec.App) (*faas.Platform, *Controller) {
 	t.Helper()
 	p := faas.New(faas.DefaultConfig())
-	c := New(p, cfg)
+	c := New(p, Config{Debloat: debloat.DefaultConfig()})
 	if err := c.Manage(fakeResult(orig, deb)); err != nil {
 		t.Fatal(err)
 	}
 	return p, c
 }
 
-func TestCanaryPromotesThroughQuietGates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stages = []Stage{{Weight: 0.1, Bake: time.Minute}, {Weight: 1, Bake: time.Minute}}
-	cfg.SelfHeal = false
-	p, c := controllerFor(t, cfg, fullApp("fn"), cleanApp("fn"))
-
-	for i := 0; i < 30; i++ {
-		if _, err := c.Invoke("fn", basicEvent); err != nil {
-			t.Fatal(err)
-		}
+// promote bakes fn@v1 through the whole ramp (two minutes of quiet gates)
+// with basic traffic every 10 s.
+func promote(t *testing.T, p *faas.Platform, c *Controller) {
+	t.Helper()
+	for i := 0; i < 15; i++ {
+		invoke(t, c, "fn", basicEvent)
 		p.Advance(10 * time.Second)
 	}
-	s, ok := c.Status("fn")
-	if !ok {
-		t.Fatal("fn not managed")
-	}
-	if s.Active != "fn@v1" || s.Candidate != "" {
+	if s, _ := c.Status("fn"); s.Active != "fn@v1" || s.Candidate != "" {
 		t.Fatalf("status = %+v, want promoted fn@v1", s)
 	}
-	if !strings.Contains(c.EventLog(), "canary PROMOTE fn@v1") {
-		t.Errorf("log missing promote:\n%s", c.EventLog())
+}
+
+func TestCanaryPromotesThroughQuietGates(t *testing.T) {
+	p, c := controllerFor(t, fullApp("fn"), cleanApp("fn"))
+	promote(t, p, c)
+	log := c.EventLog()
+	for _, want := range []string{"stage 2/3 weight 25%", "stage 3/3 weight 100%", "canary PROMOTE fn@v1"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("log missing %q:\n%s", want, log)
+		}
 	}
-	inv, err := c.Invoke("fn", basicEvent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Function != "fn@v1" {
+	if inv := invoke(t, c, "fn", basicEvent); inv.Function != "fn@v1" {
 		t.Errorf("steady state served by %s", inv.Function)
 	}
 }
 
-func TestBreakerOpensOnStormAndRoutesToOriginal(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stages = []Stage{{Weight: 1, Bake: time.Hour}} // hold at 100% canary
-	cfg.SelfHeal = false
-	cfg.Breaker = BreakerConfig{Window: time.Minute, MinRequests: 100,
-		FallbackRate: 1, Consecutive: 3, Cooldown: 2 * time.Minute, Probes: 2}
-	p, c := controllerFor(t, cfg, fullApp("fn"), trimmedApp("fn"))
+// brokenApp's handler raises on every request, without an AttributeError
+// for the fallback to catch.
+func brokenApp(name string) *appspec.App {
+	a := cleanApp(name)
+	a.Image.Write("handler.py", `
+def handler(event, context):
+    raise ValueError("broken build")
+`)
+	return a
+}
 
-	// Storm: every request needs the removed attribute.
-	var fallbacks int
-	for i := 0; i < 3; i++ {
-		inv, err := c.Invoke("fn", advEvent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inv.FallbackUsed {
-			fallbacks++
+// A candidate whose every request fails fires the error-rate gate, which
+// rolls the canary back to the original before the ramp completes.
+func TestCanaryRollsBackOnFiringGate(t *testing.T) {
+	p, c := controllerFor(t, fullApp("fn"), brokenApp("fn"))
+	failed := 0
+	for i := 0; i < 60; i++ {
+		if invoke(t, c, "fn", basicEvent).Err != nil {
+			failed++
 		}
 		p.Advance(time.Second)
 	}
-	if fallbacks != 3 {
-		t.Fatalf("fallbacks = %d, want 3", fallbacks)
+	s, _ := c.Status("fn")
+	if s.Candidate != "" || s.Active != "" {
+		t.Fatalf("status = %+v, want the canary rolled back and nothing active", s)
+	}
+	if failed == 0 || !strings.Contains(c.EventLog(), "canary ROLLBACK fn@v1 gate canary-err firing") {
+		t.Fatalf("%d failed requests; log:\n%s", failed, c.EventLog())
+	}
+	if inv := invoke(t, c, "fn", basicEvent); inv.Function != "fn@orig" || inv.Err != nil {
+		t.Errorf("after rollback: served by %s err=%v, want fn@orig", inv.Function, inv.Err)
+	}
+}
+
+// An advanced-mode storm on a promoted, over-trimmed artifact opens the
+// breaker, which routes traffic straight to the original.
+func TestBreakerOpensOnStormAndRoutesToOriginal(t *testing.T) {
+	p, c := controllerFor(t, fullApp("fn"), trimmedApp("fn"))
+	promote(t, p, c)
+
+	// Storm: every request needs the removed attribute; the fourth
+	// consecutive fallback opens the breaker.
+	for i := 0; i < 4; i++ {
+		if inv := invoke(t, c, "fn", advEvent); !inv.FallbackUsed || inv.Err != nil {
+			t.Fatalf("storm request %d: fallback=%v err=%v", i, inv.FallbackUsed, inv.Err)
+		}
+		p.Advance(time.Second)
 	}
 	s, _ := c.Status("fn")
 	if s.Breaker != "OPEN" || s.Opens != 1 {
@@ -216,32 +251,67 @@ func TestBreakerOpensOnStormAndRoutesToOriginal(t *testing.T) {
 
 	// While open, traffic goes straight to the original: no fallback, no
 	// double bill, still serves the advanced mode.
-	inv, err := c.Invoke("fn", advEvent)
-	if err != nil {
-		t.Fatal(err)
+	inv := invoke(t, c, "fn", advEvent)
+	if inv.Function != "fn@orig" || inv.FallbackUsed || inv.Err != nil {
+		t.Fatalf("open-breaker request served by %s fallback=%v err=%v", inv.Function, inv.FallbackUsed, inv.Err)
 	}
-	if inv.Function != "fn@orig" || inv.FallbackUsed {
-		t.Fatalf("open-breaker request served by %s fallback=%v", inv.Function, inv.FallbackUsed)
+	if log := c.EventLog(); !strings.Contains(log, "breaker OPEN fn@v1") || !strings.Contains(log, "heal rerun cases=1") {
+		t.Errorf("log missing the open and its heal:\n%s", log)
+	}
+}
+
+// doomedApp is an original that also fails the advanced mode, so a heal
+// that adds the storm's input to the oracle cannot succeed.
+func doomedApp(name string) *appspec.App {
+	a := fullApp(name)
+	a.Image.Write("site-packages/lib/__init__.py", `
+load_native(150, 40)
+
+def advanced():
+    raise ValueError("advanced mode is broken")
+`)
+	return a
+}
+
+// When the heal fails, the breaker stays open through its cooldown and
+// then probes the artifact: a failed probe re-opens it, clean probes close
+// it.
+func TestBreakerHalfOpensWhenHealFails(t *testing.T) {
+	p, c := controllerFor(t, doomedApp("fn"), trimmedApp("fn"))
+	promote(t, p, c)
+	for i := 0; i < breakerPolicy.Consecutive; i++ {
+		inv := invoke(t, c, "fn", advEvent)
+		if perr, ok := inv.Err.(*pyruntime.PyErr); !inv.FallbackUsed || !ok || perr.ClassName() != "ValueError" {
+			t.Fatalf("storm request %d: fallback=%v err=%v, want the original's ValueError", i, inv.FallbackUsed, inv.Err)
+		}
+		p.Advance(time.Second)
+	}
+	if !strings.Contains(c.EventLog(), "heal FAILED") {
+		t.Fatalf("log missing the failed heal:\n%s", c.EventLog())
 	}
 
-	// After the cooldown, probes with basic traffic close the breaker.
-	p.Advance(3 * time.Minute)
-	for i := 0; i < 2; i++ {
-		inv, err := c.Invoke("fn", basicEvent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inv.Function != "fn@v1" {
+	// The cooldown passes; the first probe fails and re-opens the breaker.
+	p.Advance(breakerPolicy.Cooldown)
+	if inv := invoke(t, c, "fn", advEvent); inv.Function != "fn@v1" || !inv.FallbackUsed {
+		t.Fatalf("probe served by %s fallback=%v, want a failing probe of fn@v1", inv.Function, inv.FallbackUsed)
+	}
+	if s, _ := c.Status("fn"); s.Breaker != "OPEN" || s.Opens != 2 {
+		t.Fatalf("after a failed probe: breaker = %s opens=%d, want OPEN/2", s.Breaker, s.Opens)
+	}
+
+	// After another cooldown, clean probes close it.
+	p.Advance(breakerPolicy.Cooldown)
+	for i := 0; i < breakerPolicy.Probes; i++ {
+		if inv := invoke(t, c, "fn", basicEvent); inv.Function != "fn@v1" {
 			t.Fatalf("probe served by %s", inv.Function)
 		}
 		p.Advance(time.Second)
 	}
-	s, _ = c.Status("fn")
-	if s.Breaker != "CLOSED" {
-		t.Fatalf("breaker = %s after clean probes", s.Breaker)
+	if s, _ := c.Status("fn"); s.Breaker != "CLOSED" || s.Heals != 0 {
+		t.Fatalf("after clean probes: breaker = %s heals=%d, want CLOSED/0", s.Breaker, s.Heals)
 	}
 	log := c.EventLog()
-	for _, want := range []string{"breaker OPEN", "breaker HALF_OPEN", "breaker CLOSED"} {
+	for _, want := range []string{"breaker HALF_OPEN", "breaker OPEN fn@v1 (probe failed)", "breaker CLOSED"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("log missing %q:\n%s", want, log)
 		}
@@ -250,18 +320,13 @@ func TestBreakerOpensOnStormAndRoutesToOriginal(t *testing.T) {
 
 func TestControllerReplayIsDeterministic(t *testing.T) {
 	run := func() (string, string) {
-		cfg := DefaultConfig()
-		cfg.Stages = []Stage{{Weight: 0.5, Bake: 30 * time.Second}, {Weight: 1, Bake: 30 * time.Second}}
-		cfg.SelfHeal = false
-		p, c := controllerFor(t, cfg, fullApp("fn"), trimmedApp("fn"))
+		p, c := controllerFor(t, fullApp("fn"), trimmedApp("fn"))
 		for i := 0; i < 40; i++ {
 			ev := basicEvent
 			if i%5 == 4 {
 				ev = advEvent
 			}
-			if _, err := c.Invoke("fn", ev); err != nil {
-				t.Fatal(err)
-			}
+			invoke(t, c, "fn", ev)
 			p.Advance(7 * time.Second)
 		}
 		return c.EventLog(), string(c.OpenMetrics())
@@ -281,13 +346,9 @@ func TestControllerReplayIsDeterministic(t *testing.T) {
 
 func TestUnmanagedNamePassesThrough(t *testing.T) {
 	p := faas.New(faas.DefaultConfig())
-	c := New(p, DefaultConfig())
+	c := New(p, Config{})
 	p.Deploy(fullApp("plain"))
-	inv, err := c.Invoke("plain", basicEvent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Function != "plain" {
+	if inv := invoke(t, c, "plain", basicEvent); inv.Function != "plain" {
 		t.Errorf("served by %s", inv.Function)
 	}
 	if c.EventLog() != "" {
@@ -296,13 +357,11 @@ func TestUnmanagedNamePassesThrough(t *testing.T) {
 }
 
 func TestManageRejectsDuplicates(t *testing.T) {
-	p := faas.New(faas.DefaultConfig())
-	c := New(p, DefaultConfig())
+	c := New(faas.New(faas.DefaultConfig()), Config{})
 	if err := c.Manage(fakeResult(fullApp("fn"), cleanApp("fn"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Manage(fakeResult(fullApp("fn"), cleanApp("fn"))); err == nil {
 		t.Error("duplicate Manage accepted")
 	}
-	_ = p
 }
